@@ -9,6 +9,7 @@ exit code 2 for input problems and 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -146,14 +147,7 @@ def cmd_solve(args):
     init = complex(*doc.get("init", [1.0, 0.0]))
     cfg = flow_config_from_dict(doc.get("flow", {}))
     if args.trajectory:
-        cfg = FlowConfig(
-            step=cfg.step,
-            max_iters=cfg.max_iters,
-            grad_tol=cfg.grad_tol,
-            rho=cfg.rho,
-            certified=cfg.certified,
-            keep_trajectory=True,
-        )
+        cfg = dataclasses.replace(cfg, keep_trajectory=True)
     op = make_residual_operator(model)
     res = wirtinger_flow(op, signal, init, cfg)
     _dump(
@@ -259,16 +253,15 @@ def cmd_reconstruct(args):
         res = reconstruct_noisy(grid, model, constraint, args.delta, cfg, xi_init)
     else:
         res = reconstruct(grid, model, constraint, cfg, xi_init)
-    out = {
-        "xi_map": res.xi_map,
-        "c_map": res.c_map,
-        "pdff": pdff_map(res.c_map, args.water_index, args.fat_index),
-        "objective_trace": np.asarray(res.objective_trace),
-        "mask": grid.mask,
-    }
-    if res.s_map is not None:
-        out["s_map"] = res.s_map
-    np.savez(args.out, **out)
+    np.savez(
+        args.out,
+        xi_map=res.xi_map,
+        c_map=res.c_map,
+        pdff=pdff_map(res.c_map, args.water_index, args.fat_index),
+        objective_trace=np.asarray(res.objective_trace),
+        mask=grid.mask,
+        s_map=res.s_map,
+    )
     summary = {
         "iterations": res.iterations,
         "converged": res.converged,
@@ -278,33 +271,33 @@ def cmd_reconstruct(args):
     if args.truth:
         truth = np.load(args.truth)
         names = [sp.name for sp in model.species]
-        truth_maps = {
-            name: truth["c0_map"][..., k] for k, name in enumerate(names)
-        }
-        truth_maps["fieldmap"] = np.real(truth["xi0_map"])
-        truth_maps["r2star"] = np.imag(truth["xi0_map"])
-        est_maps = {name: res.c_map[..., k] for k, name in enumerate(names)}
-        est_maps["fieldmap"] = np.real(res.xi_map)
-        est_maps["r2star"] = np.imag(res.xi_map)
-        summary["metrics"] = metrics_table(truth_maps, est_maps)
+        summary["metrics"] = metrics_table(
+            _named_maps(names, truth["c0_map"], truth["xi0_map"]),
+            _named_maps(names, res.c_map, res.xi_map),
+        )
     _dump(summary, args.metrics_out)
     return 0
+
+
+def _named_maps(names, c_map, xi_map):
+    """Species maps under the given names, plus the fieldmap and R2* maps."""
+    maps = {name: c_map[..., k] for k, name in enumerate(names)}
+    maps["fieldmap"] = np.real(xi_map)
+    maps["r2star"] = np.imag(xi_map)
+    return maps
 
 
 def cmd_metrics(args):
     truth = np.load(args.truth)
     recon = np.load(args.recon)
-    truth_maps = {}
-    est_maps = {}
-    n_s = truth["c0_map"].shape[-1]
-    for k in range(n_s):
-        truth_maps[f"species_{k}"] = truth["c0_map"][..., k]
-        est_maps[f"species_{k}"] = recon["c_map"][..., k]
-    truth_maps["fieldmap"] = np.real(truth["xi0_map"])
-    est_maps["fieldmap"] = np.real(recon["xi_map"])
-    truth_maps["r2star"] = np.imag(truth["xi0_map"])
-    est_maps["r2star"] = np.imag(recon["xi_map"])
-    _dump(metrics_table(truth_maps, est_maps), args.out)
+    names = [f"species_{k}" for k in range(truth["c0_map"].shape[-1])]
+    _dump(
+        metrics_table(
+            _named_maps(names, truth["c0_map"], truth["xi0_map"]),
+            _named_maps(names, recon["c_map"], recon["xi_map"]),
+        ),
+        args.out,
+    )
     return 0
 
 

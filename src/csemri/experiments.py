@@ -56,13 +56,28 @@ def experiment_solution_set(
 
     Writes, per echo count: ``w_error_ne{n}.csv`` (phi_hz, frobenius error
     of I - W(phi)), ``sigma_min_ne{n}.csv`` (eta_hz, sigma_min) and
-    ``zeros_ne{n}.json`` (classified zero set). Returns the artifact paths.
+    ``zeros_ne{n}.json`` (classified zero set). Echo counts below
+    ``2 n_s``, where the zero-set search does not apply, are skipped and
+    listed in ``solution_set.json``. Returns the artifact paths.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = np.arange(band_hz[0], band_hz[1] + grid_step_hz / 2, grid_step_hz)
-    artifacts = []
-    for n in echo_counts:
+    min_echoes = 2 * len(species)
+    scanned = [n for n in echo_counts if n >= min_echoes]
+    path = out_dir / "solution_set.json"
+    with open(path, "w") as fh:
+        json.dump(
+            {
+                "echo_counts": scanned,
+                "skipped_echo_counts": [n for n in echo_counts if n < min_echoes],
+                "min_echo_count": min_echoes,
+            },
+            fh,
+            indent=1,
+        )
+    artifacts = [path]
+    for n in scanned:
         echoes = EchoSpec.uniform_ms(first_echo_ms, spacing_ms, n)
         model = build_model(species, echoes)
         w_err = weighting_error_profile(grid, np.ones(n), echoes.array())

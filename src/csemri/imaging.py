@@ -12,6 +12,12 @@ axes have disjoint footprints and one Dykstra block per parity class
 (four in total) can be projected exactly and vectorized. The imaginary
 part (the decay rate) is simply clamped to be nonnegative, which is the
 exact projection because the constraint only reads the real part.
+
+One projected-descent driver, :func:`reconstruct_noisy`, moves the field
+and the per-voxel signals together: the signals stay within their noise
+balls ``||s(v) - y(v)|| <= delta(v)``. Noiseless reconstruction,
+:func:`reconstruct`, is the case ``delta = 0``, where the signal block is
+held at the data and its gradient is never formed.
 """
 
 from __future__ import annotations
@@ -21,14 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import DimensionError, NonConvergence
+from .errors import DegenerateCurvature, DimensionError, NonConvergence
 from .residual import (
     make_residual_operator,
     voxelwise_concentrations,
     voxelwise_signal_gradient,
     voxelwise_value_and_gradient,
 )
-from .solver import certified_step, step_bound
+from .solver import certified_step, projected_signal_step, step_bound
 
 __all__ = [
     "ImageGrid",
@@ -313,21 +319,16 @@ class ReconResult:
     constraint_violation: float
     iterations: int
     converged: bool
-    s_map: np.ndarray | None = field(default=None, repr=False)
+    s_map: np.ndarray = field(repr=False)
 
 
 def _global_step(op, cfg, xi_flat, s_flat, mask_flat):
     if not cfg.certified:
         return cfg.step
-    alphas = []
-    for i in np.flatnonzero(mask_flat):
-        try:
-            alphas.append(certified_step(op, xi_flat[i], s_flat[i], cfg.rho))
-        except Exception:
-            continue
-    if not alphas:
+    try:
+        return certified_step(op, xi_flat[mask_flat], s_flat[mask_flat], cfg.rho)
+    except DegenerateCurvature:
         return 0.9 * step_bound(cfg.rho)
-    return float(min(alphas))
 
 
 def reconstruct(
@@ -340,50 +341,10 @@ def reconstruct(
     max_sweeps=2000,
     op=None,
 ):
-    """Projected Wirtinger descent of the summed voxel residuals.
-
-    Per-voxel gradients are assembled into one field step with a single
-    global step size (the smallest certified step over the mask when
-    certified mode is requested), followed by the exact projection onto
-    the constraint set, so the recorded objective never increases.
-    """
-    if grid.n_e != model.n_e:
-        raise DimensionError("grid echo count does not match the model")
-    op = op if op is not None else make_residual_operator(model)
-    h, w = grid.height, grid.width
-    s_flat = grid.signal.reshape(-1, grid.n_e)
-    mask_flat = grid.mask.ravel()
-    xi = np.asarray(xi_init, dtype=complex).copy()
-    if xi.shape != (h, w):
-        raise DimensionError(f"xi_init shape {xi.shape} does not match grid")
-    alpha = _global_step(op, cfg, xi.ravel(), s_flat, mask_flat)
-
-    s_scale2 = np.maximum(np.sum(np.abs(s_flat) ** 2, axis=1), 1e-300)
-    grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12
-    trace = []
-    converged = False
-    iterations = 0
-    for iterations in range(cfg.max_iters + 1):
-        f, d_xi = voxelwise_value_and_gradient(op, xi.ravel(), s_flat)
-        trace.append(float(np.sum(f)))
-        grad = 2.0 * np.conj(d_xi)
-        if float(np.max(np.abs(grad) / s_scale2)) <= grad_tol:
-            converged = True
-            break
-        if iterations == cfg.max_iters:
-            break
-        xi_flat = xi.ravel() - alpha * grad
-        xi = project_onto_C_phi(
-            xi_flat.reshape(h, w), constraint, proj_tol=proj_tol, max_sweeps=max_sweeps
-        )
-    c_map = voxelwise_concentrations(op, xi.ravel(), s_flat).reshape(h, w, model.n_s)
-    return ReconResult(
-        xi_map=xi,
-        c_map=c_map,
-        objective_trace=tuple(trace),
-        constraint_violation=constraint_violation(xi, constraint),
-        iterations=iterations,
-        converged=converged,
+    """Noiseless reconstruction: :func:`reconstruct_noisy` with ``delta = 0``."""
+    return reconstruct_noisy(
+        grid, model, constraint, 0.0, cfg, xi_init,
+        proj_tol=proj_tol, max_sweeps=max_sweeps, op=op,
     )
 
 
@@ -399,11 +360,14 @@ def reconstruct_noisy(
     max_sweeps=2000,
     op=None,
 ):
-    """Joint projected descent on the field and the per-voxel signals.
+    """Joint projected Wirtinger descent on the field and the per-voxel signals.
 
-    The signal block carries per-voxel ball constraints
-    ``||s(v) - y(v)|| <= delta(v)`` with closed-form radial projection;
-    the field block is projected onto the gradient-bound set.
+    Per-voxel field gradients are assembled into one field step with a
+    single global step size (the smallest certified step over the mask when
+    certified mode is requested), followed by the exact projection onto the
+    constraint set. The signal block carries per-voxel ball constraints
+    ``||s(v) - y(v)|| <= delta(v)`` with closed-form radial projection; with
+    every ``delta`` zero it is held at ``y``.
     """
     if grid.n_e != model.n_e:
         raise DimensionError("grid echo count does not match the model")
@@ -413,36 +377,32 @@ def reconstruct_noisy(
     delta_flat = np.broadcast_to(np.asarray(delta, dtype=float), (h, w)).ravel()
     if np.any(delta_flat < 0):
         raise DimensionError("delta must be nonnegative")
-    mask_flat = grid.mask.ravel()
     xi = np.asarray(xi_init, dtype=complex).copy()
-    alpha = _global_step(op, cfg, xi.ravel(), y_flat, mask_flat)
+    if xi.shape != (h, w):
+        raise DimensionError(f"xi_init shape {xi.shape} does not match grid")
+    alpha = _global_step(op, cfg, xi.ravel(), y_flat, grid.mask.ravel())
 
+    hold_signal = not np.any(delta_flat > 0)
     s = y_flat.copy()
     trace = []
     converged = False
     iterations = 0
-    y_scale = np.maximum(np.linalg.norm(y_flat, axis=1), delta_flat)
-    y_scale = np.maximum(y_scale, 1e-300)
+    y_scale = np.maximum(np.maximum(np.linalg.norm(y_flat, axis=1), delta_flat), 1e-300)
     s_scale2 = np.maximum(np.sum(np.abs(y_flat) ** 2, axis=1), 1e-300)
     grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12
     for iterations in range(cfg.max_iters + 1):
         f, d_xi = voxelwise_value_and_gradient(op, xi.ravel(), s)
-        trace.append(float(np.sum(f)) + epsilon * float(np.sum(np.abs(s) ** 2)))
+        objective = float(np.sum(f))
+        if epsilon:
+            objective += epsilon * float(np.sum(np.abs(s) ** 2))
+        trace.append(objective)
         grad = 2.0 * np.conj(d_xi)
-
-        s_grad = voxelwise_signal_gradient(op, xi.ravel(), s) + epsilon * s
-        lip = np.exp(op.tau_s * np.abs(np.imag(xi.ravel()))) + 2.0 * epsilon
-        s_new = s - (0.9 / lip)[:, None] * 2.0 * s_grad
-        d = s_new - y_flat
-        nrm = np.linalg.norm(d, axis=1)
-        shrink = np.where(nrm > delta_flat, delta_flat / np.maximum(nrm, 1e-300), 1.0)
-        s_new = y_flat + shrink[:, None] * d
-
-        s_move = np.linalg.norm(s_new - s, axis=1)
-        if (
-            float(np.max(np.abs(grad) / s_scale2)) <= grad_tol
-            and float(np.max(s_move / y_scale)) <= 1e-10
-        ):
+        s_new, s_move = s, 0.0
+        if not hold_signal:
+            s_grad = voxelwise_signal_gradient(op, xi.ravel(), s)
+            s_new = projected_signal_step(op, xi.ravel(), s, s_grad, y_flat, delta_flat, epsilon)
+            s_move = float(np.max(np.linalg.norm(s_new - s, axis=1) / y_scale))
+        if float(np.max(np.abs(grad) / s_scale2)) <= grad_tol and s_move <= 1e-10:
             converged = True
             break
         if iterations == cfg.max_iters:

@@ -19,6 +19,20 @@ which because ``T`` is diagonal acts entrywise as multiplication by
 * for a real-valued objective the real-chart gradient at ``xi`` is the
   complex number ``2 * conj(d_xi)``, i.e. ``(df/dRe, df/dIm) =
   (2 Re d_xi, -2 Im d_xi)``.
+
+Every value, gradient and Hessian comes from one batched kernel,
+:func:`residual_pieces`, which returns ``R(xi) s`` and its derivatives up
+to a requested order for ``n`` voxels at once. A single voxel is a batch
+of one: the scalar functions (``residual_value``, ``wirtinger_gradient_f0``,
+...) pass one parameter and one signal and read row 0, and the
+``voxelwise_*`` functions are reductions of the same output. The kernel
+takes one exponential per batch (``W(-xi)`` is the reciprocal of
+``W(xi)``), checks the exp overflow guard there, and does one matmul
+against the stacked derivative kernels. The concentration estimates share
+its demodulation step ``W(-xi) s``; the signal-block gradient applies it
+twice, through ``R(xi)^H = R(conj xi)``. The dense :func:`residual_matrix`
+and :func:`residual_derivative` build ``R`` independently and serve as
+references.
 """
 
 from __future__ import annotations
@@ -28,6 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, OverflowRisk, RankDeficient
+from .species import weighting_diag
 
 __all__ = [
     "ResidualOperator",
@@ -37,6 +52,7 @@ __all__ = [
     "make_residual_operator",
     "residual_matrix",
     "residual_derivative",
+    "residual_pieces",
     "residual_value",
     "wirtinger_gradient_f0",
     "wirtinger_hessian_f0",
@@ -44,6 +60,9 @@ __all__ = [
     "concentrations_ri",
     "concentrations_mp",
     "full_residual",
+    "voxelwise_value_and_gradient",
+    "voxelwise_signal_gradient",
+    "voxelwise_concentrations",
 ]
 
 EXP_GUARD = 700.0 / (2.0 * np.pi)
@@ -62,9 +81,10 @@ class ResidualOperator:
     phi_pinv: np.ndarray = field(repr=False)
     tau_s: float
     tau_ne: float
-    # (2 pi i (t_k - t_j))^n * P_R for n = 1, 2: derivative kernels
-    p_r1: np.ndarray = field(repr=False)
-    p_r2: np.ndarray = field(repr=False)
+    # stacked[n] = [P_R^(0) | ... | P_R^(n)]^T for n = 0, 1, 2, with the
+    # derivative kernels P_R^(m) = (2 pi i (t_k - t_j))^m * P_R
+    stacked: tuple = field(repr=False)
+    omega: np.ndarray = field(repr=False)  # 2 pi i t_k, so that W(xi) = exp(xi omega)
 
     @property
     def times(self):
@@ -91,38 +111,31 @@ def make_residual_operator(model, rank_tol=1e-10):
     p_r = np.eye(model.n_e) - model.phi @ phi_pinv
     p_r = 0.5 * (p_r + p_r.conj().T)  # symmetrize away rounding noise
     t = model.times
-    dt = t[:, None] - t[None, :]
-    kernel = 2j * np.pi * dt
+    kernel = 2j * np.pi * (t[:, None] - t[None, :])
+    kernels = (p_r, kernel * p_r, kernel * kernel * p_r)
     return ResidualOperator(
         model=model,
         p_r=p_r,
         phi_pinv=phi_pinv,
         tau_s=float(4 * np.pi * (t[-1] - t[0])),
         tau_ne=float(4 * np.pi * t[-1]),
-        p_r1=kernel * p_r,
-        p_r2=kernel * kernel * p_r,
+        stacked=tuple(np.hstack([k.T for k in kernels[: n + 1]]) for n in range(3)),
+        omega=2j * np.pi * t,
     )
 
 
 def _check_guard(op, xi):
-    if abs(np.imag(xi)) * op.times[-1] > EXP_GUARD:
+    worst = np.abs(xi.imag).max(initial=0.0)
+    if worst * op.times[-1] > EXP_GUARD:
         raise OverflowRisk(
-            f"|Im xi| = {abs(np.imag(xi)):.3e} Hz would overflow exp at "
-            f"t = {op.times[-1]:.3e} s"
+            f"|Im xi| = {worst:.3e} Hz would overflow exp at t = {op.times[-1]:.3e} s"
         )
-
-
-def _weights(op, xi):
-    """(W(xi) diag, W(-xi) diag) for one parameter value."""
-    arg = 2j * np.pi * complex(xi) * op.times
-    return np.exp(arg), np.exp(-arg)
 
 
 def residual_matrix(op, xi):
     """R(xi) = W(xi) P_R W(-xi) as a dense matrix."""
     _check_guard(op, xi)
-    wp, wm = _weights(op, xi)
-    return (wp[:, None] * op.p_r) * wm[None, :]
+    return (weighting_diag(xi, op.times)[:, None] * op.p_r) * weighting_diag(-xi, op.times)
 
 
 def residual_derivative(op, xi, n):
@@ -136,16 +149,59 @@ def residual_derivative(op, xi, n):
     return r
 
 
-def _apply(op, kernel, wp, wm, s):
-    """W(xi) K W(-xi) s with a precomputed entrywise kernel K."""
-    return wp * (kernel @ (wm * s))
+def _demodulate(op, xi, s):
+    """(W(xi), W(-xi) s) as (n, n_e) arrays for a batch of voxels."""
+    xi = np.asarray(xi, dtype=complex).reshape(-1)
+    s = np.asarray(s, dtype=complex)
+    if s.size not in (op.n_e, xi.size * op.n_e):
+        raise DimensionError(f"signal has shape {s.shape}, expected ({xi.size}, {op.n_e})")
+    _check_guard(op, xi)
+    w = np.exp(xi[:, None] * op.omega)
+    return w, s.reshape(-1, op.n_e) / w
+
+
+def residual_pieces(op, xi, s, order):
+    """[R(xi) s, R'(xi) s, ..., R^(order)(xi) s] for a batch of voxels.
+
+    ``xi`` holds n parameters and ``s`` the n matching signals, shape
+    (n, n_e), or one signal shared by all n; a scalar with one signal is a
+    batch of one. Returns an array of shape (order + 1, n, n_e); ``order``
+    is 0, 1 or 2.
+    """
+    w, u = _demodulate(op, xi, s)
+    out = (u @ op.stacked[order]).reshape(len(u), order + 1, op.n_e)
+    out *= w[:, None, :]
+    return out.transpose(1, 0, 2)
+
+
+def voxelwise_value_and_gradient(op, xi, s):
+    """f0 = 0.5 ||R s||^2 and d_xi f0 = 0.5 <R s, R' s> for a batch of voxels.
+
+    Entries whose signal is zero return zero value and gradient.
+    """
+    pieces = residual_pieces(op, xi, s, 1)
+    f, d_xi = 0.5 * np.einsum("kne,ne->kn", pieces, pieces[0].conj())
+    return f.real, d_xi
+
+
+def _adjoint(op, xi, v):
+    """R(xi)^H v = R(conj xi) v for a batch."""
+    return residual_pieces(op, np.conj(xi), v, 0)[0]
+
+
+def voxelwise_signal_gradient(op, xi, s):
+    """d_{s*} f = 0.5 R(xi)^H R(xi) s for a batch of voxels."""
+    return 0.5 * _adjoint(op, xi, residual_pieces(op, xi, s, 0)[0])
+
+
+def voxelwise_concentrations(op, xi, s):
+    """Phi^+ W(-xi) s for a batch of voxels."""
+    return _demodulate(op, xi, s)[1] @ op.phi_pinv.T
 
 
 def residual_value(op, xi, s):
     """f0(xi) = 0.5 * ||R(xi) s||^2."""
-    _check_guard(op, xi)
-    wp, wm = _weights(op, xi)
-    rs = _apply(op, op.p_r, wp, wm, np.asarray(s, dtype=complex))
+    rs = residual_pieces(op, xi, s, 0)[0]
     return 0.5 * float(np.vdot(rs, rs).real)
 
 
@@ -170,21 +226,9 @@ class WirtingerHessian:
     d_xixiconj: float
 
 
-def _pieces(op, xi, s):
-    """R s, R' s, R'' s at one parameter value."""
-    _check_guard(op, xi)
-    s = np.asarray(s, dtype=complex)
-    wp, wm = _weights(op, xi)
-    u = wm * s
-    rs = wp * (op.p_r @ u)
-    r1s = wp * (op.p_r1 @ u)
-    r2s = wp * (op.p_r2 @ u)
-    return rs, r1s, r2s
-
-
 def wirtinger_gradient_f0(op, xi, s):
     """d_xi f0 = 0.5 <s, R(xi*) R'(xi) s> = 0.5 <R(xi) s, R'(xi) s>."""
-    rs, r1s, _ = _pieces(op, xi, s)
+    rs, r1s = residual_pieces(op, xi, s, 1)
     return WirtingerGradient(d_xi=0.5 * np.vdot(rs, r1s))
 
 
@@ -195,7 +239,7 @@ def wirtinger_hessian_f0(op, xi, s):
     ``d_xixiconj = 0.5 ||R'(xi) s||^2``; together they assemble the
     curvature form ``|eta|^2 ||R' s||^2 + Re(eta^2 <s, R(xi*) R'' s>)``.
     """
-    rs, r1s, r2s = _pieces(op, xi, s)
+    rs, r1s, r2s = residual_pieces(op, xi, s, 2)
     return WirtingerHessian(
         d_xixi=0.5 * np.vdot(rs, r2s),
         d_xixiconj=0.5 * float(np.vdot(r1s, r1s).real),
@@ -210,9 +254,7 @@ def hessian_quadratic_form(h, eta):
 
 def concentrations_ri(op, xi, s):
     """Oblique estimate Phi^+ W(-xi) s; exact on noiseless signals."""
-    _check_guard(op, xi)
-    _, wm = _weights(op, xi)
-    return op.phi_pinv @ (wm * np.asarray(s, dtype=complex))
+    return voxelwise_concentrations(op, xi, s)[0]
 
 
 def concentrations_mp(op, xi, s):
@@ -221,9 +263,8 @@ def concentrations_mp(op, xi, s):
     Coincides with :func:`concentrations_ri` for real ``xi`` (unitary
     weighting); differs once decay makes ``W`` non-unitary.
     """
-    _check_guard(op, xi)
-    wp, _ = _weights(op, xi)
-    m = wp[:, None] * op.model.phi
+    w, _ = _demodulate(op, xi, s)
+    m = w[0][:, None] * op.model.phi
     return np.linalg.lstsq(m, np.asarray(s, dtype=complex), rcond=None)[0]
 
 
@@ -243,51 +284,9 @@ def full_residual(op, xi, s):
     s = np.asarray(s, dtype=complex)
     if s.shape != (op.n_e,):
         raise DimensionError(f"signal has shape {s.shape}, expected ({op.n_e},)")
-    rs, r1s, _ = _pieces(op, xi, s)
-    wp, wm = _weights(op, xi)
-    # R(xi)^H v = R(xi*) v = conj(wm) * (P_R @ (conj(wp) * v))
-    rhrs = np.conj(wm) * (op.p_r @ (np.conj(wp) * rs))
+    rs, r1s = residual_pieces(op, xi, s, 1)
     return FullResidualEval(
         value=0.5 * float(np.vdot(rs, rs).real),
         grad_xi=WirtingerGradient(d_xi=0.5 * np.vdot(rs, r1s)),
-        grad_s_conj=0.5 * rhrs,
+        grad_s_conj=0.5 * _adjoint(op, xi, rs)[0],
     )
-
-
-def voxelwise_value_and_gradient(op, xi_flat, s_flat):
-    """f0 and d_xi f0 for a batch of voxels; used by the imaging solver.
-
-    ``xi_flat`` has shape (n,), ``s_flat`` shape (n, n_e). Entries whose
-    signal is zero return zero value and gradient.
-    """
-    xi = np.asarray(xi_flat, dtype=complex)
-    if np.any(np.abs(xi.imag) * op.times[-1] > EXP_GUARD):
-        raise OverflowRisk("batch contains xi beyond the exp overflow guard")
-    s = np.asarray(s_flat, dtype=complex)
-    arg = 2j * np.pi * xi[:, None] * op.times[None, :]
-    wp = np.exp(arg)
-    u = np.exp(-arg) * s
-    rs = wp * (u @ op.p_r.T)
-    r1s = wp * (u @ op.p_r1.T)
-    f = 0.5 * np.sum(np.abs(rs) ** 2, axis=1)
-    d_xi = 0.5 * np.sum(np.conj(rs) * r1s, axis=1)
-    return f, d_xi
-
-
-def voxelwise_signal_gradient(op, xi_flat, s_flat):
-    """d_{s*} f = 0.5 R(xi)* R(xi) s for a batch of voxels."""
-    xi = np.asarray(xi_flat, dtype=complex)
-    s = np.asarray(s_flat, dtype=complex)
-    arg = 2j * np.pi * xi[:, None] * op.times[None, :]
-    wp = np.exp(arg)
-    wm = np.exp(-arg)
-    rs = wp * ((wm * s) @ op.p_r.T)
-    return 0.5 * np.conj(wm) * ((np.conj(wp) * rs) @ op.p_r.T)
-
-
-def voxelwise_concentrations(op, xi_flat, s_flat):
-    """Phi^+ W(-xi) s for a batch of voxels."""
-    xi = np.asarray(xi_flat, dtype=complex)
-    s = np.asarray(s_flat, dtype=complex)
-    u = np.exp(-2j * np.pi * xi[:, None] * op.times[None, :]) * s
-    return u @ op.phi_pinv.T

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DegenerateCurvature, DomainError, NonBracketed
-from .residual import concentrations_ri, wirtinger_gradient_f0, _pieces
+from .residual import concentrations_ri, full_residual, residual_pieces, wirtinger_gradient_f0
 
 __all__ = [
     "FlowConfig",
@@ -45,6 +45,7 @@ __all__ = [
     "radius_tight",
     "step_bound",
     "certified_step",
+    "projected_signal_step",
     "curvature_profile",
     "radius_empirical_from_profile",
     "curvature_report",
@@ -93,7 +94,7 @@ def beta_integral(a, b):
 
 
 def _curvature_numbers(op, xi0, s0):
-    rs, r1s, r2s = _pieces(op, xi0, s0)
+    _, r1s, r2s = residual_pieces(op, xi0, s0, 2)
     return (
         float(np.linalg.norm(r1s)),
         float(np.linalg.norm(r2s)),
@@ -156,9 +157,9 @@ def radius_loose(op, xi0, s0, rho=0.5, search_cap_hz=None):
 
 
 def _circle_eval(op, xi0, s0, r, angular_samples, fn):
-    """Minimize fn(Rs, R's, R''s) over the circle |xi - xi0| = r in H+.
+    """Minimize fn([Rs, R's, R''s]) over the circle |xi - xi0| = r in H+.
 
-    ``fn`` maps the three batched matrix-vector products to one value per
+    ``fn`` reduces the kernel's pieces, shape (3, n, n_e), to one value per
     angle; an angular grid is refined by golden sections around the best
     arc. Returns the refined minimum.
     """
@@ -172,13 +173,7 @@ def _circle_eval(op, xi0, s0, r, angular_samples, fn):
 
     def values(thetas):
         xi = complex(xi0) + r * np.exp(1j * np.asarray(thetas))
-        arg = 2j * np.pi * xi[:, None] * op.times[None, :]
-        wp = np.exp(arg)
-        u = np.exp(-arg) * np.asarray(s0)[None, :]
-        rs = wp * (u @ op.p_r.T)
-        r1s = wp * (u @ op.p_r1.T)
-        r2s = wp * (u @ op.p_r2.T)
-        return fn(rs, r1s, r2s)
+        return fn(residual_pieces(op, xi, s0, 2))
 
     thetas = np.linspace(lo, hi, angular_samples, endpoint=not closed)
     vals = values(thetas)
@@ -201,17 +196,17 @@ def _circle_eval(op, xi0, s0, r, angular_samples, fn):
     return min(float(np.min(vals)), fc, fd)
 
 
-def _minorant_fn(rs, r1s, r2s):
+def _minorant_fn(pieces):
     # Cauchy-Schwarz minorant of the Hessian's smallest eigenvalue
-    return (
-        np.sum(np.abs(r1s) ** 2, axis=1)
-        - np.sqrt(np.sum(np.abs(rs) ** 2, axis=1) * np.sum(np.abs(r2s) ** 2, axis=1))
-    )
+    n0, n1, n2 = np.einsum("kne,kne->kn", pieces, pieces.conj()).real
+    return n1 - np.sqrt(n0 * n2)
 
 
-def _min_eig_fn(rs, r1s, r2s):
+def _min_eig_fn(pieces):
     # exact smallest eigenvalue of the Hessian quadratic form over phases
-    return np.sum(np.abs(r1s) ** 2, axis=1) - np.abs(np.sum(np.conj(rs) * r2s, axis=1))
+    rs, r1s, r2s = pieces
+    curvature = np.einsum("ne,ne->n", r1s, r1s.conj()).real
+    return curvature - np.abs(np.einsum("ne,ne->n", rs.conj(), r2s))
 
 
 def radius_tight(op, xi0, s0, rho=0.5, angular_samples=48, growth=1.12, cap_hz=None):
@@ -284,12 +279,17 @@ def certified_step(op, xi_ref, s_ref, rho):
 
     The certified bound is stated in units where the curvature scale
     ``||R'(xi0) s0||^2`` multiplies the objective; the Lipschitz estimate
-    converts it into an absolute step.
+    converts it into an absolute step. For a batch of voxels (``xi_ref``
+    of shape (n,), ``s_ref`` of shape (n, n_e)) ``L`` takes the largest
+    curvature, so the step is the smallest per-voxel step; voxels with zero
+    curvature cannot attain that maximum, and only an all-zero batch
+    raises :class:`DegenerateCurvature`.
     """
-    r1, _, _ = _curvature_numbers(op, xi_ref, s_ref)
-    if r1 == 0.0:
+    _, r1s = residual_pieces(op, xi_ref, s_ref, 1)
+    curvature = float(np.max(np.sum(np.abs(r1s) ** 2, axis=1), initial=0.0))
+    if curvature == 0.0:
         raise DegenerateCurvature("cannot scale the certified step: zero curvature")
-    return 0.9 * step_bound(rho) / ((2.0 + rho) * r1**2)
+    return 0.9 * step_bound(rho) / ((2.0 + rho) * curvature)
 
 
 @dataclass(frozen=True)
@@ -370,21 +370,18 @@ def wirtinger_flow(op, s0, xi_init, cfg):
     )
 
 
-def _signal_step_size(op, xi, epsilon):
-    # ||R(xi)||_op <= exp(tau_s |Im xi| / 2); curvature of the s-block is
-    # ||R||^2 plus the regularizer
-    lip = exp(op.tau_s * abs(float(np.imag(xi)))) + 2.0 * epsilon
-    return 0.9 / lip
+def projected_signal_step(op, xi, s, grad_s_conj, y, delta, epsilon=0.0):
+    """One projected gradient step of the signal block for a batch of voxels.
 
-
-def _project_ball(s, center, radius):
-    d = s - center
-    nrm = float(np.linalg.norm(d))
-    if nrm <= radius:
-        return s
-    if radius == 0.0:
-        return center.copy()
-    return center + d * (radius / nrm)
+    ``grad_s_conj`` is ``d_{s*} f`` at ``(xi, s)``, shape (n, n_e); the
+    step ``0.9 / L`` per voxel uses ``||R(xi)||_op^2 <= exp(tau_s |Im xi|)``
+    plus the ridge curvature ``2 epsilon`` as ``L``, and the result is
+    projected radially onto the balls ``||s - y|| <= delta``.
+    """
+    lip = np.exp(op.tau_s * np.abs(np.imag(xi))) + 2.0 * epsilon
+    d = s - (0.9 / lip)[..., None] * 2.0 * (grad_s_conj + epsilon * s) - y
+    nrm = np.linalg.norm(d, axis=-1, keepdims=True)
+    return y + d * np.minimum(1.0, np.asarray(delta)[..., None] / np.maximum(nrm, 1e-300))
 
 
 def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0, alternating=False):
@@ -408,12 +405,11 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0, alternating=False)
     grad_norm = inf
     iterations = 0
     for iterations in range(cfg.max_iters + 1):
-        ev_grad = 2.0 * np.conj(wirtinger_gradient_f0(op, xi, s).d_xi)
+        ev = full_residual(op, xi, s)
+        ev_grad = ev.grad_xi.real_chart
         grad_norm = abs(ev_grad)
 
-        rs_pieces = _pieces(op, xi, s)
-        s_grad = _signal_block_gradient(op, xi, rs_pieces[0]) + 2.0 * epsilon * s
-        s_new = _project_ball(s - _signal_step_size(op, xi, epsilon) * s_grad, y, delta)
+        s_new = projected_signal_step(op, xi, s, ev.grad_s_conj, y, delta, epsilon)
         s_move = float(np.linalg.norm(s_new - s))
 
         if grad_norm <= grad_tol and s_move <= 1e-12 * scale:
@@ -447,13 +443,6 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0, alternating=False)
     )
 
 
-def _signal_block_gradient(op, xi, rs):
-    # real-chart s gradient 2 d_{s*} f = R(xi)^H R(xi) s, with R^H = R(xi*)
-    arg = 2j * np.pi * complex(xi) * op.times
-    wp, wm = np.exp(arg), np.exp(-arg)
-    return np.conj(wm) * (op.p_r @ (np.conj(wp) * rs))
-
-
 def regularized_constrained_flow(op, y, delta, epsilon, xi_init, cfg, alternating=False):
     """Constrained flow with the ridge term epsilon ||s||^2.
 
@@ -478,7 +467,7 @@ def curvature_profile(op, xi0, s0, radii, angular_samples=64):
     one by construction and recovery degrades as Q falls toward zero.
     """
     s0 = np.asarray(s0, dtype=complex)
-    _, r1s0, _ = _pieces(op, xi0, s0)
+    _, r1s0 = residual_pieces(op, xi0, s0, 1)
     curv0 = float(np.vdot(r1s0, r1s0).real)
     if curv0 == 0.0:
         raise DegenerateCurvature("zero curvature at the reference parameter")

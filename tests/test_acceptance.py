@@ -27,11 +27,11 @@ from csemri.lattice import (
 )
 from csemri.phantom import CorruptionSpec, corrupt, default_phantom_spec, generate_phantom
 from csemri.residual import (
-    _pieces,
     full_residual,
     make_residual_operator,
     residual_derivative,
     residual_matrix,
+    residual_pieces,
     residual_value,
     voxelwise_concentrations,
     wirtinger_gradient_f0,
@@ -246,7 +246,7 @@ def test_criterion_5_certified_local_convergence():
         xi_init = xi0 + rl * np.sqrt(rng.uniform(0, 1)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         if xi_init.imag < 0:
             xi_init = complex(xi_init.real, 0.0)
-        _, r1s, _ = _pieces(WF_OP, xi_init, s0)
+        _, r1s = residual_pieces(WF_OP, xi_init, s0, 1)
         gtol = 0.1e-8 * np.linalg.norm(r1s) ** 2
         res = wirtinger_flow(WF_OP, s0, xi_init, FlowConfig(certified=True, grad_tol=gtol))
         if not (res.converged and abs(res.xi_hat - xi0) < 1e-8):
@@ -268,7 +268,7 @@ def test_criterion_5_certified_local_convergence():
             xi_init = xi0 + 0.98 * rt * np.exp(1j * ang)
             if xi_init.imag < 0:
                 xi_init = complex(xi_init.real, 0.0)
-            _, r1s, _ = _pieces(WF_OP, xi_init, s0)
+            _, r1s = residual_pieces(WF_OP, xi_init, s0, 1)
             res = wirtinger_flow(
                 WF_OP, s0, xi_init,
                 FlowConfig(certified=True, grad_tol=1e-9 * np.linalg.norm(r1s) ** 2),

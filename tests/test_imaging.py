@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from csemri.errors import DimensionError
+from csemri.errors import DegenerateCurvature, DimensionError, OverflowRisk
 from csemri.imaging import (
+    _global_step,
     FieldmapConstraint,
     ImageGrid,
     constraint_violation,
@@ -27,7 +28,7 @@ from csemri.phantom import (
     generate_phantom,
 )
 from csemri.residual import make_residual_operator, voxelwise_concentrations
-from csemri.solver import FlowConfig, wirtinger_flow
+from csemri.solver import FlowConfig, certified_step, step_bound, wirtinger_flow
 from csemri.species import EchoSpec, build_model, load_species
 
 RNG = np.random.default_rng(5150)
@@ -177,6 +178,44 @@ class TestImageGrid:
         sig[0, 1] = 1.0
         grid = ImageGrid.from_signal(sig)
         assert grid.mask.tolist() == [[False, True], [False, False]]
+
+
+class TestCertifiedStepBatch:
+    def test_equals_smallest_voxel_step(self):
+        truth = small_phantom()
+        xi = truth.xi0_map.ravel()
+        s = truth.grid.signal.reshape(-1, 6).copy()
+        s[np.flatnonzero(truth.mask.ravel())[::5]] = 0.0  # zero-signal voxels on the mask
+        mask = truth.mask.ravel() | (np.arange(len(xi)) % 7 == 0)  # and off-mask ones
+        steps, zero = [], 0
+        for i in np.flatnonzero(mask):
+            try:
+                steps.append(certified_step(OP, xi[i], s[i], 0.5))
+            except DegenerateCurvature:
+                zero += 1
+        assert zero > 0
+        batch = certified_step(OP, xi[mask], s[mask], 0.5)
+        assert batch == pytest.approx(min(steps), rel=1e-12)
+        cfg = FlowConfig(certified=True, rho=0.5)
+        assert _global_step(OP, cfg, xi, s, mask) == batch
+
+    def test_all_zero_batch_falls_back(self):
+        xi = np.full(5, 10.0 + 3j)
+        s = np.zeros((5, 6), complex)
+        with pytest.raises(DegenerateCurvature):
+            certified_step(OP, xi, s, 0.5)
+        cfg = FlowConfig(certified=True, rho=0.5)
+        assert _global_step(OP, cfg, xi, s, np.ones(5, bool)) == 0.9 * step_bound(0.5)
+        assert _global_step(OP, cfg, xi, s, np.zeros(5, bool)) == 0.9 * step_bound(0.5)
+
+    def test_overflow_is_raised_not_dropped(self):
+        truth = small_phantom()
+        xi = truth.xi0_map.ravel().copy()
+        mask = truth.mask.ravel()
+        xi[np.flatnonzero(mask)[3]] = 1j * 2e4 / MODEL.times[-1]
+        cfg = FlowConfig(certified=True, rho=0.5)
+        with pytest.raises(OverflowRisk):
+            _global_step(OP, cfg, xi, truth.grid.signal.reshape(-1, 6), mask)
 
 
 class TestReconstruct:

@@ -339,3 +339,12 @@ class TestCli:
             "--config", str(config),
         ]) == 0
         assert (tmp_path / "arts" / "zeros_ne4.json").exists()
+
+    def test_experiment_solution_set_defaults_skip_short_protocols(self, tmp_path):
+        # the default acquisition has 3 species, so the 4-echo scan is skipped
+        assert cli_main(["experiment", "solution-set", "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "solution_set.json").read_text())
+        assert summary["skipped_echo_counts"] == [4]
+        assert summary["echo_counts"] == [6, 7, 8]
+        assert not (tmp_path / "zeros_ne4.json").exists()
+        assert (tmp_path / "zeros_ne6.json").exists()

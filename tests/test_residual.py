@@ -13,6 +13,7 @@ from csemri.residual import (
     make_residual_operator,
     residual_derivative,
     residual_matrix,
+    residual_pieces,
     residual_value,
     voxelwise_concentrations,
     voxelwise_signal_gradient,
@@ -357,3 +358,42 @@ class TestVoxelwiseBatches:
             ev = full_residual(OP, xis[i], sig[i])
             assert np.allclose(gs_b[i], ev.grad_s_conj, rtol=1e-12)
             assert np.allclose(c_b[i], concentrations_ri(OP, xis[i], sig[i]), rtol=1e-12)
+
+
+class TestKernelAgainstDenseReferences:
+    @staticmethod
+    def close(a, ref):
+        # max-norm relative error; Euclidean norms would overflow at 15 kHz
+        return np.max(np.abs(a - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_orders_zero_to_two(self):
+        # strongly decaying parameters (|W| spans ~1e200 across the echoes
+        # at Im xi = 15 kHz) and an all-zero signal row ride in the batch
+        xis = np.array(
+            [random_xi() for _ in range(6)]
+            + [complex(40.0, 5000.0), complex(-250.0, 15000.0), complex(3.0, -40.0), 7.0 + 1j]
+        )
+        sig = random_complex((len(xis), 6))
+        sig[-1] = 0.0
+        refs = [
+            [residual_matrix(OP, xi) @ s] + [residual_derivative(OP, xi, n) @ s for n in (1, 2)]
+            for xi, s in zip(xis, sig)
+        ]
+        for order in (0, 1, 2):
+            pieces = residual_pieces(OP, xis, sig, order)
+            assert [p.shape for p in pieces] == [(len(xis), 6)] * (order + 1)
+            for i, row_refs in enumerate(refs):
+                for piece, ref in zip(pieces, row_refs):
+                    assert self.close(piece[i], ref)
+            assert not any(np.any(p[-1]) for p in pieces)
+        # R^H R s overflows doubles at 15 kHz; compare the signal gradient below it
+        keep = np.abs(xis.imag) <= 5000.0
+        grad_s = voxelwise_signal_gradient(OP, xis[keep], sig[keep])
+        for g, xi, s in zip(grad_s, xis[keep], sig[keep]):
+            r = residual_matrix(OP, xi)
+            assert self.close(g, 0.5 * r.conj().T @ (r @ s))
+
+    def test_overflow_guard_covers_the_batch(self):
+        xis = np.array([1.0 + 0j, 1j * 2e4 / MODEL.times[-1]])
+        with pytest.raises(OverflowRisk):
+            residual_pieces(OP, xis, random_complex((2, 6)), 0)

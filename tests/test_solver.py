@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from csemri.errors import DegenerateCurvature, DomainError
 from csemri.lattice import fieldmap_lattice, rationalize_echoes
-from csemri.residual import make_residual_operator, residual_value, _pieces
+from csemri.residual import make_residual_operator, residual_pieces, residual_value
 from csemri.solver import (
     FlowConfig,
     beta_integral,
@@ -102,7 +102,7 @@ class TestGammaPlus:
             xi0, _, s0 = random_voxel()
             rho = RNG.uniform(0.1, 0.9)
             g = gamma_plus(OP, xi0, s0, rho)
-            _, r1s, r2s = _pieces(OP, xi0, s0)
+            _, r1s, r2s = residual_pieces(OP, xi0, s0, 2)
             r1, r2 = np.linalg.norm(r1s), np.linalg.norm(r2s)
             tau = OP.tau_ne
             roots = np.roots([1.0, r2 / (2 * tau**2.5), -(1 - rho) * r1**2 / (2 * tau**3)])
@@ -155,7 +155,7 @@ class TestRadii:
         xi0, _, s0 = random_voxel()
         rho = 0.5
         rt = radius_tight(OP, xi0, s0, rho, angular_samples=24)
-        _, r1s, _ = _pieces(OP, xi0, s0)
+        _, r1s = residual_pieces(OP, xi0, s0, 1)
         target = rho * np.linalg.norm(r1s) ** 2
         margin = _circle_eval(OP, xi0, s0, rt, 24, _minorant_fn) - target
         assert 0.0 <= margin < 1e-10 * target
@@ -243,7 +243,7 @@ class TestWirtingerFlow:
             xi_init = xi0 + rl * np.sqrt(RNG.uniform(0, 1)) * np.exp(1j * ang)
             if xi_init.imag < 0:
                 xi_init = complex(xi_init.real, 0.0)
-            _, r1s, _ = _pieces(OP, xi_init, s0)
+            _, r1s = residual_pieces(OP, xi_init, s0, 1)
             gtol = 0.1e-8 * np.linalg.norm(r1s) ** 2
             res = wirtinger_flow(OP, s0, xi_init, FlowConfig(certified=True, grad_tol=gtol))
             if not (res.converged and abs(res.xi_hat - xi0) < 1e-8):
@@ -390,6 +390,6 @@ class TestCertifiedStep:
     def test_below_normalized_bound(self):
         xi0, _, s0 = random_voxel()
         alpha = certified_step(OP, xi0, s0, 0.5)
-        _, r1s, _ = _pieces(OP, xi0, s0)
+        _, r1s = residual_pieces(OP, xi0, s0, 1)
         lip = (2 + 0.5) * np.linalg.norm(r1s) ** 2
         assert alpha * lip < step_bound(0.5)
