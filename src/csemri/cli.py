@@ -21,6 +21,7 @@ from .containers import (
     constraint_from_config,
     flow_config_from_dict,
     grid_from_csir,
+    load_acquisition_config,
     model_from_config,
     read_csir,
     write_csir,
@@ -31,7 +32,12 @@ from .phantom import CorruptionSpec, corrupt, default_phantom_spec, generate_pha
 from .residual import make_residual_operator
 from .solver import FlowConfig, wirtinger_flow
 from .species import check_J_full_rank, check_submatrices_nonsingular
-from .experiments import experiment_curvature, experiment_solution_set, write_matrix_csv
+from .experiments import (
+    experiment_curvature,
+    experiment_solution_set,
+    write_matrix_csv,
+    zero_set_record,
+)
 
 INPUT_ERRORS = (
     errors.SpecError,
@@ -62,9 +68,7 @@ DEFAULT_ACQUISITION = {
 def _load_acquisition(path):
     if path is None:
         return model_from_config(DEFAULT_ACQUISITION), dict(DEFAULT_ACQUISITION)
-    with open(path) as fh:
-        config = json.load(fh)
-    return model_from_config(config), config
+    return load_acquisition_config(path)
 
 
 def _dump(obj, path=None):
@@ -108,25 +112,12 @@ def cmd_analyze(args):
     model, _ = _load_acquisition(args.config)
     structure = rationalize_echoes(model.echoes)
     lattice = fieldmap_lattice(structure)
-    zero_set = delta_zero_set(model, search_band_hz=tuple(args.band))
     report = {
         "lattice": {
             "commensurable": structure.commensurable,
             "period_hz": lattice.period_hz if not lattice.trivial else None,
         },
-        "w_period_hz": zero_set.w_period_hz if np.isfinite(zero_set.w_period_hz) else None,
-        "zeros": [
-            {
-                "eta_hz": z.eta_hz,
-                "sigma_min": z.sigma_min,
-                "kernel_dim": z.kernel_dim,
-                "classification": z.classification,
-                "phases": [[p.real, p.imag] for p in z.swap_phases]
-                if z.swap_phases is not None
-                else None,
-            }
-            for z in zero_set.zeros
-        ],
+        **zero_set_record(delta_zero_set(model, search_band_hz=tuple(args.band))),
     }
     _dump(report, args.out)
     if args.csv:
@@ -395,21 +386,23 @@ def build_parser():
 
 
 def _limit_threads():
+    """Cap the BLAS worker count at ``CSI_THREADS`` when threadpoolctl is installed."""
     n = os.environ.get("CSI_THREADS")
     if not n:
         return
+    if not n.strip().isdigit() or int(n) < 1:
+        raise errors.SpecError(f"CSI_THREADS must be a positive integer, got {n!r}")
     try:
         from threadpoolctl import threadpool_limits
-
-        threadpool_limits(int(n))
-    except Exception:
-        pass  # thread capping is best effort
+    except ImportError:
+        return  # thread capping is best effort
+    threadpool_limits(int(n))
 
 
 def cli_main(argv=None):
-    _limit_threads()
     parser = build_parser()
     try:
+        _limit_threads()
         args = parser.parse_args(argv)
         return args.fn(args)
     except INPUT_ERRORS as exc:

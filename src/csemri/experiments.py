@@ -22,13 +22,14 @@ from .lattice import (
     weighting_error_profile,
 )
 from .residual import make_residual_operator
-from .solver import curvature_profile, radius_lambert, radius_tight
+from .solver import curvature_profile, radius_empirical_from_profile, radius_lambert, radius_tight
 from .species import EchoSpec, build_model
 
 __all__ = [
     "experiment_solution_set",
     "experiment_curvature",
     "write_matrix_csv",
+    "zero_set_record",
 ]
 
 
@@ -41,6 +42,30 @@ def write_matrix_csv(path, matrix, header=None):
         for row in np.atleast_2d(matrix):
             writer.writerow([f"{v:.12g}" for v in row])
     return Path(path)
+
+
+def _finite_or_none(x):
+    return x if np.isfinite(x) else None
+
+
+def zero_set_record(zero_set):
+    """JSON-ready Delta zero set: the W period (None when infinite) and the
+    classified zeros with their swap phases."""
+    return {
+        "w_period_hz": _finite_or_none(zero_set.w_period_hz),
+        "zeros": [
+            {
+                "eta_hz": z.eta_hz,
+                "sigma_min": z.sigma_min,
+                "kernel_dim": z.kernel_dim,
+                "classification": z.classification,
+                "phases": [[p.real, p.imag] for p in z.swap_phases]
+                if z.swap_phases is not None
+                else None,
+            }
+            for z in zero_set.zeros
+        ],
+    }
 
 
 def experiment_solution_set(
@@ -96,40 +121,17 @@ def experiment_solution_set(
                 header=("eta_hz", "sigma_min"),
             )
         )
-        zero_set = delta_zero_set(model, search_band_hz=band_hz)
         payload = {
-            "lattice_period_hz": fieldmap_lattice(rationalize_echoes(echoes)).period_hz,
-            "w_period_hz": zero_set.w_period_hz,
-            "zeros": [
-                {
-                    "eta_hz": z.eta_hz,
-                    "sigma_min": z.sigma_min,
-                    "kernel_dim": z.kernel_dim,
-                    "classification": z.classification,
-                    "phases": [[p.real, p.imag] for p in z.swap_phases]
-                    if z.swap_phases is not None
-                    else None,
-                }
-                for z in zero_set.zeros
-            ],
+            "lattice_period_hz": _finite_or_none(
+                fieldmap_lattice(rationalize_echoes(echoes)).period_hz
+            ),
+            **zero_set_record(delta_zero_set(model, search_band_hz=band_hz)),
         }
         path = out_dir / f"zeros_ne{n}.json"
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=1)
         artifacts.append(path)
     return artifacts
-
-
-def half_reduction_radius(profile):
-    """Smallest radius with Q <= 1/2, linearly interpolated."""
-    prev_r, prev_q = None, None
-    for r, q in profile:
-        if q <= 0.5:
-            if prev_r is None:
-                return float(r)
-            return float(prev_r + (r - prev_r) * (prev_q - 0.5) / (prev_q - q))
-        prev_r, prev_q = r, q
-    return float("inf")
 
 
 def experiment_curvature(
@@ -164,7 +166,7 @@ def experiment_curvature(
         lam_map[i, j] = radius_lambert(op, xi0, s0, rho)
         tight_map[i, j] = radius_tight(op, xi0, s0, rho, angular_samples=angular_samples)
         prof = curvature_profile(op, xi0, s0, radii, angular_samples=angular_samples)
-        half_map[i, j] = half_reduction_radius(prof)
+        half_map[i, j] = radius_empirical_from_profile(prof, level=0.5)
         for r, q in prof:
             rows.append((j, i, r, q))
     artifacts = [

@@ -367,7 +367,9 @@ def reconstruct_noisy(
     certified mode is requested), followed by the exact projection onto the
     constraint set. The signal block carries per-voxel ball constraints
     ``||s(v) - y(v)|| <= delta(v)`` with closed-form radial projection; with
-    every ``delta`` zero it is held at ``y``.
+    every ``delta`` zero it is held at ``y``. ``converged`` is reported only
+    for a field that satisfies the constraint to within ``10 proj_tol
+    max(|Re xi|, 1)``.
     """
     if grid.n_e != model.n_e:
         raise DimensionError("grid echo count does not match the model")
@@ -413,13 +415,17 @@ def reconstruct_noisy(
         )
         s = s_new
     c_map = voxelwise_concentrations(op, xi.ravel(), s).reshape(h, w, model.n_s)
+    # the start is never projected, so a stationary start may be infeasible;
+    # convergence needs the bound that project_onto_C_phi enforces
+    violation = constraint_violation(xi, constraint)
+    feasible = violation <= 10.0 * proj_tol * max(float(np.max(np.abs(xi.real))), 1.0)
     return ReconResult(
         xi_map=xi,
         c_map=c_map,
         objective_trace=tuple(trace),
-        constraint_violation=constraint_violation(xi, constraint),
+        constraint_violation=violation,
         iterations=iterations,
-        converged=converged,
+        converged=converged and feasible,
         s_map=s.reshape(h, w, grid.n_e),
     )
 

@@ -185,7 +185,17 @@ def voxelwise_value_and_gradient(op, xi, s):
 
 
 def _adjoint(op, xi, v):
-    """R(xi)^H v = R(conj xi) v for a batch."""
+    """R(xi)^H v = R(conj xi) v for a batch.
+
+    Callers apply it to ``v = R(xi) s``, and ``||R(xi)^H R(xi)|| <=
+    exp(tau_s |Im xi|)`` can overflow long before either factor's
+    exponentials do, so the product is guarded here.
+    """
+    worst = float(np.max(np.abs(np.imag(xi)), initial=0.0))
+    if op.tau_s * worst > 700.0:
+        raise OverflowRisk(
+            f"|Im xi| = {worst:.3e} Hz would overflow R^H R: tau_s |Im xi| > 700"
+        )
     return residual_pieces(op, np.conj(xi), v, 0)[0]
 
 
@@ -285,8 +295,9 @@ def full_residual(op, xi, s):
     if s.shape != (op.n_e,):
         raise DimensionError(f"signal has shape {s.shape}, expected ({op.n_e},)")
     rs, r1s = residual_pieces(op, xi, s, 1)
+    grad_s_conj = 0.5 * _adjoint(op, xi, rs)[0]
     return FullResidualEval(
         value=0.5 * float(np.vdot(rs, rs).real),
         grad_xi=WirtingerGradient(d_xi=0.5 * np.vdot(rs, r1s)),
-        grad_s_conj=0.5 * _adjoint(op, xi, rs)[0],
+        grad_s_conj=grad_s_conj,
     )

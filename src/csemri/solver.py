@@ -298,8 +298,12 @@ class FlowConfig:
 
     ``step`` is the absolute step size; leave it None and set
     ``certified=True`` to derive it from the curvature at the initial
-    iterate. ``grad_tol`` defaults to ``1e-12 ||s0||^2`` (the gradient
-    scales with the squared signal).
+    iterate. ``grad_tol`` bounds the real-chart gradient of the field. The
+    single-voxel flows read it as an absolute bound and default it to
+    ``1e-12 ||y||^2`` (the gradient scales with the squared signal); the
+    image driver reads it per voxel relative to ``||y(v)||^2`` and defaults
+    it to ``1e-12``. Every iterate is clamped to the closed upper
+    half-plane.
     """
 
     step: float | None = None
@@ -308,7 +312,6 @@ class FlowConfig:
     rho: float = 0.5
     certified: bool = False
     keep_trajectory: bool = False
-    clamp_upper_half_plane: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
@@ -331,43 +334,10 @@ class RecoveryResult:
     branch: str | None = None
 
 
-def _resolve_tols(cfg, s_norm):
-    grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12 * s_norm**2
-    return grad_tol
-
-
 def wirtinger_flow(op, s0, xi_init, cfg):
-    """Fixed-step descent xi <- xi - alpha * 2 conj(d_xi f0); projects onto
-    the closed upper half-plane after each step."""
-    s0 = np.asarray(s0, dtype=complex)
-    grad_tol = _resolve_tols(cfg, float(np.linalg.norm(s0)))
-    alpha = cfg.step if not cfg.certified else certified_step(op, xi_init, s0, cfg.rho)
-    xi = complex(xi_init)
-    trajectory = [xi] if cfg.keep_trajectory else None
-    converged = False
-    grad_norm = inf
-    iterations = 0
-    for iterations in range(cfg.max_iters + 1):
-        grad = 2.0 * np.conj(wirtinger_gradient_f0(op, xi, s0).d_xi)
-        grad_norm = abs(grad)
-        if grad_norm <= grad_tol:
-            converged = True
-            break
-        if iterations == cfg.max_iters:
-            break
-        xi = xi - alpha * grad
-        if cfg.clamp_upper_half_plane and xi.imag < 0.0:
-            xi = complex(xi.real, 0.0)
-        if trajectory is not None:
-            trajectory.append(xi)
-    return RecoveryResult(
-        xi_hat=xi,
-        c_hat=concentrations_ri(op, xi, s0),
-        iterations=iterations,
-        final_grad_norm=grad_norm,
-        converged=converged,
-        trajectory=tuple(trajectory) if trajectory is not None else None,
-    )
+    """Fixed-step descent xi <- xi - alpha * 2 conj(d_xi f0), clamped to the
+    closed upper half-plane: :func:`constrained_flow` with ``delta = 0``."""
+    return constrained_flow(op, s0, 0.0, xi_init, cfg)
 
 
 def projected_signal_step(op, xi, s, grad_s_conj, y, delta, epsilon=0.0):
@@ -384,20 +354,26 @@ def projected_signal_step(op, xi, s, grad_s_conj, y, delta, epsilon=0.0):
     return y + d * np.minimum(1.0, np.asarray(delta)[..., None] / np.maximum(nrm, 1e-300))
 
 
-def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0, alternating=False):
+def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
     """Projected joint descent of f(xi, s) (+ epsilon ||s||^2) over the ball
     ||y - s|| <= delta.
 
-    Simultaneous gradient steps in both Wirtinger blocks followed by the
-    closed-form radial projection of ``s``; set ``alternating=True`` to
-    refresh the xi gradient after the s update instead.
+    Simultaneous gradient steps in both Wirtinger blocks, followed by the
+    closed-form radial projection of ``s`` and the clamp of ``xi`` to the
+    closed upper half-plane. With ``delta = 0`` the ball is the point ``y``:
+    the signal is held there, its gradient is never formed, and the loop is
+    plain Wirtinger flow on ``f0``.
     """
     if delta < 0:
         raise DomainError(f"delta must be nonnegative, got {delta}")
+    if epsilon < 0:
+        raise DomainError(f"epsilon must be nonnegative, got {epsilon}")
     y = np.asarray(y, dtype=complex)
-    scale = max(float(np.linalg.norm(y)), float(delta), 1e-300)
-    grad_tol = _resolve_tols(cfg, max(float(np.linalg.norm(y)), 1e-300))
+    y_norm = max(float(np.linalg.norm(y)), 1e-300)
+    scale = max(y_norm, float(delta))
+    grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12 * y_norm**2
     alpha = cfg.step if not cfg.certified else certified_step(op, xi_init, y, cfg.rho)
+    hold_signal = delta == 0
     xi = complex(xi_init)
     s = y.copy()
     trajectory = [xi] if cfg.keep_trajectory else None
@@ -405,26 +381,23 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0, alternating=False)
     grad_norm = inf
     iterations = 0
     for iterations in range(cfg.max_iters + 1):
-        ev = full_residual(op, xi, s)
-        ev_grad = ev.grad_xi.real_chart
-        grad_norm = abs(ev_grad)
-
-        s_new = projected_signal_step(op, xi, s, ev.grad_s_conj, y, delta, epsilon)
-        s_move = float(np.linalg.norm(s_new - s))
-
+        if hold_signal:
+            grad = wirtinger_gradient_f0(op, xi, s).real_chart
+            s_new, s_move = s, 0.0
+        else:
+            ev = full_residual(op, xi, s)
+            grad = ev.grad_xi.real_chart
+            s_new = projected_signal_step(op, xi, s, ev.grad_s_conj, y, delta, epsilon)
+            s_move = float(np.linalg.norm(s_new - s))
+        grad_norm = abs(grad)
         if grad_norm <= grad_tol and s_move <= 1e-12 * scale:
             converged = True
             break
         if iterations == cfg.max_iters:
             break
-        if alternating:
-            s = s_new
-            ev_grad = 2.0 * np.conj(wirtinger_gradient_f0(op, xi, s).d_xi)
-            xi = xi - alpha * ev_grad
-        else:
-            xi = xi - alpha * ev_grad
-            s = s_new
-        if cfg.clamp_upper_half_plane and xi.imag < 0.0:
+        xi = xi - alpha * grad
+        s = s_new
+        if xi.imag < 0.0:
             xi = complex(xi.real, 0.0)
         if trajectory is not None:
             trajectory.append(xi)
@@ -443,16 +416,14 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0, alternating=False)
     )
 
 
-def regularized_constrained_flow(op, y, delta, epsilon, xi_init, cfg, alternating=False):
+def regularized_constrained_flow(op, y, delta, epsilon, xi_init, cfg):
     """Constrained flow with the ridge term epsilon ||s||^2.
 
     At a converged point either the estimated signal vanishes or the ball
     constraint is active; the result records which of the two branches
     happened.
     """
-    if epsilon < 0:
-        raise DomainError(f"epsilon must be nonnegative, got {epsilon}")
-    return constrained_flow(op, y, delta, xi_init, cfg, epsilon=epsilon, alternating=alternating)
+    return constrained_flow(op, y, delta, xi_init, cfg, epsilon=epsilon)
 
 
 def curvature_profile(op, xi0, s0, radii, angular_samples=64):
@@ -477,14 +448,14 @@ def curvature_profile(op, xi0, s0, radii, angular_samples=64):
     ]
 
 
-def radius_empirical_from_profile(q_profile):
-    """Smallest radius with Q <= 0, linearly interpolated; inf if none."""
+def radius_empirical_from_profile(q_profile, level=0.0):
+    """Smallest radius with Q <= level, linearly interpolated; inf if none."""
     prev_r, prev_q = None, None
     for r, q in q_profile:
-        if q <= 0.0:
-            if prev_r is None or prev_q is None or prev_q <= 0.0:
+        if q <= level:
+            if prev_r is None:
                 return float(r)
-            return float(prev_r + (r - prev_r) * prev_q / (prev_q - q))
+            return float(prev_r + (r - prev_r) * (prev_q - level) / (prev_q - q))
         prev_r, prev_q = r, q
     return inf
 

@@ -238,6 +238,24 @@ class TestReconstruct:
         assert np.max(np.abs(res.c_map[mask] - truth.c0_map[mask])) < 1e-8
         assert res.constraint_violation <= 1e-9
 
+    def test_infeasible_stationary_start_is_not_converged(self):
+        from scipy import ndimage
+
+        truth = small_phantom()
+        period = fieldmap_lattice(rationalize_echoes(MODEL.echoes)).period_hz
+        labels, _ = ndimage.label(truth.mask)
+        shift = np.where(labels % 2 == 1, period, 0.0)
+        con = FieldmapConstraint.from_mask(truth.mask, 30.0, 1000.0)
+        cfg = FlowConfig(certified=True, max_iters=40)
+        # every voxel is stationary at the shifted start, which jumps by a
+        # lattice period across the region edges and so violates C_phi
+        res = reconstruct(truth.grid, MODEL, con, cfg, truth.xi0_map + shift)
+        assert res.iterations == 0
+        assert res.constraint_violation > 1e5
+        assert not res.converged
+        feasible = reconstruct(truth.grid, MODEL, con, cfg, truth.xi0_map.copy())
+        assert feasible.iterations == 0 and feasible.converged
+
     def test_objective_monotone_and_feasible(self):
         truth = small_phantom()
         con = FieldmapConstraint.from_mask(truth.mask, 30.0, 1000.0)

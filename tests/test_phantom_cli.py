@@ -208,6 +208,19 @@ class TestExperiments:
         assert at[0] < 1e-9
         assert at[1] > 1e-2
 
+    def test_solution_set_writes_null_for_infinite_periods(self, tmp_path):
+        experiment_solution_set(
+            SPECIES[:2], tmp_path, first_echo_ms=1.0, spacing_ms=np.pi / 2,
+            echo_counts=(4,), band_hz=(-100.0, 100.0), grid_step_hz=10.0,
+        )
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads((tmp_path / "zeros_ne4.json").read_text(), parse_constant=reject)
+        assert doc["lattice_period_hz"] is None and doc["w_period_hz"] is None
+        assert [z["eta_hz"] for z in doc["zeros"]] == [0.0]
+
     def test_curvature_artifacts(self, tmp_path):
         spec = default_phantom_spec(width=16, height=16)
         truth = generate_phantom(
@@ -250,6 +263,13 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli_main(["model-info", "--bogus"])
         assert exc.value.code == 2
+
+    def test_malformed_thread_cap_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("CSI_THREADS", "two")
+        assert cli_main(["model-info"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "SpecError"
+        monkeypatch.setenv("CSI_THREADS", "1")
+        assert cli_main(["model-info"]) == 0
 
     def test_missing_file_exits_2(self, capsys):
         assert cli_main(["analyze", "--config", "/nonexistent.json"]) == 2

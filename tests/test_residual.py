@@ -397,3 +397,19 @@ class TestKernelAgainstDenseReferences:
         xis = np.array([1.0 + 0j, 1j * 2e4 / MODEL.times[-1]])
         with pytest.raises(OverflowRisk):
             residual_pieces(OP, xis, random_complex((2, 6)), 0)
+
+    def test_signal_gradient_overflow_is_raised(self):
+        # R^H R s overflows before any single exponential does: 15 kHz is
+        # inside the exp guard but past tau_s |Im xi| = 700
+        xis = np.array([1.0 + 0j, 40.0 + 15000j])
+        sig = random_complex((2, 6), np.random.default_rng(13))
+        assert OP.tau_s * 15000.0 > 700.0 and 15000.0 * MODEL.times[-1] < 700.0 / (2 * np.pi)
+        with pytest.raises(OverflowRisk):
+            voxelwise_signal_gradient(OP, xis, sig)
+        with pytest.raises(OverflowRisk):
+            full_residual(OP, xis[1], sig[1])
+        just_inside = 40.0 + 1j * 0.99 * 700.0 / OP.tau_s
+        with np.errstate(all="raise"):
+            grad = voxelwise_signal_gradient(OP, np.array([just_inside]), sig[1:])
+            ev = full_residual(OP, just_inside, sig[1])
+        assert np.all(np.isfinite(grad)) and np.all(np.isfinite(ev.grad_s_conj))

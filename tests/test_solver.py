@@ -188,6 +188,13 @@ class TestCurvatureProfile:
         assert np.isfinite(crossing)
         assert 5.0 < crossing < 200.0
 
+    def test_empirical_radius_interpolates_at_level(self):
+        prof = [(1.0, 1.0), (2.0, 0.8), (4.0, 0.2), (8.0, -0.1)]
+        assert radius_empirical_from_profile(prof) == pytest.approx(4.0 + 4.0 * 0.2 / 0.3)
+        assert radius_empirical_from_profile(prof, level=0.5) == pytest.approx(3.0)
+        assert radius_empirical_from_profile(prof, level=1.0) == 1.0
+        assert radius_empirical_from_profile(prof, level=-0.5) == np.inf
+
     def test_profile_continuity(self):
         # grid refinement oracle: adjacent radii give nearby Q values
         xi0, _, s0 = random_voxel()
@@ -304,6 +311,38 @@ class TestConstrainedFlow:
         pinned = constrained_flow(OP, s0, 0.0, xi0 + 0.001, cfg)
         assert pinned.xi_hat == plain.xi_hat
         assert np.allclose(pinned.s_hat, s0)
+
+    def test_delta_zero_holds_signal_without_its_gradient(self, monkeypatch):
+        import csemri.solver as solver
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the signal block is held at delta = 0")
+
+        calls = []
+        grad_f0 = solver.wirtinger_gradient_f0
+
+        def counted(*args):
+            calls.append(1)
+            return grad_f0(*args)
+
+        monkeypatch.setattr(solver, "full_residual", forbidden)
+        monkeypatch.setattr(solver, "projected_signal_step", forbidden)
+        monkeypatch.setattr(solver, "wirtinger_gradient_f0", counted)
+        xi0, c0, s0 = random_voxel(np.random.default_rng(11))
+        res = constrained_flow(OP, s0, 0.0, xi0 + 0.001, FlowConfig(certified=True, max_iters=500))
+        assert res.converged
+        assert np.array_equal(res.s_hat, s0)
+        assert len(calls) == res.iterations + 1
+
+    def test_negative_radius_or_ridge_rejected(self):
+        xi0, c0, s0 = random_voxel(np.random.default_rng(12))
+        cfg = FlowConfig(certified=True, max_iters=10)
+        with pytest.raises(DomainError):
+            constrained_flow(OP, s0, -0.1, xi0, cfg)
+        with pytest.raises(DomainError):
+            constrained_flow(OP, s0, 0.02, xi0, cfg, epsilon=-1.0)
+        with pytest.raises(DomainError):
+            regularized_constrained_flow(OP, s0, 0.02, -1.0, xi0, cfg)
 
     def test_noiseless_feasible_reaches_zero_objective(self):
         xi0, c0, s0 = random_voxel()
