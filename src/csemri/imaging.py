@@ -9,9 +9,13 @@ whose projection is computed by Dykstra's iterated corrections over the
 per-voxel constraints. Each constraint couples a voxel with its two
 forward neighbors, so constraints whose centers agree modulo 2 in both
 axes have disjoint footprints and one Dykstra block per parity class
-(four in total) can be projected exactly and vectorized. The imaginary
-part (the decay rate) is simply clamped to be nonnegative, which is the
-exact projection because the constraint only reads the real part.
+(four in total) can be projected exactly and vectorized. On the field
+padded by one zero row and column, a block's centers and their +e1 and +e2
+neighbors are three strided slices, so a sweep reads and writes slices and
+builds no index sets; the padding stands in for the neighbors that fall
+off the grid. The imaginary part (the decay rate) is simply clamped to be
+nonnegative, which is the exact projection because the constraint only
+reads the real part.
 
 One projected-descent driver, :func:`reconstruct_noisy`, moves the field
 and the per-voxel signals together: the signals stay within their noise
@@ -167,49 +171,16 @@ def constraint_violation(phi, constraint):
     return float(max(np.max(excess), 0.0))
 
 
-class _DykstraGroups:
-    """Precomputed parity-class index sets for the per-voxel constraints."""
-
-    def __init__(self, eps_g):
-        h, w = eps_g.shape
-        flat_eps = eps_g.ravel()
-        self.shape = (h, w)
-        self.groups = []
-        for pi in (0, 1):
-            for pj in (0, 1):
-                ii, jj = np.meshgrid(
-                    np.arange(pi, h, 2), np.arange(pj, w, 2), indexing="ij"
-                )
-                ii, jj = ii.ravel(), jj.ravel()
-                keep = np.isfinite(flat_eps[ii * w + jj])
-                ii, jj = ii[keep], jj[keep]
-                has1 = ii + 1 < h
-                has2 = jj + 1 < w
-                used = has1 | has2
-                ii, jj, has1, has2 = ii[used], jj[used], has1[used], has2[used]
-                idx_c = ii * w + jj
-                idx_1 = np.where(has1, (ii + 1) * w + jj, 0)
-                idx_2 = np.where(has2, ii * w + (jj + 1), 0)
-                self.groups.append(
-                    {
-                        "idx_c": idx_c,
-                        "idx_1": idx_1,
-                        "idx_2": idx_2,
-                        "has_1": has1,
-                        "has_2": has2,
-                        "eps": flat_eps[idx_c],
-                        "corr": np.zeros((3, len(idx_c))),
-                    }
-                )
-
-
 def _project_triples(a, b1, b2, has1, has2, eps):
     """Exact projection of each (a, b1, b2) onto its gradient-norm ball.
 
-    Missing neighbors contribute zero difference; with both present the
-    KKT system reduces to a scalar secular equation in the eigenbasis of
-    the 2x2 Gram matrix of the difference map, solved by vectorized
-    bisection to machine precision.
+    ``has1`` and ``has2`` mark which neighbors exist and broadcast against
+    the triples. Missing neighbors contribute zero difference and are
+    returned unchanged; with both present the KKT system reduces to a
+    scalar secular equation in the eigenbasis of the 2x2 Gram matrix of the
+    difference map, solved by vectorized bisection to machine precision.
+    Triples with an infinite bound, or with no neighbor, are never violated
+    and come back as they are.
     """
     u1 = np.where(has1, b1 - a, 0.0)
     u2 = np.where(has2, b2 - a, 0.0)
@@ -225,10 +196,10 @@ def _project_triples(a, b1, b2, has1, has2, eps):
     if np.any(single):
         # one difference only: symmetric shrink of that pair
         u = np.where(has1, u1, u2)[single]
-        e = eps[single]
-        excess = np.sign(u) * (np.abs(u) - e) / 2.0
-        w1[single] = np.where(has1[single], excess, 0.0)
-        w2[single] = np.where(has2[single], excess, 0.0)
+        excess = np.zeros_like(a)
+        excess[single] = np.sign(u) * (np.abs(u) - eps[single]) / 2.0
+        w1 = np.where(has1, excess, 0.0)
+        w2 = np.where(has2, excess, 0.0)
 
     dual = viol & both
     if np.any(dual):
@@ -268,42 +239,47 @@ def _project_triples(a, b1, b2, has1, has2, eps):
 def project_onto_C_phi(xi, constraint, proj_tol=1e-9, max_sweeps=2000):
     """Euclidean projection of Re(xi) onto the gradient-bound set.
 
-    Dykstra's algorithm with one block per parity class; the imaginary
+    Dykstra's algorithm with one block per parity class, swept until no
+    voxel moves by more than ``proj_tol max(|Re xi|, 1)``; the imaginary
     part is clamped to the upper half-plane, which is the exact projection
-    of that separable factor. Idempotent within ``proj_tol``; raises
-    :class:`NonConvergence` when the sweep budget is exhausted while the
-    constraint is still violated by more than ``10 proj_tol``.
+    of that separable factor. Raises :class:`NonConvergence` when the
+    result still violates the constraint by more than ``10 proj_tol
+    max(|Re xi|, 1)``, the bound it guarantees.
     """
     xi = np.asarray(xi)
     eps = np.asarray(constraint.eps_g, dtype=float)
     if eps.shape != xi.shape:
         raise DimensionError(f"eps_g shape {eps.shape} does not match field {xi.shape}")
-    x = np.real(xi).astype(float).ravel().copy()
-    groups = _DykstraGroups(eps).groups
+    h, w = xi.shape
+    # the zero last row and column stand in for the missing neighbors
+    x = np.zeros((h + 1, w + 1))
+    x[:h, :w] = np.real(xi)
     scale = max(float(np.max(np.abs(x))), 1.0)
+    blocks = []
+    for i in (0, 1):
+        for j in (0, 1):
+            # centers, their +e1 and their +e2 neighbors
+            slices = (
+                (slice(i, h, 2), slice(j, w, 2)),
+                (slice(i + 1, h + 1, 2), slice(j, w, 2)),
+                (slice(i, h, 2), slice(j + 1, w + 1, 2)),
+            )
+            has1 = (np.arange(i, h, 2) < h - 1)[:, None]
+            has2 = (np.arange(j, w, 2) < w - 1)[None, :]
+            blocks.append((slices, has1, has2, eps[slices[0]], [0.0, 0.0, 0.0]))
     for _ in range(max_sweeps):
         delta = 0.0
-        for g in groups:
-            corr = g["corr"]
-            za = x[g["idx_c"]] + corr[0]
-            zb1 = np.where(g["has_1"], x[g["idx_1"]] + corr[1], 0.0)
-            zb2 = np.where(g["has_2"], x[g["idx_2"]] + corr[2], 0.0)
-            pa, pb1, pb2 = _project_triples(za, zb1, zb2, g["has_1"], g["has_2"], g["eps"])
-            corr[0] = za - pa
-            corr[1] = np.where(g["has_1"], zb1 - pb1, 0.0)
-            corr[2] = np.where(g["has_2"], zb2 - pb2, 0.0)
-            delta = max(
-                delta,
-                float(np.max(np.abs(pa - x[g["idx_c"]]), initial=0.0)),
-                float(np.max(np.abs(pb1 - x[g["idx_1"]])[g["has_1"]], initial=0.0)),
-                float(np.max(np.abs(pb2 - x[g["idx_2"]])[g["has_2"]], initial=0.0)),
-            )
-            x[g["idx_c"]] = pa
-            x[g["idx_1"]] = np.where(g["has_1"], pb1, x[g["idx_1"]])
-            x[g["idx_2"]] = np.where(g["has_2"], pb2, x[g["idx_2"]])
+        for slices, has1, has2, eps_c, corr in blocks:
+            views = [x[sl] for sl in slices]
+            z = [v + c for v, c in zip(views, corr)]
+            projected = _project_triples(*z, has1, has2, eps_c)
+            for k, (v, p) in enumerate(zip(views, projected)):
+                delta = max(delta, float(np.max(np.abs(p - v), initial=0.0)))
+                corr[k] = z[k] - p
+                v[...] = p
         if delta <= proj_tol * scale:
             break
-    out = x.reshape(xi.shape) + 1j * np.maximum(np.imag(xi), 0.0)
+    out = x[:h, :w] + 1j * np.maximum(np.imag(xi), 0.0)
     if constraint_violation(out, constraint) > 10.0 * proj_tol * scale:
         raise NonConvergence(
             f"projection still violates the constraint after {max_sweeps} sweeps"
@@ -331,34 +307,15 @@ def _global_step(op, cfg, xi_flat, s_flat, mask_flat):
         return 0.9 * step_bound(cfg.rho)
 
 
-def reconstruct(
-    grid,
-    model,
-    constraint,
-    cfg,
-    xi_init,
-    proj_tol=1e-9,
-    max_sweeps=2000,
-    op=None,
-):
+def reconstruct(grid, model, constraint, cfg, xi_init, proj_tol=1e-9, max_sweeps=2000):
     """Noiseless reconstruction: :func:`reconstruct_noisy` with ``delta = 0``."""
     return reconstruct_noisy(
-        grid, model, constraint, 0.0, cfg, xi_init,
-        proj_tol=proj_tol, max_sweeps=max_sweeps, op=op,
+        grid, model, constraint, 0.0, cfg, xi_init, proj_tol=proj_tol, max_sweeps=max_sweeps
     )
 
 
 def reconstruct_noisy(
-    grid,
-    model,
-    constraint,
-    delta,
-    cfg,
-    xi_init,
-    epsilon=0.0,
-    proj_tol=1e-9,
-    max_sweeps=2000,
-    op=None,
+    grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-9, max_sweeps=2000
 ):
     """Joint projected Wirtinger descent on the field and the per-voxel signals.
 
@@ -373,7 +330,7 @@ def reconstruct_noisy(
     """
     if grid.n_e != model.n_e:
         raise DimensionError("grid echo count does not match the model")
-    op = op if op is not None else make_residual_operator(model)
+    op = make_residual_operator(model)
     h, w = grid.height, grid.width
     y_flat = grid.signal.reshape(-1, grid.n_e)
     delta_flat = np.broadcast_to(np.asarray(delta, dtype=float), (h, w)).ravel()
@@ -394,15 +351,12 @@ def reconstruct_noisy(
     grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12
     for iterations in range(cfg.max_iters + 1):
         f, d_xi = voxelwise_value_and_gradient(op, xi.ravel(), s)
-        objective = float(np.sum(f))
-        if epsilon:
-            objective += epsilon * float(np.sum(np.abs(s) ** 2))
-        trace.append(objective)
+        trace.append(float(np.sum(f)))
         grad = 2.0 * np.conj(d_xi)
         s_new, s_move = s, 0.0
         if not hold_signal:
             s_grad = voxelwise_signal_gradient(op, xi.ravel(), s)
-            s_new = projected_signal_step(op, xi.ravel(), s, s_grad, y_flat, delta_flat, epsilon)
+            s_new = projected_signal_step(op, xi.ravel(), s, s_grad, y_flat, delta_flat)
             s_move = float(np.max(np.linalg.norm(s_new - s, axis=1) / y_scale))
         if float(np.max(np.abs(grad) / s_scale2)) <= grad_tol and s_move <= 1e-10:
             converged = True

@@ -51,6 +51,11 @@ __all__ = [
 EXACT_RECOVERY = "ExactRecovery"
 SWAP_RISK = "SwapRisk"
 
+# guards and merge radii of the zero-set search
+MAX_SELECTIONS = 10**6  # row selections of Delta, each one determinant polynomial
+MAX_DEGREE = 10**4  # degree of one determinant polynomial in z
+CLUSTER_RADIUS_HZ = 1e-6  # roots of one selection closer than this are one root
+
 
 @dataclass(frozen=True)
 class RationalEchoStructure:
@@ -183,7 +188,7 @@ def _minor_polynomial(phi, rows, exponents):
     return coeffs
 
 
-def _unit_circle_roots(coeffs, degree_limit, unit_tol=1e-5):
+def _unit_circle_roots(coeffs, unit_tol=1e-5):
     # multiple roots (kernel dimension > 1) come out of the companion
     # matrix with |z| off the circle by roughly sqrt(machine epsilon), so
     # the modulus filter must sit well above that; impostors that slip
@@ -198,9 +203,9 @@ def _unit_circle_roots(coeffs, degree_limit, unit_tol=1e-5):
     for e in exps:
         g = gcd(g, e - lo)
     degree = (hi - lo) // g
-    if degree > degree_limit:
+    if degree > MAX_DEGREE:
         raise PolynomialDegreeLimit(
-            f"determinant polynomial degree {degree} exceeds the guard {degree_limit}"
+            f"determinant polynomial degree {degree} exceeds the guard {MAX_DEGREE}"
         )
     dense = np.zeros(degree + 1, dtype=complex)
     for e, c in coeffs.items():
@@ -341,16 +346,7 @@ def swap_concentrations(zero, c0):
     return u @ (phases * (u.conj().T @ np.asarray(c0, dtype=complex)))
 
 
-def delta_zero_set(
-    model,
-    search_band_hz=(-1000.0, 1000.0),
-    tol=1e-8,
-    denom_limit=10**4,
-    degree_limit=10**4,
-    cluster_radius_hz=1e-6,
-    max_selections=10**6,
-    intersect_radius_hz=None,
-):
+def delta_zero_set(model, search_band_hz=(-1000.0, 1000.0), tol=1e-8):
     """Zero set of ``sigma_min(Delta(eta))`` inside the search band.
 
     Requires ``n_e >= 2 n_s`` (below that the kernel is never empty and the
@@ -368,7 +364,7 @@ def delta_zero_set(
     sigma_ref = float(np.linalg.svd(delta_matrix(0.0, model), compute_uv=False)[0])
     band_lo, band_hi = float(search_band_hz[0]), float(search_band_hz[1])
 
-    structure = rationalize_echoes(model.echoes, denom_limit=denom_limit)
+    structure = rationalize_echoes(model.echoes)
     if not structure.commensurable:
         zero = classify_zero(model, 0.0, sigma_ref, tol=tol)
         zeros = (zero,) if (zero is not None and band_lo <= 0.0 <= band_hi) else ()
@@ -379,24 +375,23 @@ def delta_zero_set(
     w_period = q / structure.t_max  # W(eta + w_period) = W(eta) exactly
 
     n_sel = comb(n_e, 2 * n_s)
-    if n_sel > max_selections:
-        raise CombinatorialLimit(f"{n_sel} selections exceed the guard {max_selections}")
+    if n_sel > MAX_SELECTIONS:
+        raise CombinatorialLimit(f"{n_sel} selections exceed the guard {MAX_SELECTIONS}")
 
     base_sets = []
     for rows in combinations(range(n_e), 2 * n_s):
         coeffs = _minor_polynomial(model.phi, rows, exponents)
-        roots = _unit_circle_roots(coeffs, degree_limit)
+        roots = _unit_circle_roots(coeffs)
         # angles in [0, 2*pi) -> eta in [0, w_period)
         angles = np.mod(np.angle(roots), 2 * np.pi)
         etas = angles * w_period / (2 * np.pi)
         etas = np.mod(etas, w_period)
-        base_sets.append(_cluster_angles(etas, cluster_radius_hz))
+        base_sets.append(_cluster_angles(etas, CLUSTER_RADIUS_HZ))
 
     # companion eigenvalues of multiple roots scatter like a fractional power
     # of machine epsilon, so intersect selections with a period-scaled slack
     # and recover full accuracy afterwards by polishing sigma_min itself
-    if intersect_radius_hz is None:
-        intersect_radius_hz = max(cluster_radius_hz, 1e-6 * w_period)
+    intersect_radius_hz = max(CLUSTER_RADIUS_HZ, 1e-6 * w_period)
     common = base_sets[0]
     for other in base_sets[1:]:
         if len(common) == 0:
@@ -422,7 +417,7 @@ def delta_zero_set(
                 zeros.append(zero)
     zeros.sort(key=lambda z: z.eta_hz)
 
-    dedupe_radius = max(cluster_radius_hz, 1e-9 * w_period)
+    dedupe_radius = max(CLUSTER_RADIUS_HZ, 1e-9 * w_period)
     deduped = []
     for z in zeros:
         if deduped and abs(z.eta_hz - deduped[-1].eta_hz) <= dedupe_radius:

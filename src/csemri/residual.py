@@ -28,11 +28,13 @@ of one: the scalar functions (``residual_value``, ``wirtinger_gradient_f0``,
 ``voxelwise_*`` functions are reductions of the same output. The kernel
 takes one exponential per batch (``W(-xi)`` is the reciprocal of
 ``W(xi)``), checks the exp overflow guard there, and does one matmul
-against the stacked derivative kernels. The concentration estimates share
-its demodulation step ``W(-xi) s``; the signal-block gradient applies it
-twice, through ``R(xi)^H = R(conj xi)``. The dense :func:`residual_matrix`
-and :func:`residual_derivative` build ``R`` independently and serve as
-references.
+against the stacked derivative kernels. The objective, its derivatives and
+the signal gradient square the residual, which overflows first, so they
+also raise :class:`OverflowRisk` where ``tau_s |Im xi| > 700``. The
+concentration estimates share its demodulation step ``W(-xi) s``; the
+signal-block gradient applies it twice, through ``R(xi)^H = R(conj xi)``.
+The dense :func:`residual_matrix` and :func:`residual_derivative` build
+``R`` independently and serve as references.
 """
 
 from __future__ import annotations
@@ -132,6 +134,20 @@ def _check_guard(op, xi):
         )
 
 
+def _check_square_guard(op, xi):
+    """Guard for the squared residual and for ``R(xi)^H R(xi) s``.
+
+    ``||R(xi)^H R(xi)|| <= exp(tau_s |Im xi|)`` overflows long before any
+    single exponential does, so the objective, its derivatives and the
+    signal gradient stop where ``tau_s |Im xi| > 700``.
+    """
+    worst = float(np.max(np.abs(np.imag(xi)), initial=0.0))
+    if op.tau_s * worst > 700.0:
+        raise OverflowRisk(
+            f"|Im xi| = {worst:.3e} Hz would overflow R^H R: tau_s |Im xi| > 700"
+        )
+
+
 def residual_matrix(op, xi):
     """R(xi) = W(xi) P_R W(-xi) as a dense matrix."""
     _check_guard(op, xi)
@@ -179,23 +195,15 @@ def voxelwise_value_and_gradient(op, xi, s):
 
     Entries whose signal is zero return zero value and gradient.
     """
+    _check_square_guard(op, xi)
     pieces = residual_pieces(op, xi, s, 1)
     f, d_xi = 0.5 * np.einsum("kne,ne->kn", pieces, pieces[0].conj())
     return f.real, d_xi
 
 
 def _adjoint(op, xi, v):
-    """R(xi)^H v = R(conj xi) v for a batch.
-
-    Callers apply it to ``v = R(xi) s``, and ``||R(xi)^H R(xi)|| <=
-    exp(tau_s |Im xi|)`` can overflow long before either factor's
-    exponentials do, so the product is guarded here.
-    """
-    worst = float(np.max(np.abs(np.imag(xi)), initial=0.0))
-    if op.tau_s * worst > 700.0:
-        raise OverflowRisk(
-            f"|Im xi| = {worst:.3e} Hz would overflow R^H R: tau_s |Im xi| > 700"
-        )
+    """R(xi)^H v = R(conj xi) v for a batch; callers apply it to ``v = R(xi) s``."""
+    _check_square_guard(op, xi)
     return residual_pieces(op, np.conj(xi), v, 0)[0]
 
 
@@ -211,6 +219,7 @@ def voxelwise_concentrations(op, xi, s):
 
 def residual_value(op, xi, s):
     """f0(xi) = 0.5 * ||R(xi) s||^2."""
+    _check_square_guard(op, xi)
     rs = residual_pieces(op, xi, s, 0)[0]
     return 0.5 * float(np.vdot(rs, rs).real)
 
@@ -238,6 +247,7 @@ class WirtingerHessian:
 
 def wirtinger_gradient_f0(op, xi, s):
     """d_xi f0 = 0.5 <s, R(xi*) R'(xi) s> = 0.5 <R(xi) s, R'(xi) s>."""
+    _check_square_guard(op, xi)
     rs, r1s = residual_pieces(op, xi, s, 1)
     return WirtingerGradient(d_xi=0.5 * np.vdot(rs, r1s))
 
@@ -249,6 +259,7 @@ def wirtinger_hessian_f0(op, xi, s):
     ``d_xixiconj = 0.5 ||R'(xi) s||^2``; together they assemble the
     curvature form ``|eta|^2 ||R' s||^2 + Re(eta^2 <s, R(xi*) R'' s>)``.
     """
+    _check_square_guard(op, xi)
     rs, r1s, r2s = residual_pieces(op, xi, s, 2)
     return WirtingerHessian(
         d_xixi=0.5 * np.vdot(rs, r2s),

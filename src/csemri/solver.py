@@ -54,6 +54,9 @@ __all__ = [
     "regularized_constrained_flow",
 ]
 
+RADIUS_CAP = 600.0  # radii are searched up to tau_s r = 600; beta overflows past exp(700)
+TIGHT_GROWTH = 1.12  # geometric growth of the tight radius before bisection
+
 
 def lambert_w0(x):
     """Main branch of the Lambert W function for real ``x >= -1/e``.
@@ -136,7 +139,7 @@ def radius_lambert(op, xi0, s0, rho=0.5):
     return lambert_w0(arg) / op.tau_s
 
 
-def radius_loose(op, xi0, s0, rho=0.5, search_cap_hz=None):
+def radius_loose(op, xi0, s0, rho=0.5):
     """Certified radius with the envelope beta evaluated exactly.
 
     Solves ``r * beta(tau_s Im xi0, tau_s r) = gamma_plus^2 / (2||s0||^2)``
@@ -152,7 +155,7 @@ def radius_loose(op, xi0, s0, rho=0.5, search_cap_hz=None):
     def g(r):
         return budget - r * beta_integral(a, op.tau_s * r)
 
-    hi = _bracket_sign_change(g, op.tau_s, search_cap_hz)
+    hi = _bracket_sign_change(g, RADIUS_CAP / op.tau_s)
     return float(brentq(g, 0.0, hi, xtol=1e-14, rtol=1e-15))
 
 
@@ -209,7 +212,7 @@ def _min_eig_fn(pieces):
     return curvature - np.abs(np.einsum("ne,ne->n", rs.conj(), r2s))
 
 
-def radius_tight(op, xi0, s0, rho=0.5, angular_samples=48, growth=1.12, cap_hz=None):
+def radius_tight(op, xi0, s0, rho=0.5, angular_samples=48):
     """Radius over which the monotonicity minorant keeps its margin.
 
     Numerically solves the implicit inequality
@@ -217,18 +220,17 @@ def radius_tight(op, xi0, s0, rho=0.5, angular_samples=48, growth=1.12, cap_hz=N
         min_{|xi - xi0| = r, xi in H+} ||R'(xi) s0||^2
             - ||R(xi) s0|| ||R''(xi) s0||  >=  rho ||R'(xi0) s0||^2
 
-    for the largest radius, growing ``r`` geometrically from the loose
-    radius (inside which the inequality is certified analytically) until
-    the margin first fails, then bisecting. Much sharper than the
-    envelope-based radii because the residual norms are evaluated rather
-    than bounded.
+    for the largest radius, growing ``r`` geometrically (by ``TIGHT_GROWTH``
+    per step, up to ``RADIUS_CAP / tau_s``) from the loose radius (inside
+    which the inequality is certified analytically) until the margin first
+    fails, then bisecting. Much sharper than the envelope-based radii
+    because the residual norms are evaluated rather than bounded.
     """
     r1, _, _ = _curvature_numbers(op, xi0, s0)
     if r1 == 0.0:
         raise DegenerateCurvature("||R'(xi0) s0|| vanishes; no curvature to certify")
     target = rho * r1**2
-    if cap_hz is None:
-        cap_hz = 600.0 / op.tau_s
+    cap_hz = RADIUS_CAP / op.tau_s
 
     def margin(r):
         return _circle_eval(op, xi0, s0, r, angular_samples, _minorant_fn) - target
@@ -238,7 +240,7 @@ def radius_tight(op, xi0, s0, rho=0.5, angular_samples=48, growth=1.12, cap_hz=N
         return lo
     hi = lo
     while True:
-        hi = min(hi * growth, cap_hz)
+        hi = min(hi * TIGHT_GROWTH, cap_hz)
         if margin(hi) < 0.0:
             break
         if hi >= cap_hz:
@@ -255,10 +257,8 @@ def radius_tight(op, xi0, s0, rho=0.5, angular_samples=48, growth=1.12, cap_hz=N
     return lo
 
 
-def _bracket_sign_change(fn, tau_s, cap=None):
-    """Grow an upper bracket until fn < 0; fn(0) > 0 by construction."""
-    if cap is None:
-        cap = 600.0 / tau_s  # beta overflows past exp(700)
+def _bracket_sign_change(fn, cap):
+    """Grow an upper bracket up to ``cap`` until fn < 0; fn(0) > 0 by construction."""
     hi = min(1.0, cap)
     while fn(hi) > 0.0:
         if hi >= cap:

@@ -7,11 +7,11 @@ criteria complete. Tolerances are pinned here, not configurable.
 import time
 
 import numpy as np
-import pytest
 from scipy import ndimage
 
 from csemri.imaging import (
     FieldmapConstraint,
+    constraint_violation,
     metrics_table,
     project_onto_C_phi,
     reconstruct,
@@ -46,6 +46,7 @@ from csemri.solver import (
     wirtinger_flow,
 )
 from csemri.species import EchoSpec, Species, build_model, load_species, signal, weighting_diag
+from projection_kkt import kkt_residual
 
 HZ_PER_PPM = 3.0 * 42.57747892
 WATER = load_species("water")
@@ -342,24 +343,29 @@ def test_criterion_6_concentration_identifiability():
 
 
 def test_criterion_7_projection_correctness():
-    """Dykstra projection matches a strict QP oracle on 50 instances."""
-    cp = pytest.importorskip("cvxpy")
+    """Dykstra projection matches a strict QP oracle on 50 instances; without
+    cvxpy each projection is certified by the KKT conditions of the QP."""
+    try:
+        import cvxpy as cp
+    except ImportError:
+        cp = None
     rng = np.random.default_rng(707)
     h = w = 8
-    x_param = cp.Parameter((h, w))
-    eps_param = cp.Parameter((h, w), nonneg=True)
-    v = cp.Variable((h, w))
-    cons = []
-    for i in range(h):
-        for j in range(w):
-            terms = []
-            if i + 1 < h:
-                terms.append(v[i + 1, j] - v[i, j])
-            if j + 1 < w:
-                terms.append(v[i, j + 1] - v[i, j])
-            if terms:
-                cons.append(cp.norm(cp.hstack(terms)) <= eps_param[i, j])
-    problem = cp.Problem(cp.Minimize(cp.sum_squares(v - x_param)), cons)
+    if cp is not None:
+        x_param = cp.Parameter((h, w))
+        eps_param = cp.Parameter((h, w), nonneg=True)
+        v = cp.Variable((h, w))
+        cons = []
+        for i in range(h):
+            for j in range(w):
+                terms = []
+                if i + 1 < h:
+                    terms.append(v[i + 1, j] - v[i, j])
+                if j + 1 < w:
+                    terms.append(v[i, j + 1] - v[i, j])
+                if terms:
+                    cons.append(cp.norm(cp.hstack(terms)) <= eps_param[i, j])
+        problem = cp.Problem(cp.Minimize(cp.sum_squares(v - x_param)), cons)
 
     # instance scale keeps the interior-point oracle itself accurate: its
     # x-space error floor grows like the square root of the duality gap
@@ -371,6 +377,13 @@ def test_criterion_7_projection_correctness():
         mine = project_onto_C_phi(
             x0.astype(complex), constraint, proj_tol=1e-11, max_sweeps=200_000
         ).real
+        if cp is None:
+            bound = 10.0 * 1e-11 * max(float(np.max(np.abs(x0))), 1.0)
+            assert constraint_violation(mine, constraint) <= bound
+            stationarity, move = kkt_residual(x0, mine, eps)
+            worst = max(worst, stationarity / move)
+            assert stationarity <= 1e-8 * move
+            continue
         x_param.value = x0
         eps_param.value = eps
         problem.solve(
@@ -393,7 +406,8 @@ def test_criterion_7_projection_correctness():
         np.full(truth.mask.shape, 1.0 + 0j), proj_tol=proj_tol,
     )
     assert res.constraint_violation <= proj_tol * max(1.0, np.abs(res.xi_map.real).max())
-    print(f"\nACCEPTANCE 7 projection-correctness: PASS (worst oracle gap {worst:.2e})")
+    check = "oracle gap" if cp is not None else "KKT stationarity residual"
+    print(f"\nACCEPTANCE 7 projection-correctness: PASS (worst {check} {worst:.2e})")
 
 
 def test_criterion_8_noise_robustness():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from csemri.errors import DegenerateCurvature, DimensionError, OverflowRisk
 from csemri.imaging import (
@@ -30,6 +32,7 @@ from csemri.phantom import (
 from csemri.residual import make_residual_operator, voxelwise_concentrations
 from csemri.solver import FlowConfig, certified_step, step_bound, wirtinger_flow
 from csemri.species import EchoSpec, build_model, load_species
+from projection_kkt import kkt_residual
 
 RNG = np.random.default_rng(5150)
 
@@ -160,6 +163,33 @@ class TestProjection:
             ).real
             inner = np.sum((x - proj) * (feas - proj))
             assert inner <= 1e-6
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        h=st.integers(1, 9),
+        w=st.integers(1, 9),
+        scale=st.sampled_from([0.5, 3.0]),
+        inf_share=st.sampled_from([0.0, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(h=1, w=9, scale=3.0, inf_share=0.3, seed=1)
+    @example(h=9, w=1, scale=3.0, inf_share=0.3, seed=2)
+    def test_properties_on_any_shape(self, h, w, scale, inf_share, seed):
+        # odd sizes, single rows and single columns, which the phantoms never reach
+        rng = np.random.default_rng(seed)
+        xi = scale * rng.standard_normal((h, w)) + 1j * rng.standard_normal((h, w))
+        eps = rng.uniform(0.5, 3.0, (h, w))
+        eps[rng.random((h, w)) < inf_share] = np.inf
+        con = FieldmapConstraint(eps_g=eps)
+        proj_tol = 1e-11
+        x_scale = max(float(np.max(np.abs(xi.real))), 1.0)
+        out = project_onto_C_phi(xi, con, proj_tol=proj_tol, max_sweeps=200_000)
+        assert constraint_violation(out, con) <= 10.0 * proj_tol * x_scale
+        assert np.array_equal(out.imag, np.maximum(xi.imag, 0.0))
+        again = project_onto_C_phi(out, con, proj_tol=proj_tol, max_sweeps=200_000)
+        assert np.max(np.abs(again - out)) <= 1e-9 * x_scale
+        stationarity, move = kkt_residual(xi.real, out.real, eps)
+        assert stationarity <= 1e-8 * move
 
 
 class TestImageGrid:

@@ -413,3 +413,24 @@ class TestKernelAgainstDenseReferences:
             grad = voxelwise_signal_gradient(OP, np.array([just_inside]), sig[1:])
             ev = full_residual(OP, just_inside, sig[1])
         assert np.all(np.isfinite(grad)) and np.all(np.isfinite(ev.grad_s_conj))
+
+    def test_value_and_gradient_overflow_is_raised(self):
+        # ||R s||^2 of a unit signal overflows to NaN at 12 and 15 kHz, inside
+        # the exp guard but past tau_s |Im xi| = 700, like R^H R above
+        sig = random_complex(6, np.random.default_rng(17))
+        sig /= np.linalg.norm(sig)
+        for im in (12000.0, 15000.0):
+            assert OP.tau_s * im > 700.0 and im * MODEL.times[-1] < 700.0 / (2 * np.pi)
+            xi = 40.0 + 1j * im
+            for fn in (residual_value, wirtinger_gradient_f0, wirtinger_hessian_f0):
+                with pytest.raises(OverflowRisk):
+                    fn(OP, xi, sig)
+            with pytest.raises(OverflowRisk):
+                voxelwise_value_and_gradient(OP, np.array([1.0 + 0j, xi]), np.stack([sig, sig]))
+        just_inside = 40.0 + 1j * 0.99 * 700.0 / OP.tau_s
+        with np.errstate(all="raise"):
+            value = residual_value(OP, just_inside, sig)
+            d_xi = wirtinger_gradient_f0(OP, just_inside, sig).d_xi
+            hess = wirtinger_hessian_f0(OP, just_inside, sig)
+            f, d_batch = voxelwise_value_and_gradient(OP, np.array([just_inside]), sig[None])
+        assert np.all(np.isfinite([value, d_xi, hess.d_xixi, hess.d_xixiconj, f[0], d_batch[0]]))
