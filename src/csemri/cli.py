@@ -260,14 +260,23 @@ def cmd_reconstruct(args):
         "final_objective": res.objective_trace[-1],
     }
     if args.truth:
-        truth = np.load(args.truth)
         names = [sp.name for sp in model.species]
-        summary["metrics"] = metrics_table(
-            _named_maps(names, truth["c0_map"], truth["xi0_map"]),
-            _named_maps(names, res.c_map, res.xi_map),
-        )
+        summary["metrics"] = _metrics_on_mask(np.load(args.truth), names, res.c_map, res.xi_map)
     _dump(summary, args.metrics_out)
     return 0
+
+
+def _metrics_on_mask(truth, names, c_map, xi_map):
+    """Metric table of the named maps on the truth mask; off it the truth is arbitrary."""
+    mask = np.asarray(truth["mask"], dtype=bool)
+    if np.shape(xi_map) != mask.shape:
+        raise errors.DimensionError(f"maps of shape {np.shape(xi_map)} against a {mask.shape} mask")
+    if not mask.any():
+        raise errors.SpecError("the truth mask selects no voxel")
+    return metrics_table(
+        _named_maps(names, truth["c0_map"][mask], truth["xi0_map"][mask]),
+        _named_maps(names, c_map[mask], xi_map[mask]),
+    )
 
 
 def _named_maps(names, c_map, xi_map):
@@ -282,13 +291,7 @@ def cmd_metrics(args):
     truth = np.load(args.truth)
     recon = np.load(args.recon)
     names = [f"species_{k}" for k in range(truth["c0_map"].shape[-1])]
-    _dump(
-        metrics_table(
-            _named_maps(names, truth["c0_map"], truth["xi0_map"]),
-            _named_maps(names, recon["c_map"], recon["xi_map"]),
-        ),
-        args.out,
-    )
+    _dump(_metrics_on_mask(truth, names, recon["c_map"], recon["xi_map"]), args.out)
     return 0
 
 

@@ -69,14 +69,20 @@ def load_acquisition_config(path):
 
 
 def flow_config_from_dict(doc):
-    return FlowConfig(
-        step=doc.get("step"),
-        max_iters=int(doc.get("max_iters", 100_000)),
-        grad_tol=doc.get("grad_tol"),
-        rho=float(doc.get("rho", 0.5)),
-        certified=bool(doc.get("certified", doc.get("step") is None)),
-        keep_trajectory=bool(doc.get("keep_trajectory", False)),
-    )
+    """Build a :class:`FlowConfig`; a value of the wrong type raises :class:`SpecError`."""
+    try:
+        step, grad_tol = doc.get("step"), doc.get("grad_tol")
+        fields = dict(
+            step=None if step is None else float(step),
+            max_iters=int(doc.get("max_iters", 100_000)),
+            grad_tol=None if grad_tol is None else float(grad_tol),
+            rho=float(doc.get("rho", 0.5)),
+            certified=bool(doc.get("certified", step is None)),
+            keep_trajectory=bool(doc.get("keep_trajectory", False)),
+        )
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SpecError(f"malformed flow config: {exc}") from exc
+    return FlowConfig(**fields)
 
 
 def constraint_from_config(doc, mask):

@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 DB_CAP = 300.0
+PDFF_MIN_CONTENT = 1e-12  # PDFF is NaN where water + fat content is below this
 
 
 @dataclass(frozen=True)
@@ -463,11 +464,11 @@ def metrics(truth, estimate):
     }
 
 
-def pdff_map(c_map, water_idx, fat_idx, tol=1e-12, convention="magnitude"):
+def pdff_map(c_map, water_idx, fat_idx, convention="magnitude"):
     """Fat fraction in percent from a concentration map.
 
     ``magnitude`` uses |c|; ``real-part`` uses clipped real parts. Voxels
-    whose water+fat content falls below ``tol`` are NaN.
+    whose water+fat content falls below ``PDFF_MIN_CONTENT`` are NaN.
     """
     c_map = np.asarray(c_map)
     n_s = c_map.shape[-1]
@@ -483,8 +484,7 @@ def pdff_map(c_map, water_idx, fat_idx, tol=1e-12, convention="magnitude"):
         raise ValueError(f"unknown pdff convention {convention!r}")
     denom = cw + cf
     with np.errstate(invalid="ignore"):
-        out = np.where(denom < tol, np.nan, 100.0 * cf / np.where(denom < tol, 1.0, denom))
-    return out
+        return 100.0 * cf / np.where(denom < PDFF_MIN_CONTENT, np.nan, denom)
 
 
 def metrics_table(truth_maps, estimate_maps):

@@ -29,6 +29,7 @@ from math import comb, gcd, inf, lcm
 import numpy as np
 
 from .errors import CombinatorialLimit, DimensionError, PolynomialDegreeLimit
+from .solver import golden_section
 from .species import weighting_diag
 
 __all__ = [
@@ -55,6 +56,13 @@ SWAP_RISK = "SwapRisk"
 MAX_SELECTIONS = 10**6  # row selections of Delta, each one determinant polynomial
 MAX_DEGREE = 10**4  # degree of one determinant polynomial in z
 CLUSTER_RADIUS_HZ = 1e-6  # roots of one selection closer than this are one root
+# multiple roots leave the companion matrix about sqrt(eps) off the unit circle, so
+# the modulus filter sits well above that; sigma_min classification drops impostors
+UNIT_TOL = 1e-5
+EIG_CLUSTER_TOL = 1e-8  # swap-map eigenvalues closer than this share one basis block
+EXACT_TOL = 1e-6  # kernel mixing and invariance below this count as exact
+DENOM_LIMIT = 10**4  # largest denominator of a rationalized echo-time ratio
+RATIO_TOL = 1e-12  # echo ratios this close to their fractions are commensurable
 
 
 @dataclass(frozen=True)
@@ -86,13 +94,13 @@ class SolutionLattice:
         return int(np.round(shift_hz / self.period_hz))
 
 
-def rationalize_echoes(echoes, support=None, denom_limit=10**4, rel_tol=1e-12):
+def rationalize_echoes(echoes, support=None):
     """Rationalize the echo-time ratios over the given support.
 
     Each ratio ``t_k/t_max`` is replaced by its best rational approximation
-    with denominator at most ``denom_limit`` (continued-fraction based).
+    with denominator at most ``DENOM_LIMIT`` (continued-fraction based).
     The structure is commensurable only when every approximation is within
-    ``rel_tol`` of the ratio; echo tables quoted at scanner granularity are
+    ``RATIO_TOL`` of the ratio; echo tables quoted at scanner granularity are
     exact rationals well inside that budget, while genuinely irrational
     ratios are flagged rather than rounded.
     """
@@ -109,8 +117,8 @@ def rationalize_echoes(echoes, support=None, denom_limit=10**4, rel_tol=1e-12):
     commensurable = True
     for t in sub:
         ratio = t / t_max
-        frac = Fraction(ratio).limit_denominator(denom_limit)
-        if abs(float(frac) - ratio) > rel_tol:
+        frac = Fraction(ratio).limit_denominator(DENOM_LIMIT)
+        if abs(float(frac) - ratio) > RATIO_TOL:
             commensurable = False
         fractions.append((frac.numerator, frac.denominator))
 
@@ -137,9 +145,13 @@ def fieldmap_lattice(structure):
 
 
 def delta_matrix(eta, model):
-    """The ``n_e x 2 n_s`` matrix ``[W(eta) Phi, Phi]``."""
+    """The ``n_e x 2 n_s`` matrix ``[W(eta) Phi, Phi]`` for each entry of ``eta``:
+    a scalar gives one matrix, an array of shape ``S`` a stack ``S + (n_e, 2 n_s)``."""
     w = weighting_diag(eta, model.times)
-    return np.hstack([w[:, None] * model.phi, model.phi])
+    out = np.empty(w.shape + (2 * model.n_s,), dtype=complex)
+    out[..., :model.n_s] = w[..., None] * model.phi
+    out[..., model.n_s:] = model.phi
+    return out
 
 
 @dataclass(frozen=True)
@@ -188,13 +200,8 @@ def _minor_polynomial(phi, rows, exponents):
     return coeffs
 
 
-def _unit_circle_roots(coeffs, unit_tol=1e-5):
-    # multiple roots (kernel dimension > 1) come out of the companion
-    # matrix with |z| off the circle by roughly sqrt(machine epsilon), so
-    # the modulus filter must sit well above that; impostors that slip
-    # through are removed later by the sigma_min classification.
+def _unit_circle_roots(coeffs):
     """Unit-modulus roots of a sparse-coefficient polynomial in z."""
-
     exps = sorted(coeffs)
     lo, hi = exps[0], exps[-1]
     if hi == lo:
@@ -220,52 +227,36 @@ def _unit_circle_roots(coeffs, unit_tol=1e-5):
         dpw = np.polyval(dense[:-1] * exps_arr[:-1], roots_w)
         step = np.where(np.abs(dpw) > 0, pw / np.where(dpw == 0, 1, dpw), 0.0)
         roots_w = roots_w - step
-    roots_w = roots_w[np.abs(np.abs(roots_w) - 1.0) < unit_tol]
+    roots_w = roots_w[np.abs(np.abs(roots_w) - 1.0) < UNIT_TOL]
     if g == 1:
         return roots_w
     kth = np.exp(2j * np.pi * np.arange(g) / g)
     return (roots_w[:, None] ** (1.0 / g) * kth[None, :]).ravel()
 
 
-def _polish_zero(model, eta_hz, half_width_hz, iters=90):
+def _polish_zero(model, eta_hz, half_width_hz):
     """Golden-section refinement of a local minimum of sigma_min(Delta)."""
 
     def smin(eta):
         return float(np.linalg.svd(delta_matrix(eta, model), compute_uv=False)[-1])
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = eta_hz - half_width_hz, eta_hz + half_width_hz
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = smin(c), smin(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = smin(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = smin(d)
-        if b - a <= 1e-13 * max(1.0, abs(eta_hz)):
-            break
+    a, b, _ = golden_section(
+        smin, eta_hz - half_width_hz, eta_hz + half_width_hz, 90,
+        xtol=1e-13 * max(1.0, abs(eta_hz)),
+    )
     return (a + b) / 2.0
 
 
 def _cluster_angles(values, radius):
-    """Merge a sorted 1-D array into cluster centers with the given radius."""
+    """Merge a 1-D array into the means of its sorted runs with gaps at most ``radius``."""
     if len(values) == 0:
         return values
     values = np.sort(values)
-    centers = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or values[i] - values[i - 1] > radius:
-            centers.append(values[start:i].mean())
-            start = i
-    return np.array(centers)
+    runs = np.split(values, np.flatnonzero(np.diff(values) > radius) + 1)
+    return np.array([run.mean() for run in runs])
 
 
-def _orthonormal_eigensystem(matrix, cluster_tol=1e-8):
+def _orthonormal_eigensystem(matrix):
     """Eigendecomposition with per-eigenvalue-cluster orthonormalization."""
     evals, evecs = np.linalg.eig(matrix)
     order = np.argsort(np.angle(evals))
@@ -275,7 +266,7 @@ def _orthonormal_eigensystem(matrix, cluster_tol=1e-8):
     start = 0
     n = len(evals)
     for i in range(1, n + 1):
-        if i == n or abs(evals[i] - evals[start]) > cluster_tol:
+        if i == n or abs(evals[i] - evals[start]) > EIG_CLUSTER_TOL:
             block = evecs[:, start:i]
             qblock, _ = np.linalg.qr(block)
             basis[:, start:i] = qblock
@@ -284,7 +275,7 @@ def _orthonormal_eigensystem(matrix, cluster_tol=1e-8):
     return phases, basis
 
 
-def classify_zero(model, eta_hz, sigma_ref, tol=1e-8, exact_tol=1e-6):
+def classify_zero(model, eta_hz, sigma_ref, tol=1e-8):
     """Diagnose the kernel of ``Delta(eta)``; None when there is no kernel."""
     delta = delta_matrix(eta_hz, model)
     _, svals, vh = np.linalg.svd(delta)
@@ -297,7 +288,7 @@ def classify_zero(model, eta_hz, sigma_ref, tol=1e-8, exact_tol=1e-6):
     sigma_min = float(svals[-1])
 
     mixing = np.linalg.norm(kernel[:n_s] + kernel[n_s:], 2)
-    if mixing <= exact_tol:
+    if mixing <= EXACT_TOL:
         return DeltaZero(
             eta_hz=float(eta_hz),
             sigma_min=sigma_min,
@@ -317,7 +308,7 @@ def classify_zero(model, eta_hz, sigma_ref, tol=1e-8, exact_tol=1e-6):
         invariance = np.linalg.norm(
             model.phi @ restricted - w_minus[:, None] * model.phi
         )
-        if invariance <= exact_tol * np.linalg.norm(model.phi):
+        if invariance <= EXACT_TOL * np.linalg.norm(model.phi):
             phases, basis = _orthonormal_eigensystem(restricted)
             swap_phases = tuple(phases)
             swap_basis = basis
@@ -460,15 +451,10 @@ def local_identifiability_certificate(xi0, c0, model, tol=1e-8):
 
 
 def sigma_min_profile(model, eta_hz_grid):
-    """sigma_min(Delta(eta)) over a grid, vectorized over eta."""
-    grid = np.asarray(eta_hz_grid, dtype=float)
-    w = np.exp(2j * np.pi * grid[:, None] * model.times[None, :])
-    stack = np.concatenate(
-        [w[:, :, None] * model.phi[None, :, :], np.broadcast_to(model.phi, (len(grid),) + model.phi.shape)],
-        axis=2,
-    )
-    svals = np.linalg.svd(stack, compute_uv=False)
-    return svals[:, -1]
+    """sigma_min(Delta(eta)) over a real grid: one batched SVD of the
+    :func:`delta_matrix` stack."""
+    stack = delta_matrix(np.asarray(eta_hz_grid, dtype=float), model)
+    return np.linalg.svd(stack, compute_uv=False)[..., -1]
 
 
 def weighting_error_profile(phi_hz_grid, s_tilde, times_s):

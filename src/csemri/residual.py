@@ -68,6 +68,7 @@ __all__ = [
 ]
 
 EXP_GUARD = 700.0 / (2.0 * np.pi)
+RANK_TOL = 1e-10  # Phi counts as rank-deficient below this sigma_min / sigma_max
 
 
 @dataclass(frozen=True)
@@ -101,10 +102,10 @@ class ResidualOperator:
         return self.model.n_s
 
 
-def make_residual_operator(model, rank_tol=1e-10):
+def make_residual_operator(model):
     """Build the residual machinery for a full-rank model matrix."""
     u, svals, vh = np.linalg.svd(model.phi, full_matrices=False)
-    if svals[-1] <= rank_tol * svals[0]:
+    if svals[-1] <= RANK_TOL * svals[0]:
         raise RankDeficient(
             f"model matrix numerically rank-deficient: sigma_min/sigma_max = "
             f"{svals[-1] / svals[0]:.3e}"

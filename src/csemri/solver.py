@@ -25,13 +25,15 @@ relaxes the previous inequality, so the three radii are always ordered.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, expm1, inf, log1p, sqrt
+from math import exp, expm1, inf, sqrt
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from .errors import DegenerateCurvature, DomainError, NonBracketed
-from .residual import concentrations_ri, full_residual, residual_pieces, wirtinger_gradient_f0
+from .residual import _check_square_guard, concentrations_ri, full_residual
+from .residual import residual_pieces, wirtinger_gradient_f0
 
 __all__ = [
     "FlowConfig",
@@ -61,25 +63,16 @@ TIGHT_GROWTH = 1.12  # geometric growth of the tight radius before bisection
 def lambert_w0(x):
     """Main branch of the Lambert W function for real ``x >= -1/e``.
 
-    Halley iteration from the initial guess ``log(1 + x)``; the residual
-    ``|w e^w - x|`` is driven below ``1e-14 max(1, |x|)``.
+    ``scipy.special.lambertw`` on the principal branch; the branch point
+    itself, where SciPy returns NaN, maps to -1.
     """
     x = float(x)
     branch_point = -exp(-1.0)
     if x < branch_point - 1e-12:
         raise DomainError(f"lambert_w0 requires x >= -1/e, got {x}")
-    x = max(x, branch_point)
-    if x == 0.0:
-        return 0.0
-    w = log1p(x)
-    for _ in range(60):
-        ew = exp(w)
-        f = w * ew - x
-        if abs(f) <= 1e-14 * max(1.0, abs(x)):
-            break
-        denom = ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)
-        w -= f / denom
-    return w
+    if x <= branch_point:
+        return -1.0
+    return float(lambertw(x).real)
 
 
 def beta_integral(a, b):
@@ -97,6 +90,7 @@ def beta_integral(a, b):
 
 
 def _curvature_numbers(op, xi0, s0):
+    _check_square_guard(op, xi0)
     _, r1s, r2s = residual_pieces(op, xi0, s0, 2)
     return (
         float(np.linalg.norm(r1s)),
@@ -155,8 +149,28 @@ def radius_loose(op, xi0, s0, rho=0.5):
     def g(r):
         return budget - r * beta_integral(a, op.tau_s * r)
 
-    hi = _bracket_sign_change(g, RADIUS_CAP / op.tau_s)
+    _, hi = _grow_bracket(lambda r: g(r) > 0.0, 0.0, 1.0, 2.0, RADIUS_CAP / op.tau_s)
     return float(brentq(g, 0.0, hi, xtol=1e-14, rtol=1e-15))
+
+
+def golden_section(f, a, b, iters, xtol=0.0):
+    """Golden-section search for a minimum of ``f`` on ``[a, b]`` in ``iters`` steps, or until
+    ``b - a <= xtol``; returns the final ``a, b`` and the smaller value at their interior points."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+        if b - a <= xtol:
+            break
+    return a, b, min(fc, fd)
 
 
 def _circle_eval(op, xi0, s0, r, angular_samples, fn):
@@ -182,21 +196,13 @@ def _circle_eval(op, xi0, s0, r, angular_samples, fn):
     vals = values(thetas)
     k = int(np.argmin(vals))
     span = (hi - lo) / max(angular_samples - 1, 1)
-    a = max(lo, thetas[k] - span)
-    b = min(hi, thetas[k] + span)
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = float(values([c])[0]), float(values([d])[0])
-    for _ in range(40):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = float(values([c])[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = float(values([d])[0])
-    return min(float(np.min(vals)), fc, fd)
+    _, _, refined = golden_section(
+        lambda theta: float(values([theta])[0]),
+        max(lo, thetas[k] - span),
+        min(hi, thetas[k] + span),
+        40,
+    )
+    return min(float(np.min(vals)), refined)
 
 
 def _minorant_fn(pieces):
@@ -238,14 +244,7 @@ def radius_tight(op, xi0, s0, rho=0.5, angular_samples=48):
     lo = radius_loose(op, xi0, s0, rho)
     if margin(lo) < 0.0:  # guard against discretization slack at the seed
         return lo
-    hi = lo
-    while True:
-        hi = min(hi * TIGHT_GROWTH, cap_hz)
-        if margin(hi) < 0.0:
-            break
-        if hi >= cap_hz:
-            raise NonBracketed(f"minorant margin holds beyond the cap {cap_hz:.3e} Hz")
-        lo = hi
+    lo, hi = _grow_bracket(lambda r: margin(r) >= 0.0, lo, lo * TIGHT_GROWTH, TIGHT_GROWTH, cap_hz)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if margin(mid) >= 0.0:
@@ -257,14 +256,15 @@ def radius_tight(op, xi0, s0, rho=0.5, angular_samples=48):
     return lo
 
 
-def _bracket_sign_change(fn, cap):
-    """Grow an upper bracket up to ``cap`` until fn < 0; fn(0) > 0 by construction."""
-    hi = min(1.0, cap)
-    while fn(hi) > 0.0:
+def _grow_bracket(holds, lo, hi, factor, cap):
+    """Grow ``hi`` by ``factor``, up to ``cap``, while ``holds(hi)``; return the last radius
+    that held (``lo`` if none did) and the first that failed, or raise :class:`NonBracketed`."""
+    hi = min(hi, cap)
+    while holds(hi):
         if hi >= cap:
-            raise NonBracketed(f"no sign change up to the search cap {cap:.3e} Hz")
-        hi = min(2.0 * hi, cap)
-    return hi
+            raise NonBracketed(f"condition holds up to the search cap {cap:.3e} Hz")
+        lo, hi = hi, min(factor * hi, cap)
+    return lo, hi
 
 
 def step_bound(rho):
@@ -285,6 +285,7 @@ def certified_step(op, xi_ref, s_ref, rho):
     curvature cannot attain that maximum, and only an all-zero batch
     raises :class:`DegenerateCurvature`.
     """
+    _check_square_guard(op, xi_ref)
     _, r1s = residual_pieces(op, xi_ref, s_ref, 1)
     curvature = float(np.max(np.sum(np.abs(r1s) ** 2, axis=1), initial=0.0))
     if curvature == 0.0:
@@ -476,12 +477,12 @@ class CurvatureReport:
     q_profile: tuple[tuple[float, float], ...] = field(repr=False)
 
 
-def curvature_report(op, xi0, s0, rho=0.5, radii=None, angular_samples=32):
+def curvature_report(op, xi0, s0, rho=0.5, angular_samples=32):
+    """The nested radii; Q(r) is sampled on 36 radii from r_lambert / 4 to 40 r_tight."""
     r_lam = radius_lambert(op, xi0, s0, rho)
     r_loose = radius_loose(op, xi0, s0, rho)
     r_tight = radius_tight(op, xi0, s0, rho)
-    if radii is None:
-        radii = np.geomspace(max(r_lam / 4.0, 1e-6), 40.0 * r_tight, 36)
+    radii = np.geomspace(max(r_lam / 4.0, 1e-6), 40.0 * r_tight, 36)
     prof = curvature_profile(op, xi0, s0, radii, angular_samples=angular_samples)
     r1, r2, _ = _curvature_numbers(op, xi0, s0)
     return CurvatureReport(

@@ -158,9 +158,9 @@ class EchoSpec:
     def __post_init__(self):
         t = tuple(float(x) for x in self.times_s)
         if len(t) == 0:
-            raise ValueError("echo spec needs at least one echo time")
+            raise DimensionError("echo spec needs at least one echo time")
         if t[0] <= 0.0 or any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError(f"echo times must be positive and strictly increasing: {t}")
+            raise DimensionError(f"echo times must be positive and strictly increasing: {t}")
         object.__setattr__(self, "times_s", t)
 
     @classmethod
@@ -230,9 +230,10 @@ def build_model(species, echoes):
 
 
 def weighting_diag(xi, times_s):
-    """Diagonal entries exp(2*pi*i*xi*t_k) of the weighting matrix."""
+    """Diagonal entries exp(2*pi*i*xi*t_k) of the weighting matrix, broadcast over
+    an array ``xi`` with the echo axis last; a scalar ``xi`` gives shape (n_e,)."""
     t = np.asarray(times_s, dtype=float)
-    return np.exp(2j * np.pi * complex(xi) * t)
+    return np.exp(2j * np.pi * np.asarray(xi, dtype=complex)[..., None] * t)
 
 
 def weighting_matrix(xi, echoes):

@@ -112,6 +112,18 @@ class TestDeltaMatrix:
         assert np.linalg.norm(d @ vec) < 1e-9 * np.linalg.norm(vec)
         assert np.linalg.svd(d, compute_uv=False)[-1] < 1e-9
 
+    def test_batched_equals_per_eta(self):
+        rng = np.random.default_rng(41)
+        etas = rng.uniform(-1000.0, 1000.0, (3, 4)) + 1j * np.linspace(0.0, 30.0, 4)
+        stack = delta_matrix(etas, self.model)
+        assert stack.shape == (3, 4, 6, 4)
+        for idx in np.ndindex(etas.shape):
+            assert np.array_equal(stack[idx], delta_matrix(etas[idx], self.model))
+        grid = etas.real.ravel()
+        per_eta = [np.linalg.svd(delta_matrix(eta, self.model), compute_uv=False)[-1]
+                   for eta in grid]
+        np.testing.assert_allclose(sigma_min_profile(self.model, grid), per_eta, rtol=1e-13)
+
 
 class TestDeltaZeroSet:
     def test_rejects_too_few_echoes(self):

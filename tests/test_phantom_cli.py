@@ -271,6 +271,44 @@ class TestCli:
         monkeypatch.setenv("CSI_THREADS", "1")
         assert cli_main(["model-info"]) == 0
 
+    def test_malformed_echo_times_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "acq.json"
+        config.write_text(json.dumps({
+            "echo_times_ms": [2, 1, 3, 4, 5, 6],
+            "species": ["water", "fat6"],
+            "hz_per_ppm": HZ_PER_PPM,
+        }))
+        assert cli_main(["model-info", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "DimensionError"
+
+    def test_malformed_flow_config_exits_2(self, tmp_path, capsys):
+        ph, flow = tmp_path / "ph.json", tmp_path / "flow.json"
+        assert cli_main(["phantom", "--out", str(ph), "--width", "4", "--height", "4"]) == 0
+        flow.write_text(json.dumps({"max_iters": "ten"}))
+        capsys.readouterr()
+        assert cli_main(["reconstruct", "--input", str(ph), "--out", str(tmp_path / "r.npz"),
+                         "--flow", str(flow)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
+
+    def test_metrics_are_on_mask(self, tmp_path):
+        rng = np.random.default_rng(43)
+        mask = np.zeros((5, 6), dtype=bool)
+        mask[1:4, 2:5] = True
+        c0 = rng.standard_normal((5, 6, 3)) + 1j * rng.standard_normal((5, 6, 3))
+        xi0 = rng.uniform(-50, 50, (5, 6)) + 1j * rng.uniform(0, 30, (5, 6))
+        truth, recon, out = tmp_path / "truth.npz", tmp_path / "recon.npz", tmp_path / "m.json"
+        np.savez(truth, c0_map=c0, xi0_map=xi0, mask=mask)
+        np.savez(recon, c_map=c0, xi_map=np.where(mask, xi0, xi0 + 1000.0))
+        assert cli_main(["metrics", "--truth", str(truth), "--recon", str(recon),
+                         "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["fieldmap"]["mse"] == 0.0 and report["r2star"]["mse"] == 0.0
+        assert all(report[f"species_{k}"]["mse"] == 0.0 for k in range(3))
+        np.savez(truth, c0_map=c0, xi0_map=xi0, mask=np.zeros_like(mask))
+        assert cli_main(["metrics", "--truth", str(truth), "--recon", str(recon)]) == 2
+
     def test_missing_file_exits_2(self, capsys):
         assert cli_main(["analyze", "--config", "/nonexistent.json"]) == 2
         err = capsys.readouterr().err

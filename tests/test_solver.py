@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from csemri.errors import DegenerateCurvature, DomainError
+from csemri import solver
+from csemri.errors import DegenerateCurvature, DomainError, NonBracketed, OverflowRisk
 from csemri.lattice import fieldmap_lattice, rationalize_echoes
 from csemri.residual import make_residual_operator, residual_pieces, residual_value
 from csemri.solver import (
@@ -68,6 +69,15 @@ class TestLambertW:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             lambert_w0(-1.0)
+
+    def test_branch_point(self):
+        assert lambert_w0(-1 / np.e) == -1.0
+
+    def test_small_argument_matches_series(self):
+        # W(x) = x - x^2 + 3/2 x^3 - ..., so the first omitted term is 8/3 x^4
+        for x in (1e-9, 1e-7):
+            series = x - x**2 + 1.5 * x**3
+            assert abs(lambert_w0(x) - series) <= 1e-15 * series
 
 
 class TestBetaIntegral:
@@ -167,6 +177,20 @@ class TestRadii:
         rl = radius_lambert(OP, xi0, s0, 0.5)
         rt = radius_tight(OP, xi0, s0, 0.5, angular_samples=24)
         assert rt > 10.0 * rl
+
+    def test_search_cap_raises_non_bracketed(self, monkeypatch):
+        xi0, _, s0 = random_voxel(np.random.default_rng(31))
+        ro = radius_loose(OP, xi0, s0, 0.5)
+        rt = radius_tight(OP, xi0, s0, 0.5, angular_samples=24)
+        assert rt > 2.0 * solver.TIGHT_GROWTH * ro
+        # below the loose radius the envelope budget is never exhausted
+        monkeypatch.setattr(solver, "RADIUS_CAP", 0.5 * ro * OP.tau_s)
+        with pytest.raises(NonBracketed):
+            radius_loose(OP, xi0, s0, 0.5)
+        # at the first growth step of the tight search the margin still holds
+        monkeypatch.setattr(solver, "RADIUS_CAP", solver.TIGHT_GROWTH * ro * OP.tau_s)
+        with pytest.raises(NonBracketed):
+            radius_tight(OP, xi0, s0, 0.5, angular_samples=24)
 
     def test_rejects_lower_half_plane(self):
         _, _, s0 = random_voxel()
@@ -432,3 +456,19 @@ class TestCertifiedStep:
         _, r1s = residual_pieces(OP, xi0, s0, 1)
         lip = (2 + 0.5) * np.linalg.norm(r1s) ** 2
         assert alpha * lip < step_bound(0.5)
+
+    def test_curvature_overflow_is_raised(self):
+        # ||R' s||^2 of a unit signal overflows past tau_s |Im xi| = 700
+        # (11.3 kHz here), inside the exp guard
+        sig = random_complex(6, np.random.default_rng(17))
+        sig /= np.linalg.norm(sig)
+        for im in (12000.0, 15000.0):
+            assert OP.tau_s * im > 700.0 and im * MODEL.times[-1] < 700.0 / (2 * np.pi)
+            for fn in (certified_step, gamma_plus, radius_lambert):
+                with pytest.raises(OverflowRisk):
+                    fn(OP, 40.0 + 1j * im, sig, 0.5)
+        just_inside = 40.0 + 1j * 0.99 * 700.0 / OP.tau_s
+        with np.errstate(all="raise"):
+            values = [fn(OP, just_inside, sig, 0.5)
+                      for fn in (certified_step, gamma_plus, radius_lambert)]
+        assert all(np.isfinite(v) and v > 0.0 for v in values)
