@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import DimensionError, SpecError
 from .imaging import FieldmapConstraint, ImageGrid
 from .solver import FlowConfig
 from .species import EchoSpec, build_model, load_species, species_from_dict, PRESET_NAMES
@@ -45,9 +45,17 @@ def model_from_config(config):
     ``hz_per_ppm``.
     """
     try:
-        echoes = EchoSpec.from_ms(config["echo_times_ms"])
+        times_ms = config["echo_times_ms"]
     except KeyError as exc:
         raise SpecError("acquisition config needs echo_times_ms") from exc
+    try:
+        if isinstance(times_ms, str):  # iterable, but it would read one echo per character
+            raise TypeError("a string is not a list")
+        echoes = EchoSpec.from_ms(times_ms)
+    except DimensionError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"echo_times_ms must be a list of numbers, got {times_ms!r}") from exc
     hz_per_ppm = config.get("hz_per_ppm")
     species = []
     for entry in config.get("species", []):

@@ -252,8 +252,30 @@ def _cluster_angles(values, radius):
     if len(values) == 0:
         return values
     values = np.sort(values)
-    runs = np.split(values, np.flatnonzero(np.diff(values) > radius) + 1)
-    return np.array([run.mean() for run in runs])
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(values) > radius) + 1])
+    ends = np.append(starts[1:], len(values))
+    means = values[starts]  # a run of one is its own mean
+    for k in np.flatnonzero(ends - starts > 1):
+        means[k] = values[starts[k]:ends[k]].mean()
+    return means
+
+
+def _periodic_near(common, other, radius, period):
+    """Mask of the entries of ``common`` within periodic distance ``radius`` of
+    some entry of the sorted array ``other``; both lie in ``[0, period)``.
+
+    The nearest entry without wrap-around is a sorted neighbour of the
+    insertion point and the nearest with it an end of ``other``, so the
+    distance formula runs on those four entries only.
+    """
+    if len(other) == 0:
+        return np.zeros(len(common), dtype=bool)
+    j = np.searchsorted(other, common)
+    near = np.stack([other[j - 1], other[np.minimum(j, len(other) - 1)],
+                     np.full_like(common, other[0]), np.full_like(common, other[-1])])
+    diff = np.abs(near - common)
+    diff = np.minimum(diff, period - diff)
+    return diff.min(axis=0) <= radius
 
 
 def _orthonormal_eigensystem(matrix):
@@ -342,10 +364,20 @@ def delta_zero_set(model, search_band_hz=(-1000.0, 1000.0), tol=1e-8):
 
     Requires ``n_e >= 2 n_s`` (below that the kernel is never empty and the
     zero set is the whole line). For incommensurable echoes the set is just
-    ``{0}``; otherwise each row selection's determinant polynomial in ``z``
-    is solved by companion-matrix eigenvalues, unit-circle roots are mapped
-    back to ``eta``, intersected across selections, and each survivor is
-    classified through its kernel.
+    ``{0}``. Otherwise the pipeline runs in this order:
+
+    1. roots: each row selection's determinant polynomial in ``z`` is solved
+       by companion-matrix eigenvalues and its unit-circle roots are mapped
+       back to ``eta`` in one W period;
+    2. intersection: a candidate survives when every selection has a root
+       within the intersect radius of it (periodic distance);
+    3. band prefilter: the golden-section polish moves a candidate by at
+       most ``half = 2 * intersect_radius + 1e-4``, so only candidates with
+       a periodic image within ``half`` of the search band go on;
+    4. polish: golden-section refinement of the local minimum of
+       ``sigma_min`` around each candidate;
+    5. classify: every periodic image of a polished zero inside the band
+       is diagnosed through its kernel.
     """
     n_e, n_s = model.n_e, model.n_s
     if n_e < 2 * n_s:
@@ -387,17 +419,18 @@ def delta_zero_set(model, search_band_hz=(-1000.0, 1000.0), tol=1e-8):
     for other in base_sets[1:]:
         if len(common) == 0:
             break
-        keep = np.zeros(len(common), dtype=bool)
-        for i, eta in enumerate(common):
-            diff = np.abs(other - eta)
-            diff = np.minimum(diff, w_period - diff)  # periodic distance
-            keep[i] = bool(len(other)) and diff.min() <= intersect_radius_hz
-        common = common[keep]
+        common = common[_periodic_near(common, other, intersect_radius_hz, w_period)]
     common = _cluster_angles(common, 2 * intersect_radius_hz)
+
+    # a polish moves a candidate by at most ``half``: drop those with no
+    # periodic image within ``half`` of the band before paying for it
+    half = 2 * intersect_radius_hz + 1e-4
+    first = common + np.ceil((band_lo - half - common) / w_period) * w_period
+    common = common[first <= band_hi + half]
 
     zeros = []
     for eta0 in common:
-        eta0 = _polish_zero(model, float(eta0), 2 * intersect_radius_hz + 1e-4)
+        eta0 = _polish_zero(model, float(eta0), half)
         shifts = np.arange(
             np.ceil((band_lo - eta0) / w_period), np.floor((band_hi - eta0) / w_period) + 1
         )

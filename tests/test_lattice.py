@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from csemri import lattice
 from csemri.errors import DimensionError
 from csemri.lattice import (
+    _cluster_angles,
+    _periodic_near,
     SWAP_RISK,
     delta_matrix,
     delta_zero_set,
@@ -23,6 +28,7 @@ WATER = Species.single_peak("water")
 HZ_PER_PPM = 3.0 * 42.57747892
 FAT6 = load_species("fat6", hz_per_ppm=HZ_PER_PPM)
 SILICONE = load_species("silicone", hz_per_ppm=HZ_PER_PPM)
+DEFAULT_ECHOES = EchoSpec.uniform_ms(1.238, 0.986, 6)  # the CLI's default protocol
 
 
 def random_complex(shape, rng=RNG):
@@ -266,6 +272,124 @@ class TestDeltaZeroSet:
             assert abs(abs(zero.swap_basis[0, 0]) - 1.0) < 1e-10
             lam = np.exp(-2j * np.pi * zero.eta_hz * model.times[0])
             assert np.allclose(zero.swap_phases[0], lam, atol=1e-8)
+
+
+def periodic_near_loop(common, other, radius, period):
+    """The per-candidate loop over every entry of ``other`` (the reference)."""
+    keep = np.zeros(len(common), dtype=bool)
+    for i, eta in enumerate(common):
+        diff = np.abs(other - eta)
+        diff = np.minimum(diff, period - diff)
+        keep[i] = bool(len(other)) and diff.min() <= radius
+    return keep
+
+
+def cluster_angles_split(values, radius):
+    """``np.split`` into runs and one ``.mean()`` per run (the reference)."""
+    if len(values) == 0:
+        return values
+    values = np.sort(values)
+    runs = np.split(values, np.flatnonzero(np.diff(values) > radius) + 1)
+    return np.array([run.mean() for run in runs])
+
+
+class TestZeroSetSteps:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n_common=st.integers(0, 40),
+        n_other=st.integers(0, 40),
+        period=st.sampled_from([1000.0 / 3.0, 20000.0, 500000.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n_common=5, n_other=0, period=20000.0, seed=1)
+    @example(n_common=5, n_other=1, period=20000.0, seed=2)
+    def test_periodic_near_matches_loop(self, n_common, n_other, period, seed):
+        rng = np.random.default_rng(seed)
+        radius = 1e-6 * period
+
+        def draw(n):
+            # uniform in [0, P), within the radius of 0 and of P (wrap-around),
+            # and clumped so that neighbours sit close together; each array
+            # draws from a random subset of these, so that say all of
+            # ``common`` sits near P and all of ``other`` near 0
+            kind = rng.choice(rng.permutation(4)[:rng.integers(1, 5)], n)
+            x = np.where(kind == 0, rng.uniform(0.0, period, n), 0.0)
+            x = np.where(kind == 1, rng.uniform(0.0, 2 * radius, n), x)
+            x = np.where(kind == 2, period - rng.uniform(0.0, 2 * radius, n), x)
+            x = np.where(kind == 3, rng.uniform(0.5, 0.5 + 1e-4, n) * period, x)
+            return np.sort(np.mod(x, period))
+
+        other = draw(n_other)
+        common = draw(n_common)
+        if n_other:
+            # candidates at exactly the radius from an entry, on both sides
+            picks = other[rng.integers(0, n_other, n_common)]
+            at_radius = np.mod(picks + rng.choice([-radius, radius], n_common), period)
+            common = np.sort(np.where(rng.random(n_common) < 0.3, at_radius, common))
+        expected = periodic_near_loop(common, other, radius, period)
+        assert np.array_equal(_periodic_near(common, other, radius, period), expected)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n_runs=st.integers(0, 30), seed=st.integers(0, 2**32 - 1))
+    @example(n_runs=1, seed=3)
+    def test_cluster_angles_matches_split_means(self, n_runs, seed):
+        rng = np.random.default_rng(seed)
+        radius = 1e-6
+        lengths = rng.integers(1, 13, n_runs)
+        starts = np.cumsum(rng.uniform(10 * radius, 1e3, n_runs))
+        values = np.concatenate(
+            [s + np.cumsum(rng.uniform(0.0, radius, n)) for s, n in zip(starts, lengths)]
+            + [np.empty(0)]
+        )
+        rng.shuffle(values)
+        expected = cluster_angles_split(values, radius)
+        assert len(expected) == n_runs
+        assert np.array_equal(_cluster_angles(values, radius), expected)
+
+
+class TestZeroSetBandPrefilter:
+    @staticmethod
+    def record(zero_set):
+        return [(z.eta_hz, z.sigma_min, z.kernel_dim, z.classification) for z in zero_set.zeros]
+
+    def test_default_protocol_polishes_only_band_candidates(self, monkeypatch):
+        # 1480 candidates in the 500 kHz W period, 8 of them reach +-1100 Hz
+        calls = []
+        polish = lattice._polish_zero
+
+        def counted(*args):
+            calls.append(args)
+            return polish(*args)
+
+        monkeypatch.setattr(lattice, "_polish_zero", counted)
+        model = build_model([WATER, FAT6, SILICONE], DEFAULT_ECHOES)
+        zs = delta_zero_set(model, search_band_hz=(-1100.0, 1100.0))
+        assert len(calls) == 8
+        assert len(zs.zeros) == 7
+
+    def test_band_wider_than_a_period_contains_the_central_band(self):
+        model = build_model([WATER, FAT6, SILICONE], EchoSpec.uniform_ms(1.3, 1.05, 6))
+        central = delta_zero_set(model, search_band_hz=(-1100.0, 1100.0))
+        period = central.w_period_hz
+        assert period == pytest.approx(20000.0, rel=1e-12)
+        wide = delta_zero_set(model, search_band_hz=(-1100.0, period + 1100.0))
+        inner = [z for z in self.record(wide) if -1100.0 <= z[0] <= 1100.0]
+        assert inner == self.record(central)
+        # the images one period up repeat the central zeros
+        upper = [z for z in self.record(wide) if z[0] >= period - 1100.0]
+        assert [z[2:] for z in upper] == [z[2:] for z in self.record(central)]
+        np.testing.assert_allclose([z[0] - period for z in upper], central.etas(), atol=1e-9)
+
+    def test_off_zero_band_returns_images_of_the_central_zeros(self):
+        model = build_model([WATER, FAT6, SILICONE], EchoSpec.uniform_ms(1.3, 1.05, 6))
+        central = delta_zero_set(model, search_band_hz=(-1100.0, 1100.0))
+        period = central.w_period_hz
+        off = delta_zero_set(model, search_band_hz=(period - 700.0, period + 300.0))
+        expected = [z for z in self.record(central) if -700.0 <= z[0] <= 300.0]
+        assert off.zeros and len(off.zeros) == len(expected)
+        assert [z[2:] for z in self.record(off)] == [z[2:] for z in expected]
+        np.testing.assert_allclose(off.etas() - period, [z[0] for z in expected], atol=1e-9)
+        assert all(z.sigma_min < 1e-8 * off.sigma_ref for z in off.zeros)
 
 
 class TestIdentifiabilityCertificate:

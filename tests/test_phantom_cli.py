@@ -282,6 +282,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and json.loads(err)["error"] == "DimensionError"
 
+    @pytest.mark.parametrize("times", [["a", 2, 3, 4, 5, 6], 5, None, [[1], 2, 3, 4, 5, 6], "123456"])
+    def test_non_numeric_echo_times_exit_2(self, tmp_path, capsys, times):
+        config = tmp_path / "acq.json"
+        config.write_text(json.dumps({
+            "echo_times_ms": times,
+            "species": ["water", "fat6"],
+            "hz_per_ppm": HZ_PER_PPM,
+        }))
+        assert cli_main(["model-info", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
+
     def test_malformed_flow_config_exits_2(self, tmp_path, capsys):
         ph, flow = tmp_path / "ph.json", tmp_path / "flow.json"
         assert cli_main(["phantom", "--out", str(ph), "--width", "4", "--height", "4"]) == 0

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csemri.errors import OverflowRisk, RankDeficient
 from csemri.lattice import fieldmap_lattice, rationalize_echoes
 from csemri.residual import (
+    EXP_GUARD,
     concentrations_mp,
     concentrations_ri,
     full_residual,
@@ -36,8 +39,10 @@ RNG = np.random.default_rng(91403)
 WATER = Species.single_peak("water")
 HZ_PER_PPM = 3.0 * 42.57747892
 FAT6 = load_species("fat6", hz_per_ppm=HZ_PER_PPM)
+SILICONE = load_species("silicone", hz_per_ppm=HZ_PER_PPM)
 MODEL = build_model([WATER, FAT6], EchoSpec.uniform_ms(1.238, 0.986, 6))
 OP = make_residual_operator(MODEL)
+OP_3S = make_residual_operator(build_model([WATER, FAT6, SILICONE], MODEL.echoes))
 
 GRAD_H = 1e-4  # first differences: truncation and roundoff both negligible
 HESS_H = 1e-2  # second differences need a larger step against roundoff
@@ -358,6 +363,29 @@ class TestVoxelwiseBatches:
             ev = full_residual(OP, xis[i], sig[i])
             assert np.allclose(gs_b[i], ev.grad_s_conj, rtol=1e-12)
             assert np.allclose(c_b[i], concentrations_ri(OP, xis[i], sig[i]), rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 12),
+        order=st.integers(0, 2),
+        three_species=st.booleans(),
+        im_share=st.sampled_from([0.0, 0.3, 0.99]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_equals_its_batches_of_one(self, n, order, three_species, im_share, seed):
+        # gemm on the batch and the single-row product may round differently
+        # in the last place, so equality is to 1e-13 of each row's max norm
+        op = OP_3S if three_species else OP
+        rng = np.random.default_rng(seed)
+        im_max = im_share * EXP_GUARD / op.times[-1]  # inside the overflow guard
+        xis = rng.uniform(-2000.0, 2000.0, n) + 1j * rng.uniform(-im_max, im_max, n)
+        sig = random_complex((n, op.n_e), rng)
+        batch = residual_pieces(op, xis, sig, order)
+        assert batch.shape == (order + 1, n, op.n_e)
+        for i in range(n):
+            single = residual_pieces(op, xis[i], sig[i], order)[:, 0]
+            for piece, ref in zip(batch[:, i], single):
+                assert np.max(np.abs(piece - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestKernelAgainstDenseReferences:
