@@ -8,7 +8,12 @@ radii (:mod:`csemri.solver`), constrained image-grid reconstruction
 (:mod:`csemri.imaging`), in-silico phantoms and experiment drivers
 (:mod:`csemri.phantom`, :mod:`csemri.experiments`), file formats
 (:mod:`csemri.containers`) and the command line (:mod:`csemri.cli`).
+
+Library code reports through the ``csemri`` logger, which is silent until
+the application configures logging.
 """
+
+import logging
 
 from . import errors
 from .species import (
@@ -107,3 +112,5 @@ from .containers import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

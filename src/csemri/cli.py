@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import os
 import sys
 
@@ -38,6 +39,8 @@ from .experiments import (
     write_matrix_csv,
     zero_set_record,
 )
+
+log = logging.getLogger(__name__)
 
 INPUT_ERRORS = (
     errors.SpecError,
@@ -398,6 +401,7 @@ def _limit_threads():
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
+        log.debug("CSI_THREADS=%s ignored: threadpoolctl is not installed", n)
         return  # thread capping is best effort
     threadpool_limits(int(n))
 

@@ -155,8 +155,10 @@ def read_csir(header_path):
     actual = payload_path.stat().st_size
     if actual != expected:
         raise SpecError(f"payload has {actual} bytes, expected {expected}")
-    buf = np.fromfile(payload_path, dtype="<f8").reshape(h, w, n_e, 2)
-    return buf[..., 0] + 1j * buf[..., 1], header
+    # interleaved (re, im) pairs are the layout of a little-endian complex128,
+    # so the values come back bit for bit, signed zeros included
+    signal = np.fromfile(payload_path, dtype="<c16").reshape(h, w, n_e)
+    return signal.astype(complex, copy=False), header
 
 
 def grid_from_csir(header_path, mask_threshold=0.0):

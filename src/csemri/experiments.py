@@ -34,13 +34,18 @@ __all__ = [
 
 
 def write_matrix_csv(path, matrix, header=None):
-    matrix = np.asarray(matrix)
+    """CSV of a real matrix, one row per line, each value as ``%.12g``.
+
+    The body is formatted one row at a time from Python floats; numbers
+    never need quoting, so it equals what ``csv.writer`` writes.
+    """
+    rows = np.atleast_2d(np.asarray(matrix)).tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         if header:
-            writer.writerow(header)
-        for row in np.atleast_2d(matrix):
-            writer.writerow([f"{v:.12g}" for v in row])
+            csv.writer(fh).writerow(header)
+        if rows:
+            line = ",".join(["%.12g"] * len(rows[0])) + "\r\n"
+            fh.writelines(line % tuple(row) for row in rows)
     return Path(path)
 
 

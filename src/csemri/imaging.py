@@ -17,11 +17,19 @@ off the grid. The imaginary part (the decay rate) is simply clamped to be
 nonnegative, which is the exact projection because the constraint only
 reads the real part.
 
+A field already in C_phi is its own projection, so the projection first
+tests every constraint with the arithmetic of the sweep and returns a
+feasible field (imaginary part clamped) without building the blocks; only
+a field that leaves C_phi is swept.
+
 One projected-descent driver, :func:`reconstruct_noisy`, moves the field
 and the per-voxel signals together: the signals stay within their noise
 balls ``||s(v) - y(v)|| <= delta(v)``. Noiseless reconstruction,
 :func:`reconstruct`, is the case ``delta = 0``, where the signal block is
-held at the data and its gradient is never formed.
+held at the data and its gradient is never formed. The objective is
+evaluated only on the signal support, the voxels whose data is nonzero:
+a zero-signal voxel has ``R s = 0`` and zero gradients, so its signal
+stays at ``y = 0`` and its field moves only through the projection.
 """
 
 from __future__ import annotations
@@ -246,11 +254,24 @@ def project_onto_C_phi(xi, constraint, proj_tol=1e-9, max_sweeps=2000):
     of that separable factor. Raises :class:`NonConvergence` when the
     result still violates the constraint by more than ``10 proj_tol
     max(|Re xi|, 1)``, the bound it guarantees.
+
+    A field that violates no constraint, tested as the first sweep tests it
+    (squared gradient norm above ``eps**2``), is returned with its
+    imaginary part clamped and no sweep, which is what the sweep returns.
     """
     xi = np.asarray(xi)
     eps = np.asarray(constraint.eps_g, dtype=float)
     if eps.shape != xi.shape:
         raise DimensionError(f"eps_g shape {eps.shape} does not match field {xi.shape}")
+    g = forward_gradient(np.real(xi))
+    if not np.any(g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1] > eps * eps):
+        return np.real(xi) + 1j * np.maximum(np.imag(xi), 0.0)
+    return _dykstra(xi, constraint, proj_tol, max_sweeps)
+
+
+def _dykstra(xi, constraint, proj_tol, max_sweeps):
+    """The sweeps of :func:`project_onto_C_phi` on a field of matching shape."""
+    eps = np.asarray(constraint.eps_g, dtype=float)
     h, w = xi.shape
     # the zero last row and column stand in for the missing neighbors
     x = np.zeros((h + 1, w + 1))
@@ -328,6 +349,14 @@ def reconstruct_noisy(
     every ``delta`` zero it is held at ``y``. ``converged`` is reported only
     for a field that satisfies the constraint to within ``10 proj_tol
     max(|Re xi|, 1)``.
+
+    The objective and both gradients are evaluated on the signal support
+    only, the voxels with any nonzero echo. Off the support ``R s = 0``, so
+    the value and both gradients are exactly zero, the signal stays at
+    ``y = 0`` even where ``delta > 0``, and the field moves only through
+    the projection. Voxels below the mask threshold that still carry signal
+    are on the support and count in the objective; the certified step is
+    taken over the mask alone.
     """
     if grid.n_e != model.n_e:
         raise DimensionError("grid echo count does not match the model")
@@ -343,33 +372,39 @@ def reconstruct_noisy(
     alpha = _global_step(op, cfg, xi.ravel(), y_flat, grid.mask.ravel())
 
     hold_signal = not np.any(delta_flat > 0)
-    s = y_flat.copy()
+    support = np.flatnonzero(np.any(y_flat != 0, axis=1))
+    y, delta_s = y_flat[support], delta_flat[support]
+    s = y.copy()  # the signal block on the support; it stays at y = 0 elsewhere
     trace = []
     converged = False
     iterations = 0
-    y_scale = np.maximum(np.maximum(np.linalg.norm(y_flat, axis=1), delta_flat), 1e-300)
-    s_scale2 = np.maximum(np.sum(np.abs(y_flat) ** 2, axis=1), 1e-300)
+    y_scale = np.maximum(np.maximum(np.linalg.norm(y, axis=1), delta_s), 1e-300)
+    s_scale2 = np.maximum(np.sum(np.abs(y) ** 2, axis=1), 1e-300)
     grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12
     for iterations in range(cfg.max_iters + 1):
-        f, d_xi = voxelwise_value_and_gradient(op, xi.ravel(), s)
+        xi_s = xi.ravel()[support]
+        f, d_xi = voxelwise_value_and_gradient(op, xi_s, s)
         trace.append(float(np.sum(f)))
         grad = 2.0 * np.conj(d_xi)
         s_new, s_move = s, 0.0
         if not hold_signal:
-            s_grad = voxelwise_signal_gradient(op, xi.ravel(), s)
-            s_new = projected_signal_step(op, xi.ravel(), s, s_grad, y_flat, delta_flat)
-            s_move = float(np.max(np.linalg.norm(s_new - s, axis=1) / y_scale))
-        if float(np.max(np.abs(grad) / s_scale2)) <= grad_tol and s_move <= 1e-10:
+            s_grad = voxelwise_signal_gradient(op, xi_s, s)
+            s_new = projected_signal_step(op, xi_s, s, s_grad, y, delta_s)
+            s_move = float(np.max(np.linalg.norm(s_new - s, axis=1) / y_scale, initial=0.0))
+        if float(np.max(np.abs(grad) / s_scale2, initial=0.0)) <= grad_tol and s_move <= 1e-10:
             converged = True
             break
         if iterations == cfg.max_iters:
             break
-        xi_flat = xi.ravel() - alpha * grad
+        xi = xi.ravel()
+        xi[support] = xi_s - alpha * grad  # the gradient is zero off the support
         xi = project_onto_C_phi(
-            xi_flat.reshape(h, w), constraint, proj_tol=proj_tol, max_sweeps=max_sweeps
+            xi.reshape(h, w), constraint, proj_tol=proj_tol, max_sweeps=max_sweeps
         )
         s = s_new
-    c_map = voxelwise_concentrations(op, xi.ravel(), s).reshape(h, w, model.n_s)
+    s_map = y_flat.copy()
+    s_map[support] = s
+    c_map = voxelwise_concentrations(op, xi.ravel(), s_map).reshape(h, w, model.n_s)
     # the start is never projected, so a stationary start may be infeasible;
     # convergence needs the bound that project_onto_C_phi enforces
     violation = constraint_violation(xi, constraint)
@@ -381,7 +416,7 @@ def reconstruct_noisy(
         constraint_violation=violation,
         iterations=iterations,
         converged=converged and feasible,
-        s_map=s.reshape(h, w, grid.n_e),
+        s_map=s_map.reshape(h, w, grid.n_e),
     )
 
 

@@ -1,10 +1,14 @@
 """Grid operators, constraint projection, reconstruction, metrics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from csemri import imaging
 from csemri.errors import DegenerateCurvature, DimensionError, OverflowRisk
 from csemri.imaging import (
     _global_step,
@@ -192,6 +196,75 @@ class TestProjection:
         assert stationarity <= 1e-8 * move
 
 
+FIELD_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)
+
+
+def _no_sweep(*args):
+    raise AssertionError("a feasible field must not be swept")
+
+
+class TestProjectionFastPath:
+    def test_feasible_field_is_returned_without_a_sweep(self, monkeypatch):
+        monkeypatch.setattr(imaging, "_project_triples", _no_sweep)
+        con = FieldmapConstraint.uniform(7, 9, 5.0)
+        xi = 0.5 * RNG.standard_normal((7, 9)) + 1j * RNG.standard_normal((7, 9))
+        assert constraint_violation(xi, con) == 0.0
+        out = project_onto_C_phi(xi, con)
+        assert np.array_equal(out.real, xi.real)
+        assert np.array_equal(out, xi.real + 1j * np.maximum(xi.imag, 0.0))
+
+    def test_single_violating_voxel_is_swept(self):
+        eps = np.full((8, 8), 2.0)
+        x0 = 0.2 * RNG.standard_normal((8, 8))
+        x0[4, 5] += 10.0  # the only constraint broken is at (4, 5) and its back neighbors
+        con = FieldmapConstraint(eps_g=eps)
+        assert constraint_violation(x0, con) > 0.0
+        with mock.patch.object(
+            imaging, "_project_triples", side_effect=imaging._project_triples
+        ) as spy:
+            out = project_onto_C_phi(x0.astype(complex), con, proj_tol=1e-11, max_sweeps=200_000)
+        assert spy.called
+        assert constraint_violation(out, con) <= 10.0 * 1e-11 * np.max(np.abs(x0))
+        stationarity, move = kkt_residual(x0, out.real, eps)
+        assert move > 1.0
+        assert stationarity <= 1e-8 * move
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        x=st.one_of(
+            hnp.arrays(float, FIELD_SHAPES, elements=st.integers(-6, 6).map(float)),
+            hnp.arrays(float, FIELD_SHAPES, elements=st.floats(-10.0, 10.0)),
+        ),
+        nudge=st.sampled_from([-1, 0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(x=np.array([[0.0, 4.0], [3.0, 7.0]]), nudge=0, seed=0)  # squared norms 25, 9, 16, 0
+    def test_boundary_matches_the_sweep(self, x, nudge, seed):
+        # eps at the gradient norm of the field itself: a constraint that
+        # holds with equality is not violated, so no sweep runs, and the
+        # result equals the sweep's bit for bit either way
+        rng = np.random.default_rng(seed)
+        x = np.where((x == 0) & (rng.random(x.shape) < 0.5), -0.0, x)
+        g = forward_gradient(x)
+        norm2 = g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1]
+        eps = np.sqrt(norm2)
+        if nudge:
+            eps = np.nextafter(eps, np.inf if nudge > 0 else -np.inf)
+        eps = np.maximum(eps, 0.0)
+        con = FieldmapConstraint(eps_g=eps)
+        xi = np.empty(x.shape, complex)  # keeps the signs of zero parts
+        xi.real = x
+        xi.imag = np.where(rng.random(x.shape) < 0.3, -0.0, rng.standard_normal(x.shape))
+        violated = bool(np.any(norm2 > eps * eps))
+        with mock.patch.object(
+            imaging, "_project_triples", side_effect=imaging._project_triples
+        ) as spy:
+            out = project_onto_C_phi(xi, con, proj_tol=1e-11, max_sweeps=200_000)
+        assert spy.called == violated
+        swept = imaging._dykstra(xi, con, 1e-11, 200_000)
+        assert np.array_equal(out.view(np.uint64), swept.view(np.uint64))
+
+
 class TestImageGrid:
     def test_validation(self):
         with pytest.raises(DimensionError):
@@ -359,6 +432,79 @@ class TestReconstructNoisy:
             mse_oracle = np.mean(np.abs(c_oracle[mask, :2] - truth.c0_map[mask, :2]) ** 2)
             ratios.append(mse / mse_oracle)
         assert max(ratios) < 3.0
+
+
+class TestSupportRule:
+    """The driver evaluates the objective on the voxels with nonzero signal only."""
+
+    def test_zero_signal_border_and_mask_voxels_change_nothing(self):
+        truth = small_phantom(side=32)  # the mask stays off the grid's edges
+        assert not (truth.mask[0].any() or truth.mask[-1].any())
+        assert not (truth.mask[:, 0].any() or truth.mask[:, -1].any())
+        signal = truth.grid.signal.copy()
+        mask = truth.mask.copy()
+        signal[np.nonzero(mask)[0][::40], np.nonzero(mask)[1][::40]] = 0.0
+        init = truth.xi0_map + 2.0 + 0.5j
+        small = reconstruct(
+            ImageGrid(32, 32, signal, mask), MODEL, FieldmapConstraint.from_mask(mask, 30.0, np.inf),
+            FlowConfig(certified=True, max_iters=1000, grad_tol=1e-6), init,
+        )
+        # even offsets keep every voxel in its Dykstra parity block
+        big_signal = np.zeros((40, 44, 6), complex)
+        big_signal[4:36, 6:38] = signal
+        big_mask = np.zeros((40, 44), bool)
+        big_mask[4:36, 6:38] = mask
+        big_mask[1:3, 1:40:3] = True  # zero-signal voxels on the mask
+        big_init = np.full((40, 44), 1.0 + 0.5j)
+        big_init[4:36, 6:38] = init
+        big = reconstruct(
+            ImageGrid(44, 40, big_signal, big_mask), MODEL,
+            FieldmapConstraint.from_mask(big_mask, 30.0, np.inf),
+            FlowConfig(certified=True, max_iters=1000, grad_tol=1e-6), big_init,
+        )
+        assert 0 < small.iterations < 1000 and small.converged
+        assert big.iterations == small.iterations
+        assert big.converged
+        region = big.xi_map[4:36, 6:38]
+        assert np.max(np.abs(region - small.xi_map)) <= 1e-12 * np.max(np.abs(small.xi_map))
+        assert np.allclose(big.objective_trace, small.objective_trace, rtol=1e-12, atol=0.0)
+
+    def test_signal_below_the_mask_threshold_still_moves(self):
+        truth = small_phantom(side=32)
+        signal = truth.grid.signal.copy()
+        i, j = (a[0] for a in np.nonzero(truth.mask))
+        signal[0, 0] = 1e-3 * signal[i, j]  # far from the mask, under the threshold
+        grid = ImageGrid.from_signal(signal, mask_threshold=1e-2 * np.linalg.norm(signal[i, j]))
+        assert np.array_equal(grid.mask, truth.mask)
+        con = FieldmapConstraint.from_mask(grid.mask, 30.0, np.inf)
+        cfg = FlowConfig(step=3e3, max_iters=40, grad_tol=1e-300)
+        res = reconstruct(grid, MODEL, con, cfg, np.full((32, 32), 1.0 + 0j))
+        voxel = wirtinger_flow(OP, signal[0, 0], 1.0 + 0j, cfg)
+        assert res.xi_map[0, 0] != 1.0
+        assert abs(voxel.xi_hat - res.xi_map[0, 0]) < 1e-10
+
+    def test_off_support_voxels_move_only_through_the_projection(self):
+        truth = small_phantom(side=32)
+        support = np.any(truth.grid.signal != 0, axis=2)
+        init = truth.xi0_map + 2.0
+        init[~support] = 1.0 + 0.5j
+        cfg = FlowConfig(certified=True, max_iters=10)
+        free = reconstruct_noisy(
+            truth.grid, MODEL, FieldmapConstraint.from_mask(truth.mask, 30.0, np.inf),
+            0.05, cfg, init,
+        )
+        # no bound reaches them: they stay at the start, their signal at 0
+        assert np.array_equal(free.xi_map[~support], init[~support])
+        assert not np.any(free.s_map[~support])
+        assert np.any(free.s_map[support] != truth.grid.signal[support])
+        # a spike the off-mask bound forbids is pulled in by the projection alone
+        init[0, 0] = 5000.0
+        con = FieldmapConstraint.from_mask(truth.mask, 30.0, 1000.0)
+        bound = reconstruct_noisy(truth.grid, MODEL, con, 0.05, cfg, init)
+        assert bound.iterations > 0
+        assert abs(bound.xi_map[0, 0] - 5000.0) > 1000.0
+        assert bound.constraint_violation <= 1e-8 * 5000.0
+        assert not np.any(bound.s_map[~support])
 
 
 class TestSeparationCheck:

@@ -1,14 +1,22 @@
 """Phantom generation, corruption statistics, containers, experiments, CLI."""
 
+import csv
 import json
+import logging
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from csemri.cli import cli_main
+from csemri.cli import _limit_threads, cli_main
 from csemri.containers import read_csir, write_csir
 from csemri.errors import SpecError
-from csemri.experiments import experiment_curvature, experiment_solution_set
+from csemri.experiments import experiment_curvature, experiment_solution_set, write_matrix_csv
 from csemri.phantom import (
     CorruptionSpec,
     FieldSpec,
@@ -170,6 +178,40 @@ class TestCsirContainer:
         assert np.array_equal(back, truth.grid.signal)
         assert meta["n_e"] == 6
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        signal=hnp.arrays(
+            complex,
+            st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 6)),
+            elements=st.complex_numbers(allow_nan=True, allow_infinity=True),
+        ),
+        extra=st.dictionaries(
+            st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8).map("x_".__add__),
+            st.one_of(
+                st.none(), st.booleans(), st.integers(), st.text(max_size=8),
+                st.floats(allow_nan=False, allow_infinity=False),
+            ),
+            max_size=4,
+        ),
+    )
+    @example(signal=np.array([-0.0 + 0.0j, complex(0.0, -0.0), complex(-0.0, -0.0)]).reshape(1, 1, 3), extra={})
+    def test_round_trip_property(self, signal, extra):
+        signal = signal.copy()
+        if signal.size >= 2:  # signed zeros in both parts, set without arithmetic
+            signal.real.flat[0] = -0.0
+            signal.imag.flat[-1] = -0.0
+        times = [1.0 + 0.5 * k for k in range(signal.shape[2])]
+        with tempfile.TemporaryDirectory() as tmp:
+            header = Path(tmp) / "img.json"
+            write_csir(header, signal, times, extra_header=extra)
+            back, meta = read_csir(header)
+        assert back.dtype == complex and back.shape == signal.shape
+        assert np.array_equal(back.view(np.uint64), signal.view(np.uint64))
+        h, w, n_e = signal.shape
+        assert (meta["height"], meta["width"], meta["n_e"]) == (h, w, n_e)
+        assert meta["echo_times_ms"] == times
+        assert {k: meta[k] for k in extra} == extra
+
     def test_byte_length_validated(self, tmp_path):
         truth = generate_phantom(default_phantom_spec(width=8, height=8), MODEL)
         header = tmp_path / "img.json"
@@ -180,7 +222,33 @@ class TestCsirContainer:
             read_csir(header)
 
 
+def _csv_writer_reference(path, matrix, header=None):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if header:
+            writer.writerow(header)
+        for row in np.atleast_2d(np.asarray(matrix)):
+            writer.writerow([f"{v:.12g}" for v in row])
+
+
 class TestExperiments:
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            np.array([[np.nan, np.inf, -np.inf], [-0.0, 1e-300, 5e-324], [1e13, -1.5, 0.1]]),
+            np.column_stack([np.arange(-4.0, 4.0, 0.25), np.linspace(0.0, 1.0, 32) ** 3]),
+            [(0, 1.0, 2.5), (1, -3.0, 1e-17)],
+            np.array([1.0, 2.0, 3.0]),
+            np.zeros((0, 2)),
+            np.zeros((2, 0)),
+        ],
+    )
+    @pytest.mark.parametrize("header", [None, ("eta_hz", "sigma_min, dB", 'say "q"')])
+    def test_matrix_csv_bytes_match_csv_writer(self, tmp_path, matrix, header):
+        write_matrix_csv(tmp_path / "fast.csv", matrix, header=header)
+        _csv_writer_reference(tmp_path / "ref.csv", matrix, header=header)
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_solution_set_artifacts(self, tmp_path):
         paths = experiment_solution_set(
             SPECIES[:2], tmp_path, echo_counts=(4, 6), band_hz=(-1000.0, 1000.0),
@@ -270,6 +338,15 @@ class TestCli:
         assert json.loads(capsys.readouterr().err)["error"] == "SpecError"
         monkeypatch.setenv("CSI_THREADS", "1")
         assert cli_main(["model-info"]) == 0
+
+    def test_missing_thread_library_is_logged(self, monkeypatch, caplog):
+        assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("csemri").handlers)
+        monkeypatch.setenv("CSI_THREADS", "1")
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises ImportError
+        with caplog.at_level(logging.DEBUG, logger="csemri"):
+            _limit_threads()
+        assert [r.name for r in caplog.records] == ["csemri.cli"]
+        assert "threadpoolctl" in caplog.records[0].getMessage()
 
     def test_malformed_echo_times_exits_2(self, tmp_path, capsys):
         config = tmp_path / "acq.json"
