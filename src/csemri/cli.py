@@ -27,12 +27,12 @@ from .containers import (
     read_csir,
     write_csir,
 )
-from .imaging import metrics_table, pdff_map, reconstruct, reconstruct_noisy
+from .imaging import ImageGrid, metrics_table, pdff_map, reconstruct, reconstruct_noisy
 from .lattice import delta_zero_set, fieldmap_lattice, rationalize_echoes, sigma_min_profile
 from .phantom import CorruptionSpec, corrupt, default_phantom_spec, generate_phantom
 from .residual import make_residual_operator
 from .solver import FlowConfig, wirtinger_flow
-from .species import check_J_full_rank, check_submatrices_nonsingular
+from .species import check_J_full_rank, check_submatrices_nonsingular, load_species
 from .experiments import (
     experiment_curvature,
     experiment_solution_set,
@@ -137,8 +137,11 @@ def cmd_solve(args):
     with open(args.input) as fh:
         doc = json.load(fh)
     model = model_from_config(doc["acquisition"])
-    signal = np.array([complex(re, im) for re, im in doc["signal"]])
-    init = complex(*doc.get("init", [1.0, 0.0]))
+    try:
+        signal = np.array([complex(re, im) for re, im in doc["signal"]])
+        init = complex(*doc.get("init", [1.0, 0.0]))
+    except (TypeError, ValueError) as exc:
+        raise errors.SpecError(f"malformed signal or init: {exc}") from exc
     cfg = flow_config_from_dict(doc.get("flow", {}))
     if args.trajectory:
         cfg = dataclasses.replace(cfg, keep_trajectory=True)
@@ -187,16 +190,12 @@ def cmd_phantom(args):
 
 def cmd_corrupt(args):
     signal, header = read_csir(args.input)
-    from .imaging import ImageGrid
-
     grid = ImageGrid.from_signal(signal, mask_threshold=args.mask_threshold)
     mismatch_species = None
     mismatch_c = None
     xi0 = None
     times = None
     if args.mismatch_species:
-        from .species import load_species
-
         hz_per_ppm = header.get("hz_per_ppm", DEFAULT_ACQUISITION["hz_per_ppm"])
         mismatch_species = load_species(args.mismatch_species, hz_per_ppm=hz_per_ppm)
         mismatch_c = complex(args.mismatch_concentration)

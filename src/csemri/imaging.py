@@ -22,14 +22,15 @@ tests every constraint with the arithmetic of the sweep and returns a
 feasible field (imaginary part clamped) without building the blocks; only
 a field that leaves C_phi is swept.
 
-One projected-descent driver, :func:`reconstruct_noisy`, moves the field
-and the per-voxel signals together: the signals stay within their noise
-balls ``||s(v) - y(v)|| <= delta(v)``. Noiseless reconstruction,
-:func:`reconstruct`, is the case ``delta = 0``, where the signal block is
-held at the data and its gradient is never formed. The objective is
-evaluated only on the signal support, the voxels whose data is nonzero:
-a zero-signal voxel has ``R s = 0`` and zero gradients, so its signal
-stays at ``y = 0`` and its field moves only through the projection.
+One projected-descent loop, :func:`projected_descent`, moves a field and
+its per-voxel signals (kept in their noise balls ``||s(v) - y(v)|| <=
+delta(v)``) together. The image driver, :func:`reconstruct_noisy`, runs it
+with the projection onto C_phi, and the single-voxel flows of
+:mod:`csemri.solver` on a batch of one with the upper half-plane clamp.
+Noiseless reconstruction, :func:`reconstruct`, is ``delta = 0``, where the
+signals are held at the data. The objective is evaluated only on the
+signal support, the voxels whose data is nonzero: a zero-signal voxel has
+``R s = 0`` and zero gradients, so its field moves only by projection.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from .errors import DegenerateCurvature, DimensionError, NonConvergence
 from .residual import (
     make_residual_operator,
     voxelwise_concentrations,
-    voxelwise_signal_gradient,
+    voxelwise_full_residual,
+    voxelwise_signal_gradient,  # noqa: F401  (the benchmark trace looks it up here)
     voxelwise_value_and_gradient,
 )
 from .solver import certified_step, projected_signal_step, step_bound
@@ -57,7 +59,9 @@ __all__ = [
     "gradient_adjoint",
     "laplacian_bound_check",
     "project_onto_C_phi",
+    "clamp_upper_half_plane",
     "constraint_violation",
+    "projected_descent",
     "reconstruct",
     "reconstruct_noisy",
     "separation_check",
@@ -265,8 +269,13 @@ def project_onto_C_phi(xi, constraint, proj_tol=1e-9, max_sweeps=2000):
         raise DimensionError(f"eps_g shape {eps.shape} does not match field {xi.shape}")
     g = forward_gradient(np.real(xi))
     if not np.any(g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1] > eps * eps):
-        return np.real(xi) + 1j * np.maximum(np.imag(xi), 0.0)
+        return clamp_upper_half_plane(xi)
     return _dykstra(xi, constraint, proj_tol, max_sweeps)
+
+
+def clamp_upper_half_plane(xi):
+    """Projection onto the closed upper half-plane: ``Im xi`` clamped at 0."""
+    return np.real(xi) + 1j * np.maximum(np.imag(xi), 0.0)
 
 
 def _dykstra(xi, constraint, proj_tol, max_sweeps):
@@ -341,22 +350,15 @@ def reconstruct_noisy(
 ):
     """Joint projected Wirtinger descent on the field and the per-voxel signals.
 
-    Per-voxel field gradients are assembled into one field step with a
-    single global step size (the smallest certified step over the mask when
-    certified mode is requested), followed by the exact projection onto the
-    constraint set. The signal block carries per-voxel ball constraints
-    ``||s(v) - y(v)|| <= delta(v)`` with closed-form radial projection; with
-    every ``delta`` zero it is held at ``y``. ``converged`` is reported only
-    for a field that satisfies the constraint to within ``10 proj_tol
-    max(|Re xi|, 1)``.
-
-    The objective and both gradients are evaluated on the signal support
-    only, the voxels with any nonzero echo. Off the support ``R s = 0``, so
-    the value and both gradients are exactly zero, the signal stays at
-    ``y = 0`` even where ``delta > 0``, and the field moves only through
-    the projection. Voxels below the mask threshold that still carry signal
-    are on the support and count in the objective; the certified step is
-    taken over the mask alone.
+    :func:`projected_descent` on the signal support, the voxels with any
+    nonzero echo, with one global step size (the smallest certified step
+    over the mask in certified mode) and the exact projection onto C_phi;
+    the signals stay in their balls ``||s(v) - y(v)|| <= delta(v)`` and are
+    held at ``y`` when every ``delta`` is zero. Off the support ``R s = 0``,
+    so the signal stays at ``y = 0`` even where ``delta > 0`` and the field
+    moves only through the projection; voxels below the mask threshold that
+    still carry signal count in the objective. ``converged`` is reported
+    only for a field within ``10 proj_tol max(|Re xi|, 1)`` of the set.
     """
     if grid.n_e != model.n_e:
         raise DimensionError("grid echo count does not match the model")
@@ -371,37 +373,17 @@ def reconstruct_noisy(
         raise DimensionError(f"xi_init shape {xi.shape} does not match grid")
     alpha = _global_step(op, cfg, xi.ravel(), y_flat, grid.mask.ravel())
 
-    hold_signal = not np.any(delta_flat > 0)
     support = np.flatnonzero(np.any(y_flat != 0, axis=1))
     y, delta_s = y_flat[support], delta_flat[support]
-    s = y.copy()  # the signal block on the support; it stays at y = 0 elsewhere
-    trace = []
-    converged = False
-    iterations = 0
-    y_scale = np.maximum(np.maximum(np.linalg.norm(y, axis=1), delta_s), 1e-300)
-    s_scale2 = np.maximum(np.sum(np.abs(y) ** 2, axis=1), 1e-300)
-    grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12
-    for iterations in range(cfg.max_iters + 1):
-        xi_s = xi.ravel()[support]
-        f, d_xi = voxelwise_value_and_gradient(op, xi_s, s)
-        trace.append(float(np.sum(f)))
-        grad = 2.0 * np.conj(d_xi)
-        s_new, s_move = s, 0.0
-        if not hold_signal:
-            s_grad = voxelwise_signal_gradient(op, xi_s, s)
-            s_new = projected_signal_step(op, xi_s, s, s_grad, y, delta_s)
-            s_move = float(np.max(np.linalg.norm(s_new - s, axis=1) / y_scale, initial=0.0))
-        if float(np.max(np.abs(grad) / s_scale2, initial=0.0)) <= grad_tol and s_move <= 1e-10:
-            converged = True
-            break
-        if iterations == cfg.max_iters:
-            break
-        xi = xi.ravel()
-        xi[support] = xi_s - alpha * grad  # the gradient is zero off the support
-        xi = project_onto_C_phi(
-            xi.reshape(h, w), constraint, proj_tol=proj_tol, max_sweeps=max_sweeps
-        )
-        s = s_new
+    # the gradient is tested against ||y||^2, the signal move against max(||y||, delta)
+    grad_scale = np.maximum(np.sum(np.abs(y) ** 2, axis=1), 1e-300)
+    s_scale = np.maximum(np.maximum(np.linalg.norm(y, axis=1), delta_s), 1e-300)
+    xi, s, iterations, converged, _, trace, _ = projected_descent(
+        op, xi, support, y, delta_s, alpha,
+        lambda x: project_onto_C_phi(x, constraint, proj_tol=proj_tol, max_sweeps=max_sweeps),
+        (grad_scale, cfg.grad_tol if cfg.grad_tol is not None else 1e-12, s_scale, 1e-10),
+        cfg.max_iters,
+    )
     s_map = y_flat.copy()
     s_map[support] = s
     c_map = voxelwise_concentrations(op, xi.ravel(), s_map).reshape(h, w, model.n_s)
@@ -418,6 +400,50 @@ def reconstruct_noisy(
         converged=converged and feasible,
         s_map=s_map.reshape(h, w, grid.n_e),
     )
+
+
+def projected_descent(op, xi, support, y, delta, alpha, project, tests, max_iters,
+                      epsilon=0.0, record=False):
+    """Projected joint descent of f(xi, s) (+ epsilon ||s||^2), the loop of every flow.
+
+    Each iteration evaluates f and both gradients once, at the flat entries
+    ``support`` of the field ``xi`` (updated in place) with data ``y`` and
+    ball radii ``delta``; the field steps by ``alpha`` and is mapped back by
+    ``project``, the signals by :func:`projected_signal_step` (held at ``y``
+    if every ``delta`` is 0). It stops once ``|grad| / grad_scale <=
+    grad_tol`` and ``||s move|| / s_scale <= s_tol`` everywhere (``tests``
+    holds these four) or after ``max_iters`` steps. Returns the field,
+    signals, iterations, convergence, last gradient, objective per iterate
+    and, with ``record``, a copy of every iterate.
+    """
+    grad_scale, grad_tol, s_scale, s_tol = tests
+    hold_signal = not np.any(delta > 0)
+    s = y.copy()
+    trace = []
+    trajectory = [xi.copy()] if record else None
+    for iterations in range(max_iters + 1):
+        xi_s = xi.ravel()[support]
+        s_new, s_move = s, 0.0
+        if hold_signal:
+            f, d_xi = voxelwise_value_and_gradient(op, xi_s, s)
+        else:
+            f, d_xi, d_s = voxelwise_full_residual(op, xi_s, s)
+            s_new = projected_signal_step(op, xi_s, s, d_s, y, delta, epsilon)
+            s_move = float(np.max(np.linalg.norm(s_new - s, axis=1) / s_scale, initial=0.0))
+        trace.append(float(f.sum()))
+        grad = 2.0 * np.conj(d_xi)
+        converged = (
+            float((np.abs(grad) / grad_scale).max(initial=0.0)) <= grad_tol and s_move <= s_tol
+        )
+        if converged or iterations == max_iters:
+            break
+        flat = xi.ravel()
+        flat[support] = xi_s - alpha * grad  # the gradient is zero off the support
+        xi = project(flat.reshape(xi.shape))
+        s = s_new
+        if record:
+            trajectory.append(xi.copy())
+    return xi, s, iterations, converged, grad, trace, trajectory
 
 
 MISMATCH = np.iinfo(np.int64).min  # sentinel for offsets that are no lattice multiple

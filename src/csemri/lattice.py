@@ -88,11 +88,6 @@ class SolutionLattice:
         """True when the only signal-preserving shift is zero."""
         return not np.isfinite(self.period_hz)
 
-    def nearest_index(self, shift_hz):
-        if self.trivial:
-            return 0
-        return int(np.round(shift_hz / self.period_hz))
-
 
 def rationalize_echoes(echoes, support=None):
     """Rationalize the echo-time ratios over the given support.
@@ -472,9 +467,10 @@ def local_identifiability_certificate(xi0, c0, model, tol=1e-8):
             reason=f"regime guard: n_e={model.n_e} > 2 n_s={2 * model.n_s}",
         )
     c0 = np.asarray(c0, dtype=complex)
-    s0 = weighting_diag(xi0, model.times) * (model.phi @ c0)
+    w0 = weighting_diag(xi0, model.times)
+    s0 = w0 * (model.phi @ c0)
     target = model.times * s0
-    design = weighting_diag(xi0, model.times)[:, None] * model.phi
+    design = w0[:, None] * model.phi
     coeffs = np.linalg.lstsq(design, target, rcond=None)[0]
     residual = float(np.linalg.norm(target - design @ coeffs))
     return IdentifiabilityReport(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SpecError
 from .imaging import ImageGrid
-from .species import Species
+from .species import Species, weighting_diag
 
 __all__ = [
     "Shape",
@@ -153,9 +153,7 @@ def generate_phantom(spec, model):
         raise SpecError("r2* field must be nonnegative everywhere")
     xi0 = spec.fieldmap.evaluate(h, w) + 1j * r2
     mask = np.linalg.norm(c0, axis=2) > 0
-    t = model.times
-    phases = np.exp(2j * np.pi * xi0[..., None] * t[None, None, :])
-    sig = phases * (c0 @ model.phi.T)
+    sig = weighting_diag(xi0, model.times) * (c0 @ model.phi.T)
     grid = ImageGrid.from_signal(sig, mask=mask)
     return PhantomTruth(c0_map=c0, xi0_map=xi0, mask=mask, grid=grid, spec=spec)
 
@@ -200,11 +198,7 @@ def corrupt(grid, corruption, seed, xi0_map=None, echo_times_s=None):
         t = np.asarray(echo_times_s, dtype=float)
         phi_m = corruption.mismatch_species.evaluate(t)
         c_m = np.broadcast_to(np.asarray(corruption.mismatch_concentration), (h, w))
-        extra = (
-            np.exp(2j * np.pi * np.asarray(xi0_map)[..., None] * t[None, None, :])
-            * phi_m[None, None, :]
-            * c_m[..., None]
-        )
+        extra = weighting_diag(xi0_map, t) * phi_m[None, None, :] * c_m[..., None]
         y = y + extra
         budget += np.linalg.norm(extra, axis=2)
     if corruption.sigma > 0:

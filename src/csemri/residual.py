@@ -33,6 +33,9 @@ the signal gradient square the residual, which overflows first, so they
 also raise :class:`OverflowRisk` where ``tau_s |Im xi| > 700``. The
 concentration estimates share its demodulation step ``W(-xi) s``; the
 signal-block gradient applies it twice, through ``R(xi)^H = R(conj xi)``.
+The joint objective ``f(xi, s)`` takes its value and both gradients from
+one order-1 call plus that adjoint (:func:`voxelwise_full_residual`;
+:func:`full_residual` is its batch of one).
 The dense :func:`residual_matrix` and :func:`residual_derivative` build
 ``R`` independently and serve as references.
 """
@@ -63,6 +66,7 @@ __all__ = [
     "concentrations_mp",
     "full_residual",
     "voxelwise_value_and_gradient",
+    "voxelwise_full_residual",
     "voxelwise_signal_gradient",
     "voxelwise_concentrations",
 ]
@@ -142,7 +146,7 @@ def _check_square_guard(op, xi):
     single exponential does, so the objective, its derivatives and the
     signal gradient stop where ``tau_s |Im xi| > 700``.
     """
-    worst = float(np.max(np.abs(np.imag(xi)), initial=0.0))
+    worst = float(np.abs(np.imag(xi)).max(initial=0.0))
     if op.tau_s * worst > 700.0:
         raise OverflowRisk(
             f"|Im xi| = {worst:.3e} Hz would overflow R^H R: tau_s |Im xi| > 700"
@@ -191,26 +195,31 @@ def residual_pieces(op, xi, s, order):
     return out.transpose(1, 0, 2)
 
 
+def _value_gradient_residual(op, xi, s):
+    """f0, d_xi f0 and ``R(xi) s`` for a batch from one order-1 kernel call."""
+    _check_square_guard(op, xi)
+    pieces = residual_pieces(op, xi, s, 1)
+    f, d_xi = 0.5 * np.einsum("kne,ne->kn", pieces, pieces[0].conj())
+    return f.real, d_xi, pieces[0]
+
+
 def voxelwise_value_and_gradient(op, xi, s):
     """f0 = 0.5 ||R s||^2 and d_xi f0 = 0.5 <R s, R' s> for a batch of voxels.
 
     Entries whose signal is zero return zero value and gradient.
     """
-    _check_square_guard(op, xi)
-    pieces = residual_pieces(op, xi, s, 1)
-    f, d_xi = 0.5 * np.einsum("kne,ne->kn", pieces, pieces[0].conj())
-    return f.real, d_xi
+    return _value_gradient_residual(op, xi, s)[:2]
 
 
-def _adjoint(op, xi, v):
-    """R(xi)^H v = R(conj xi) v for a batch; callers apply it to ``v = R(xi) s``."""
-    _check_square_guard(op, xi)
-    return residual_pieces(op, np.conj(xi), v, 0)[0]
+def voxelwise_full_residual(op, xi, s):
+    """f, d_xi f and d_{s*} f = 0.5 R(xi)^H R(xi) s for a batch: one kernel call, one adjoint."""
+    f, d_xi, rs = _value_gradient_residual(op, xi, s)
+    return f, d_xi, 0.5 * residual_pieces(op, np.conj(xi), rs, 0)[0]  # R(xi)^H = R(conj xi)
 
 
 def voxelwise_signal_gradient(op, xi, s):
     """d_{s*} f = 0.5 R(xi)^H R(xi) s for a batch of voxels."""
-    return 0.5 * _adjoint(op, xi, residual_pieces(op, xi, s, 0)[0])
+    return voxelwise_full_residual(op, xi, s)[2]
 
 
 def voxelwise_concentrations(op, xi, s):
@@ -234,11 +243,6 @@ class WirtingerGradient:
         """For real objectives the xi* derivative is the conjugate."""
         return np.conj(self.d_xi)
 
-    @property
-    def real_chart(self):
-        """Gradient as a complex number in the (Re, Im) chart."""
-        return 2.0 * np.conj(self.d_xi)
-
 
 @dataclass(frozen=True)
 class WirtingerHessian:
@@ -248,9 +252,7 @@ class WirtingerHessian:
 
 def wirtinger_gradient_f0(op, xi, s):
     """d_xi f0 = 0.5 <s, R(xi*) R'(xi) s> = 0.5 <R(xi) s, R'(xi) s>."""
-    _check_square_guard(op, xi)
-    rs, r1s = residual_pieces(op, xi, s, 1)
-    return WirtingerGradient(d_xi=0.5 * np.vdot(rs, r1s))
+    return WirtingerGradient(d_xi=voxelwise_value_and_gradient(op, xi, s)[1][0])
 
 
 def wirtinger_hessian_f0(op, xi, s):
@@ -306,10 +308,7 @@ def full_residual(op, xi, s):
     s = np.asarray(s, dtype=complex)
     if s.shape != (op.n_e,):
         raise DimensionError(f"signal has shape {s.shape}, expected ({op.n_e},)")
-    rs, r1s = residual_pieces(op, xi, s, 1)
-    grad_s_conj = 0.5 * _adjoint(op, xi, rs)[0]
+    f, d_xi, grad_s_conj = voxelwise_full_residual(op, xi, s)
     return FullResidualEval(
-        value=0.5 * float(np.vdot(rs, rs).real),
-        grad_xi=WirtingerGradient(d_xi=0.5 * np.vdot(rs, r1s)),
-        grad_s_conj=grad_s_conj,
+        value=float(f[0]), grad_xi=WirtingerGradient(d_xi=d_xi[0]), grad_s_conj=grad_s_conj[0]
     )

@@ -20,6 +20,8 @@ Lambert-W radius; evaluating ``beta`` exactly in the worst (imaginary)
 direction yields the loose radius; re-estimating ``||R(xi0+eta) s0||`` by
 a second-order expansion yields the tight radius. Each successive bound
 relaxes the previous inequality, so the three radii are always ordered.
+
+The recovery flows run :func:`csemri.imaging.projected_descent` on one voxel.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from scipy.optimize import brentq
 from scipy.special import lambertw
 
 from .errors import DegenerateCurvature, DomainError, NonBracketed
-from .residual import _check_square_guard, concentrations_ri, full_residual
-from .residual import residual_pieces, wirtinger_gradient_f0
+from .residual import _check_square_guard, concentrations_ri, residual_pieces
+from .residual import wirtinger_gradient_f0  # noqa: F401  (the benchmark trace looks it up here)
 
 __all__ = [
     "FlowConfig",
@@ -299,12 +301,12 @@ class FlowConfig:
 
     ``step`` is the absolute step size; leave it None and set
     ``certified=True`` to derive it from the curvature at the initial
-    iterate. ``grad_tol`` bounds the real-chart gradient of the field. The
-    single-voxel flows read it as an absolute bound and default it to
-    ``1e-12 ||y||^2`` (the gradient scales with the squared signal); the
-    image driver reads it per voxel relative to ``||y(v)||^2`` and defaults
-    it to ``1e-12``. Every iterate is clamped to the closed upper
-    half-plane.
+    iterate. ``max_iters >= 0`` caps the steps. ``grad_tol`` bounds each
+    voxel's real-chart field gradient over the scale its caller passes to
+    :func:`csemri.imaging.projected_descent`: the single-voxel flows pass 1
+    (an absolute bound, default ``1e-12 ||y||^2``, as the gradient scales
+    with the squared signal), the image driver ``||y(v)||^2`` (a relative
+    bound, default ``1e-12``).
     """
 
     step: float | None = None
@@ -319,6 +321,8 @@ class FlowConfig:
             raise DomainError(f"rho must lie in (0, 1), got {self.rho}")
         if self.step is not None and self.step <= 0.0:
             raise DomainError(f"step must be positive, got {self.step}")
+        if self.max_iters < 0:
+            raise DomainError(f"max_iters must be nonnegative, got {self.max_iters}")
         if self.step is None and not self.certified:
             raise DomainError("either give an absolute step or request certified mode")
 
@@ -365,53 +369,31 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
     the signal is held there, its gradient is never formed, and the loop is
     plain Wirtinger flow on ``f0``.
     """
+    from .imaging import clamp_upper_half_plane, projected_descent  # imaging imports solver
+
     if delta < 0:
         raise DomainError(f"delta must be nonnegative, got {delta}")
     if epsilon < 0:
         raise DomainError(f"epsilon must be nonnegative, got {epsilon}")
     y = np.asarray(y, dtype=complex)
     y_norm = max(float(np.linalg.norm(y)), 1e-300)
-    scale = max(y_norm, float(delta))
     grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12 * y_norm**2
     alpha = cfg.step if not cfg.certified else certified_step(op, xi_init, y, cfg.rho)
-    hold_signal = delta == 0
-    xi = complex(xi_init)
-    s = y.copy()
-    trajectory = [xi] if cfg.keep_trajectory else None
-    converged = False
-    grad_norm = inf
-    iterations = 0
-    for iterations in range(cfg.max_iters + 1):
-        if hold_signal:
-            grad = wirtinger_gradient_f0(op, xi, s).real_chart
-            s_new, s_move = s, 0.0
-        else:
-            ev = full_residual(op, xi, s)
-            grad = ev.grad_xi.real_chart
-            s_new = projected_signal_step(op, xi, s, ev.grad_s_conj, y, delta, epsilon)
-            s_move = float(np.linalg.norm(s_new - s))
-        grad_norm = abs(grad)
-        if grad_norm <= grad_tol and s_move <= 1e-12 * scale:
-            converged = True
-            break
-        if iterations == cfg.max_iters:
-            break
-        xi = xi - alpha * grad
-        s = s_new
-        if xi.imag < 0.0:
-            xi = complex(xi.real, 0.0)
-        if trajectory is not None:
-            trajectory.append(xi)
-
+    xi, s, iterations, converged, grad, _, trajectory = projected_descent(
+        op, np.array([complex(xi_init)]), slice(None), y[None], delta, alpha,
+        clamp_upper_half_plane, (1.0, grad_tol, max(y_norm, float(delta)), 1e-12),
+        cfg.max_iters, epsilon, cfg.keep_trajectory,
+    )
+    xi, s = complex(xi[0]), s[0]
     s_norm = float(np.linalg.norm(s))
     boundary_gap = abs(float(np.linalg.norm(y - s)) - delta)
     return RecoveryResult(
         xi_hat=xi,
         c_hat=concentrations_ri(op, xi, s),
         iterations=iterations,
-        final_grad_norm=grad_norm,
+        final_grad_norm=float(abs(grad[0])),
         converged=converged,
-        trajectory=tuple(trajectory) if trajectory is not None else None,
+        trajectory=tuple(complex(x[0]) for x in trajectory) if trajectory is not None else None,
         s_hat=s,
         branch="zero" if s_norm <= boundary_gap else "boundary",
     )

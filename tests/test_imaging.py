@@ -34,7 +34,13 @@ from csemri.phantom import (
     generate_phantom,
 )
 from csemri.residual import make_residual_operator, voxelwise_concentrations
-from csemri.solver import FlowConfig, certified_step, step_bound, wirtinger_flow
+from csemri.solver import (
+    FlowConfig,
+    certified_step,
+    constrained_flow,
+    step_bound,
+    wirtinger_flow,
+)
 from csemri.species import EchoSpec, build_model, load_species
 from projection_kkt import kkt_residual
 
@@ -394,6 +400,44 @@ class TestReconstruct:
 
 
 class TestReconstructNoisy:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), delta_rel=st.sampled_from([0.0, 0.01, 0.3, 2.0]))
+    def test_voxel_flow_is_the_driver_on_one_voxel(self, seed, delta_rel):
+        rng = np.random.default_rng(seed)
+        xi0 = complex(rng.uniform(-60.0, 60.0), rng.uniform(0.0, 40.0))
+        c0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        y = MODEL.phi @ c0 * np.exp(2j * np.pi * xi0 * MODEL.times)
+        y = y + 0.02 * np.linalg.norm(y) * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        xi_init = xi0 + complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        delta = delta_rel * float(np.linalg.norm(y))
+        cfg = FlowConfig(certified=True, max_iters=20, grad_tol=1e-300)
+        voxel = constrained_flow(OP, y, delta, xi_init, cfg)
+        grid = ImageGrid.from_signal(y[None, None, :])
+        unbounded = FieldmapConstraint.uniform(1, 1, np.inf)
+        image = reconstruct_noisy(grid, MODEL, unbounded, delta, cfg, np.full((1, 1), xi_init))
+        assert voxel.iterations == image.iterations == 20
+        assert np.array_equal(image.xi_map.ravel(), [voxel.xi_hat])
+        assert np.array_equal(image.s_map.ravel(), voxel.s_hat)
+
+    def test_one_joint_evaluation_per_iteration(self, monkeypatch):
+        from csemri import residual
+
+        orders = []
+        pieces = residual.residual_pieces
+
+        def counted(op, xi, s, order):
+            orders.append(order)
+            return pieces(op, xi, s, order)
+
+        monkeypatch.setattr(residual, "residual_pieces", counted)
+        truth = small_phantom()
+        con = FieldmapConstraint.from_mask(truth.mask, 30.0, 1000.0)
+        cfg = FlowConfig(step=2e3, max_iters=7, grad_tol=1e-300)
+        res = reconstruct_noisy(truth.grid, MODEL, con, 0.05, cfg, np.full((24, 24), 1.0 + 0j))
+        assert res.iterations == 7
+        # the value and both gradients from one order-1 call, then one adjoint
+        assert orders == [1, 0] * 8
+
     def test_delta_zero_matches_noiseless_path(self):
         truth = small_phantom()
         con = FieldmapConstraint.from_mask(truth.mask, 30.0, 1000.0)

@@ -381,6 +381,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
 
+    def test_negative_max_iters_exits_2(self, tmp_path, capsys):
+        ph = tmp_path / "ph.json"
+        assert cli_main(["phantom", "--out", str(ph), "--width", "4", "--height", "4"]) == 0
+        capsys.readouterr()
+        assert cli_main(["reconstruct", "--input", str(ph), "--out", str(tmp_path / "r.npz"),
+                         "--max-iters", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("signal", [[1, 2, 3]] * 6), ("signal", [["a", 0]] * 6), ("init", [1, 2, 3])],
+    )
+    def test_malformed_solve_input_exits_2(self, tmp_path, capsys, field, value):
+        doc = {
+            "acquisition": {
+                "echo_times_ms": [1.238 + 0.986 * k for k in range(6)],
+                "species": ["water", "fat6"],
+                "hz_per_ppm": HZ_PER_PPM,
+            },
+            "signal": [[1.0, 0.0]] * 6,
+            field: value,
+        }
+        inp = tmp_path / "solve.json"
+        inp.write_text(json.dumps(doc))
+        assert cli_main(["solve", "--input", str(inp)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
+
     def test_metrics_are_on_mask(self, tmp_path):
         rng = np.random.default_rng(43)
         mask = np.zeros((5, 6), dtype=bool)

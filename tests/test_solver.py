@@ -325,6 +325,14 @@ class TestWirtingerFlow:
             FlowConfig(step=-1.0)
         with pytest.raises(DomainError):
             FlowConfig(step=1.0, rho=1.5)
+        with pytest.raises(DomainError):
+            FlowConfig(step=1.0, max_iters=-1)
+
+    def test_zero_iterations_evaluate_the_start(self):
+        xi0, c0, s0 = random_voxel()
+        res = wirtinger_flow(OP, s0, xi0 + 1.0, FlowConfig(certified=True, max_iters=0))
+        assert res.iterations == 0 and not res.converged
+        assert res.xi_hat == xi0 + 1.0 and res.final_grad_norm > 0.0
 
 
 class TestConstrainedFlow:
@@ -337,21 +345,22 @@ class TestConstrainedFlow:
         assert np.allclose(pinned.s_hat, s0)
 
     def test_delta_zero_holds_signal_without_its_gradient(self, monkeypatch):
-        import csemri.solver as solver
+        # the flow runs the descent loop of csemri.imaging, which looks these names up there
+        import csemri.imaging as imaging
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the signal block is held at delta = 0")
 
         calls = []
-        grad_f0 = solver.wirtinger_gradient_f0
+        value_and_gradient = imaging.voxelwise_value_and_gradient
 
         def counted(*args):
             calls.append(1)
-            return grad_f0(*args)
+            return value_and_gradient(*args)
 
-        monkeypatch.setattr(solver, "full_residual", forbidden)
-        monkeypatch.setattr(solver, "projected_signal_step", forbidden)
-        monkeypatch.setattr(solver, "wirtinger_gradient_f0", counted)
+        monkeypatch.setattr(imaging, "voxelwise_full_residual", forbidden)
+        monkeypatch.setattr(imaging, "projected_signal_step", forbidden)
+        monkeypatch.setattr(imaging, "voxelwise_value_and_gradient", counted)
         xi0, c0, s0 = random_voxel(np.random.default_rng(11))
         res = constrained_flow(OP, s0, 0.0, xi0 + 0.001, FlowConfig(certified=True, max_iters=500))
         assert res.converged
