@@ -74,6 +74,11 @@ def _load_acquisition(path):
     return load_acquisition_config(path)
 
 
+def _require_positive(flag, value):
+    if not value > 0:
+        raise errors.SpecError(f"{flag} must be positive, got {value}")
+
+
 def _dump(obj, path=None):
     text = json.dumps(obj, indent=1)
     if path is None:
@@ -112,6 +117,9 @@ def cmd_model_info(args):
 
 
 def cmd_analyze(args):
+    if not args.band[0] < args.band[1]:
+        raise errors.SpecError(f"--band needs its low end below its high end, got {args.band}")
+    _require_positive("--grid-step", args.grid_step)
     model, _ = _load_acquisition(args.config)
     structure = rationalize_echoes(model.echoes)
     lattice = fieldmap_lattice(structure)
@@ -136,6 +144,8 @@ def cmd_analyze(args):
 def cmd_solve(args):
     with open(args.input) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise errors.SpecError(f"solve input must be a JSON object, got {type(doc).__name__}")
     model = model_from_config(doc["acquisition"])
     try:
         signal = np.array([complex(re, im) for re, im in doc["signal"]])
@@ -302,6 +312,7 @@ def cmd_experiment(args):
     if args.study == "solution-set":
         experiment_solution_set(model.species, args.out)
     elif args.study == "curvature":
+        _require_positive("--stride", args.stride)
         spec = default_phantom_spec(width=args.width, height=args.height)
         truth = generate_phantom(spec, model)
         experiment_curvature(truth, model, args.out, stride=args.stride)

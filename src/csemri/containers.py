@@ -44,6 +44,8 @@ def model_from_config(config):
     inline species dicts) and, when any species is given in ppm,
     ``hz_per_ppm``.
     """
+    if not isinstance(config, dict):
+        raise SpecError(f"acquisition config must be a JSON object, got {type(config).__name__}")
     try:
         times_ms = config["echo_times_ms"]
     except KeyError as exc:

@@ -338,16 +338,12 @@ def _global_step(op, cfg, xi_flat, s_flat, mask_flat):
         return 0.9 * step_bound(cfg.rho)
 
 
-def reconstruct(grid, model, constraint, cfg, xi_init, proj_tol=1e-9, max_sweeps=2000):
+def reconstruct(grid, model, constraint, cfg, xi_init, proj_tol=1e-9):
     """Noiseless reconstruction: :func:`reconstruct_noisy` with ``delta = 0``."""
-    return reconstruct_noisy(
-        grid, model, constraint, 0.0, cfg, xi_init, proj_tol=proj_tol, max_sweeps=max_sweeps
-    )
+    return reconstruct_noisy(grid, model, constraint, 0.0, cfg, xi_init, proj_tol=proj_tol)
 
 
-def reconstruct_noisy(
-    grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-9, max_sweeps=2000
-):
+def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-9):
     """Joint projected Wirtinger descent on the field and the per-voxel signals.
 
     :func:`projected_descent` on the signal support, the voxels with any
@@ -380,7 +376,7 @@ def reconstruct_noisy(
     s_scale = np.maximum(np.maximum(np.linalg.norm(y, axis=1), delta_s), 1e-300)
     xi, s, iterations, converged, _, trace, _ = projected_descent(
         op, xi, support, y, delta_s, alpha,
-        lambda x: project_onto_C_phi(x, constraint, proj_tol=proj_tol, max_sweeps=max_sweeps),
+        lambda x: project_onto_C_phi(x, constraint, proj_tol=proj_tol),
         (grad_scale, cfg.grad_tol if cfg.grad_tol is not None else 1e-12, s_scale, 1e-10),
         cfg.max_iters,
     )

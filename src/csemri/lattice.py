@@ -229,16 +229,14 @@ def _unit_circle_roots(coeffs):
     return (roots_w[:, None] ** (1.0 / g) * kth[None, :]).ravel()
 
 
-def _polish_zero(model, eta_hz, half_width_hz):
-    """Golden-section refinement of a local minimum of sigma_min(Delta)."""
+def _polish_zero(model, etas_hz, half_width_hz):
+    """Golden-section refinement of the local minimum of sigma_min(Delta) around each
+    entry of ``etas_hz``, all of them in one lockstep search."""
 
     def smin(eta):
-        return float(np.linalg.svd(delta_matrix(eta, model), compute_uv=False)[-1])
+        return np.linalg.svd(delta_matrix(eta, model), compute_uv=False)[..., -1]
 
-    a, b, _ = golden_section(
-        smin, eta_hz - half_width_hz, eta_hz + half_width_hz, 90,
-        xtol=1e-13 * max(1.0, abs(eta_hz)),
-    )
+    a, b, _ = golden_section(smin, etas_hz - half_width_hz, etas_hz + half_width_hz, 90)
     return (a + b) / 2.0
 
 
@@ -370,7 +368,8 @@ def delta_zero_set(model, search_band_hz=(-1000.0, 1000.0), tol=1e-8):
        most ``half = 2 * intersect_radius + 1e-4``, so only candidates with
        a periodic image within ``half`` of the search band go on;
     4. polish: golden-section refinement of the local minimum of
-       ``sigma_min`` around each candidate;
+       ``sigma_min`` around each candidate, all candidates in one lockstep
+       search of 90 steps;
     5. classify: every periodic image of a polished zero inside the band
        is diagnosed through its kernel.
     """
@@ -424,8 +423,7 @@ def delta_zero_set(model, search_band_hz=(-1000.0, 1000.0), tol=1e-8):
     common = common[first <= band_hi + half]
 
     zeros = []
-    for eta0 in common:
-        eta0 = _polish_zero(model, float(eta0), half)
+    for eta0 in _polish_zero(model, common, half):
         shifts = np.arange(
             np.ceil((band_lo - eta0) / w_period), np.floor((band_hi - eta0) / w_period) + 1
         )

@@ -17,9 +17,11 @@ so positive curvature (Hessian between ``rho`` and ``2 + rho`` times its
 value at the truth) is guaranteed while ``gamma(eta) <= gamma_plus^2``.
 Bounding ``beta`` by ``exp(a) exp(tau_s |eta|)`` yields the closed-form
 Lambert-W radius; evaluating ``beta`` exactly in the worst (imaginary)
-direction yields the loose radius; re-estimating ``||R(xi0+eta) s0||`` by
-a second-order expansion yields the tight radius. Each successive bound
-relaxes the previous inequality, so the three radii are always ordered.
+direction yields the loose radius, also in closed form (``log1p``);
+evaluating ``||R(xi) s0||`` and its derivatives on circles around the
+truth yields the tight radius, from one batched circle search over a
+geometric ladder of radii and a bisection. Each successive bound relaxes
+the previous inequality, so the three radii are always ordered.
 
 The recovery flows run :func:`csemri.imaging.projected_descent` on one voxel.
 """
@@ -27,14 +29,13 @@ The recovery flows run :func:`csemri.imaging.projected_descent` on one voxel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, expm1, inf, sqrt
+from math import exp, expm1, inf, log1p, sqrt
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import lambertw
 
 from .errors import DegenerateCurvature, DomainError, NonBracketed
-from .residual import _check_square_guard, concentrations_ri, residual_pieces
+from .residual import EXP_GUARD, _check_square_guard, concentrations_ri, residual_pieces
 from .residual import wirtinger_gradient_f0  # noqa: F401  (the benchmark trace looks it up here)
 
 __all__ = [
@@ -58,8 +59,8 @@ __all__ = [
     "regularized_constrained_flow",
 ]
 
-RADIUS_CAP = 600.0  # radii are searched up to tau_s r = 600; beta overflows past exp(700)
-TIGHT_GROWTH = 1.12  # geometric growth of the tight radius before bisection
+RADIUS_CAP = 600.0  # radii are certified up to tau_s r = 600; beta overflows past exp(700)
+TIGHT_GROWTH = 1.12  # ratio of neighbouring radii on the tight radius's ladder
 
 
 def lambert_w0(x):
@@ -114,11 +115,14 @@ def gamma_plus(op, xi0, s0, rho):
     return 2.0 * c / (b + sqrt(b * b + 4.0 * c))
 
 
-def _radius_rhs(op, xi0, s0, rho):
-    """(gamma_plus^2) / (2 ||s0||^2), the envelope budget for gamma(eta)."""
+def _envelope_arg(op, xi0, s0, rho):
+    """``tau_s exp(-tau_s Im xi0) gamma_plus^2 / (2 ||s0||^2)``, the argument that both
+    envelope radii invert."""
+    if np.imag(xi0) < 0:
+        raise DomainError("xi0 must lie in the closed upper half-plane")
     g = gamma_plus(op, xi0, s0, rho)
-    s_norm = float(np.linalg.norm(np.asarray(s0)))
-    return g * g / (2.0 * s_norm**2)
+    budget = g * g / (2.0 * float(np.linalg.norm(np.asarray(s0))) ** 2)
+    return op.tau_s * exp(-op.tau_s * float(np.imag(xi0))) * budget
 
 
 def radius_lambert(op, xi0, s0, rho=0.5):
@@ -128,89 +132,83 @@ def radius_lambert(op, xi0, s0, rho=0.5):
     condition into ``tau_s r exp(tau_s r) <= tau_s exp(-tau_s Im xi0) *
     gamma_plus^2 / (2 ||s0||^2)``. Invariant under rescaling of ``s0``.
     """
-    if np.imag(xi0) < 0:
-        raise DomainError("xi0 must lie in the closed upper half-plane")
-    budget = _radius_rhs(op, xi0, s0, rho)
-    arg = op.tau_s * exp(-op.tau_s * float(np.imag(xi0))) * budget
-    return lambert_w0(arg) / op.tau_s
+    return lambert_w0(_envelope_arg(op, xi0, s0, rho)) / op.tau_s
 
 
 def radius_loose(op, xi0, s0, rho=0.5):
     """Certified radius with the envelope beta evaluated exactly.
 
-    Solves ``r * beta(tau_s Im xi0, tau_s r) = gamma_plus^2 / (2||s0||^2)``
-    by safeguarded bisection. The direction ``Im eta = |eta|`` is the worst
-    case over the half-plane because beta increases in its second argument,
-    so the radius is valid for every direction.
+    Solves ``r * beta(tau_s Im xi0, tau_s r) = gamma_plus^2 / (2||s0||^2)``.
+    The direction ``Im eta = |eta|`` is the worst case over the half-plane
+    because beta increases in its second argument, so the radius is valid
+    for every direction. There ``beta = exp(a) expm1(tau_s r) / (tau_s r)``
+    with ``a = tau_s Im xi0 >= 0``, so the equation solves in closed form to
+    ``tau_s r = log1p(tau_s exp(-a) gamma_plus^2 / (2||s0||^2))``. Raises
+    :class:`NonBracketed` past ``tau_s r = RADIUS_CAP``.
     """
-    if np.imag(xi0) < 0:
-        raise DomainError("xi0 must lie in the closed upper half-plane")
-    budget = _radius_rhs(op, xi0, s0, rho)
-    a = op.tau_s * float(np.imag(xi0))
-
-    def g(r):
-        return budget - r * beta_integral(a, op.tau_s * r)
-
-    _, hi = _grow_bracket(lambda r: g(r) > 0.0, 0.0, 1.0, 2.0, RADIUS_CAP / op.tau_s)
-    return float(brentq(g, 0.0, hi, xtol=1e-14, rtol=1e-15))
+    tau_r = log1p(_envelope_arg(op, xi0, s0, rho))
+    if tau_r > RADIUS_CAP:
+        raise NonBracketed(f"condition holds up to the search cap {RADIUS_CAP / op.tau_s:.3e} Hz")
+    return tau_r / op.tau_s
 
 
-def golden_section(f, a, b, iters, xtol=0.0):
-    """Golden-section search for a minimum of ``f`` on ``[a, b]`` in ``iters`` steps, or until
-    ``b - a <= xtol``; returns the final ``a, b`` and the smaller value at their interior points."""
+def golden_section(f, a, b, iters):
+    """Golden-section search for a minimum of ``f`` on each interval ``[a[k], b[k]]`` in ``iters``
+    lockstep steps, each one call of ``f`` on an array of points; returns the final ``a, b`` and
+    the smaller value at their interior points."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        if b - a <= xtol:
-            break
-    return a, b, min(fc, fd)
+        left = fc <= fd  # keep [a, d] and move d to c, else keep [c, b] and move c to d
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    return a, b, np.minimum(fc, fd)
 
 
-def _circle_eval(op, xi0, s0, r, angular_samples, fn):
-    """Minimize fn([Rs, R's, R''s]) over the circle |xi - xi0| = r in H+.
+def _circle_eval(op, xi0, s0, radii, angular_samples, fn):
+    """Minimize fn([Rs, R's, R''s]) over each circle |xi - xi0| = r in H+.
 
     ``fn`` reduces the kernel's pieces, shape (3, n, n_e), to one value per
-    angle; an angular grid is refined by golden sections around the best
-    arc. Returns the refined minimum.
+    point; an angular grid on every circle is refined by golden sections
+    around its best arc. One kernel call covers the grid of all radii and
+    one each golden step. Returns the refined minimum per radius.
     """
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
     im0 = float(np.imag(xi0))
-    if im0 >= r:
-        lo, hi, closed = 0.0, 2.0 * np.pi, True
-    else:
-        # sin(theta) >= -im0/r keeps xi inside the closed half-plane
-        t0 = float(np.arcsin(-im0 / r))
-        lo, hi, closed = t0, np.pi - t0, False
+    closed = radii <= im0
+    # sin(theta) >= -im0/r keeps xi inside the closed half-plane
+    t0 = np.arcsin(-im0 / np.where(closed, np.inf, radii))
+    lo = np.where(closed, 0.0, t0)
+    hi = np.where(closed, 2.0 * np.pi, np.pi - t0)
 
-    def values(thetas):
-        xi = complex(xi0) + r * np.exp(1j * np.asarray(thetas))
-        return fn(residual_pieces(op, xi, s0, 2))
+    def values(thetas):  # a row of angles per radius, or one angle per radius
+        r = radii[:, None] if thetas.ndim == 2 else radii
+        xi = complex(xi0) + r * np.exp(1j * thetas)
+        return fn(residual_pieces(op, xi.ravel(), s0, 2)).reshape(thetas.shape)
 
-    thetas = np.linspace(lo, hi, angular_samples, endpoint=not closed)
-    vals = values(thetas)
-    k = int(np.argmin(vals))
-    span = (hi - lo) / max(angular_samples - 1, 1)
-    _, _, refined = golden_section(
-        lambda theta: float(values([theta])[0]),
-        max(lo, thetas[k] - span),
-        min(hi, thetas[k] + span),
-        40,
+    thetas = np.where(
+        closed[:, None],
+        np.linspace(lo, hi, angular_samples, endpoint=False, axis=-1),
+        np.linspace(lo, hi, angular_samples, axis=-1),
     )
-    return min(float(np.min(vals)), refined)
+    vals = values(thetas)
+    span = (hi - lo) / max(angular_samples - 1, 1)
+    best = thetas[np.arange(len(radii)), np.argmin(vals, axis=1)]
+    _, _, refined = golden_section(
+        values, np.maximum(lo, best - span), np.minimum(hi, best + span), 40
+    )
+    return np.minimum(vals.min(axis=1), refined)
 
 
 def _minorant_fn(pieces):
     # Cauchy-Schwarz minorant of the Hessian's smallest eigenvalue
     n0, n1, n2 = np.einsum("kne,kne->kn", pieces, pieces.conj()).real
-    return n1 - np.sqrt(n0 * n2)
+    return n1 - np.sqrt(n0) * np.sqrt(n2)  # n0 * n2 overflows on circles far past the radius
 
 
 def _min_eig_fn(pieces):
@@ -228,45 +226,45 @@ def radius_tight(op, xi0, s0, rho=0.5, angular_samples=48):
         min_{|xi - xi0| = r, xi in H+} ||R'(xi) s0||^2
             - ||R(xi) s0|| ||R''(xi) s0||  >=  rho ||R'(xi0) s0||^2
 
-    for the largest radius, growing ``r`` geometrically (by ``TIGHT_GROWTH``
-    per step, up to ``RADIUS_CAP / tau_s``) from the loose radius (inside
-    which the inequality is certified analytically) until the margin first
-    fails, then bisecting. Much sharper than the envelope-based radii
-    because the residual norms are evaluated rather than bounded.
+    for the largest radius. A ladder of radii grows geometrically (by
+    ``TIGHT_GROWTH`` per rung) from the loose radius, inside which the
+    inequality is certified analytically, up to ``RADIUS_CAP / tau_s`` or
+    the largest circle the residual kernel can evaluate; one batched circle
+    search covers the whole ladder, and bisection refines the bracket at
+    the first rung where the margin fails. Much sharper than the
+    envelope-based radii because the residual norms are evaluated rather
+    than bounded.
     """
     r1, _, _ = _curvature_numbers(op, xi0, s0)
     if r1 == 0.0:
         raise DegenerateCurvature("||R'(xi0) s0|| vanishes; no curvature to certify")
     target = rho * r1**2
-    cap_hz = RADIUS_CAP / op.tau_s
+    # a circle's highest point, Im xi0 + r, stays inside the kernel's exponent guard with
+    # room for the rounding of the points on it
+    reach_hz = (1.0 - 1e-9) * EXP_GUARD / op.times[-1] - float(np.imag(xi0))
+    cap_hz = min(RADIUS_CAP / op.tau_s, reach_hz)
 
-    def margin(r):
-        return _circle_eval(op, xi0, s0, r, angular_samples, _minorant_fn) - target
+    def margin(radii):
+        return _circle_eval(op, xi0, s0, radii, angular_samples, _minorant_fn) - target
 
-    lo = radius_loose(op, xi0, s0, rho)
-    if margin(lo) < 0.0:  # guard against discretization slack at the seed
-        return lo
-    lo, hi = _grow_bracket(lambda r: margin(r) >= 0.0, lo, lo * TIGHT_GROWTH, TIGHT_GROWTH, cap_hz)
+    ladder = [radius_loose(op, xi0, s0, rho)]
+    while ladder[-1] < cap_hz:
+        ladder.append(min(TIGHT_GROWTH * ladder[-1], cap_hz))
+    fails = np.flatnonzero(margin(ladder) < 0.0)
+    if len(fails) == 0:
+        raise NonBracketed(f"condition holds up to the search cap {cap_hz:.3e} Hz")
+    if fails[0] == 0:  # discretization slack at the seed
+        return ladder[0]
+    lo, hi = ladder[fails[0] - 1], ladder[fails[0]]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if margin(mid) >= 0.0:
+        if margin(mid)[0] >= 0.0:
             lo = mid
         else:
             hi = mid
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
     return lo
-
-
-def _grow_bracket(holds, lo, hi, factor, cap):
-    """Grow ``hi`` by ``factor``, up to ``cap``, while ``holds(hi)``; return the last radius
-    that held (``lo`` if none did) and the first that failed, or raise :class:`NonBracketed`."""
-    hi = min(hi, cap)
-    while holds(hi):
-        if hi >= cap:
-            raise NonBracketed(f"condition holds up to the search cap {cap:.3e} Hz")
-        lo, hi = hi, min(factor * hi, cap)
-    return lo, hi
 
 
 def step_bound(rho):
@@ -425,10 +423,8 @@ def curvature_profile(op, xi0, s0, radii, angular_samples=64):
     curv0 = float(np.vdot(r1s0, r1s0).real)
     if curv0 == 0.0:
         raise DegenerateCurvature("zero curvature at the reference parameter")
-    return [
-        (float(r), _circle_eval(op, xi0, s0, float(r), angular_samples, _min_eig_fn) / curv0)
-        for r in radii
-    ]
+    q = _circle_eval(op, xi0, s0, radii, angular_samples, _min_eig_fn) / curv0
+    return [(float(r), float(qr)) for r, qr in zip(radii, q)]
 
 
 def radius_empirical_from_profile(q_profile, level=0.0):

@@ -354,17 +354,17 @@ class TestZeroSetBandPrefilter:
 
     def test_default_protocol_polishes_only_band_candidates(self, monkeypatch):
         # 1480 candidates in the 500 kHz W period, 8 of them reach +-1100 Hz
-        calls = []
+        polished = []
         polish = lattice._polish_zero
 
-        def counted(*args):
-            calls.append(args)
-            return polish(*args)
+        def counted(model, etas_hz, half_width_hz):
+            polished.extend(etas_hz)
+            return polish(model, etas_hz, half_width_hz)
 
         monkeypatch.setattr(lattice, "_polish_zero", counted)
         model = build_model([WATER, FAT6, SILICONE], DEFAULT_ECHOES)
         zs = delta_zero_set(model, search_band_hz=(-1100.0, 1100.0))
-        assert len(calls) == 8
+        assert len(polished) == 8
         assert len(zs.zeros) == 7
 
     def test_band_wider_than_a_period_contains_the_central_band(self):

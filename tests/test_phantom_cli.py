@@ -410,6 +410,42 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
 
+    @pytest.mark.parametrize(
+        "command, flag, doc",
+        [
+            ("model-info", "--config", [1, 2]),
+            ("analyze", "--config", [1, 2]),
+            ("solve", "--input", [1, 2]),
+            ("solve", "--input", {"acquisition": 5, "signal": [[1.0, 0.0]] * 6}),
+        ],
+    )
+    def test_document_that_is_not_an_object_exits_2(self, tmp_path, capsys, command, flag, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main([command, flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "curvature", "--stride", "0", "--width", "4", "--height", "4"],
+            ["experiment", "curvature", "--stride", "-2", "--width", "4", "--height", "4"],
+            ["analyze", "--grid-step", "0", "--csv", "{tmp}/f.csv"],
+            ["analyze", "--grid-step", "-1", "--csv", "{tmp}/f.csv"],
+            ["analyze", "--band", "100", "-100", "--csv", "{tmp}/f.csv"],
+            ["analyze", "--band", "100", "100"],
+        ],
+    )
+    def test_out_of_range_numbers_exit_2(self, tmp_path, capsys, argv):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if argv[0] == "experiment":
+            argv += ["--out", str(tmp_path / "exp")]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
+        assert list(tmp_path.iterdir()) == []
+
     def test_metrics_are_on_mask(self, tmp_path):
         rng = np.random.default_rng(43)
         mask = np.zeros((5, 6), dtype=bool)

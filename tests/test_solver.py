@@ -1,13 +1,19 @@
 """Lambert W, beta envelope, certified radii, and the recovery flows."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import csemri
 from csemri import solver
 from csemri.errors import DegenerateCurvature, DomainError, NonBracketed, OverflowRisk
 from csemri.lattice import fieldmap_lattice, rationalize_echoes
-from csemri.residual import make_residual_operator, residual_pieces, residual_value
+from csemri.residual import EXP_GUARD, make_residual_operator, residual_pieces, residual_value
 from csemri.solver import (
     FlowConfig,
     beta_integral,
@@ -157,6 +163,23 @@ class TestRadii:
         lhs = r * beta_integral(OP.tau_s * xi0.imag, OP.tau_s * r)
         assert abs(lhs - budget) < 1e-10 * budget
 
+    def test_loose_solves_its_equation_at_small_radii(self):
+        # an absolute root tolerance of 1e-14 Hz is up to 3e-10 relative here
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(100):
+            xi0, _, s0 = random_voxel(rng)
+            rho = 1.0 - 10.0 ** rng.uniform(-3.0, -0.3)
+            r = radius_loose(OP, xi0, s0, rho)
+            if r >= 1e-3:
+                continue
+            checked += 1
+            g = gamma_plus(OP, xi0, s0, rho)
+            budget = g * g / (2.0 * np.linalg.norm(s0) ** 2)
+            lhs = r * beta_integral(OP.tau_s * xi0.imag, OP.tau_s * r)
+            assert abs(lhs - budget) <= 1e-13 * budget
+        assert checked >= 50
+
     def test_tight_satisfies_its_implicit_equality(self):
         # re-evaluation oracle: at the returned radius the circle-min margin
         # sits on the rho-threshold within the bisection bracket
@@ -192,6 +215,28 @@ class TestRadii:
         with pytest.raises(NonBracketed):
             radius_tight(OP, xi0, s0, 0.5, angular_samples=24)
 
+    def test_tight_ladder_to_the_cap_does_not_overflow(self):
+        # the ladder's last rung is the search cap, far past the first failure
+        xi0, _, s0 = random_voxel(np.random.default_rng(8))
+        assert (OP.tau_s * xi0.imag + solver.RADIUS_CAP) / OP.tau_s * OP.times[-1] < EXP_GUARD
+        with np.errstate(over="raise", invalid="raise"):
+            rt = radius_tight(OP, xi0, s0, 0.5, angular_samples=24)
+        assert radius_loose(OP, xi0, s0, 0.5) < rt < solver.RADIUS_CAP / OP.tau_s
+
+    def test_tight_ladder_stops_where_the_kernel_stops(self):
+        # a late first echo puts the kernel's exponent guard inside the search cap
+        model = build_model([WATER, FAT6], EchoSpec.uniform_ms(4.6, 1.1, 3))
+        op = make_residual_operator(model)
+        assert EXP_GUARD / op.times[-1] < solver.RADIUS_CAP / op.tau_s
+        rng = np.random.default_rng(3)
+        xi0 = complex(rng.uniform(-100.0, 100.0), rng.uniform(1.0, 50.0))
+        s0 = signal(xi0, random_complex(2, rng), model)
+        rt = radius_tight(op, xi0, s0, 0.5, angular_samples=24)
+        _, r1s = residual_pieces(op, xi0, s0, 1)
+        target = 0.5 * np.linalg.norm(r1s) ** 2
+        margin = solver._circle_eval(op, xi0, s0, rt, 24, solver._minorant_fn) - target
+        assert 0.0 <= margin < 1e-10 * target
+
     def test_rejects_lower_half_plane(self):
         _, _, s0 = random_voxel()
         with pytest.raises(DomainError):
@@ -203,6 +248,7 @@ class TestCurvatureProfile:
         xi0, _, s0 = random_voxel()
         prof = curvature_profile(OP, xi0, s0, [1e-6], angular_samples=16)
         assert prof[0][1] == pytest.approx(1.0, abs=1e-4)
+        assert curvature_profile(OP, xi0, s0, [], angular_samples=16) == []
 
     def test_q_decays_and_crosses_zero(self):
         xi0, _, s0 = random_voxel(im=(5.0, 30.0))
@@ -211,6 +257,23 @@ class TestCurvatureProfile:
         crossing = radius_empirical_from_profile(prof)
         assert np.isfinite(crossing)
         assert 5.0 < crossing < 200.0
+
+    def test_one_circle_search_for_all_radii(self, monkeypatch):
+        calls = []
+        pieces = solver.residual_pieces
+
+        def counted(*args):
+            calls.append(args)
+            return pieces(*args)
+
+        monkeypatch.setattr(solver, "residual_pieces", counted)
+        xi0, _, s0 = random_voxel()
+        counts = []
+        for radii in ([10.0], np.geomspace(1.0, 200.0, 36)):
+            calls.clear()
+            curvature_profile(OP, xi0, s0, radii, angular_samples=16)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
     def test_empirical_radius_interpolates_at_level(self):
         prof = [(1.0, 1.0), (2.0, 0.8), (4.0, 0.2), (8.0, -0.1)]
@@ -481,3 +544,12 @@ class TestCertifiedStep:
             values = [fn(OP, just_inside, sig, 0.5)
                       for fn in (certified_step, gamma_plus, radius_lambert)]
         assert all(np.isfinite(v) and v > 0.0 for v in values)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # every radius has a closed form or its own search; no root finder is imported
+    code = "import sys, csemri, csemri.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(csemri.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
