@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, SpecError
+from .errors import CsemriError, DimensionError, SpecError
 from .imaging import FieldmapConstraint, ImageGrid
 from .solver import FlowConfig
 from .species import EchoSpec, build_model, load_species, species_from_dict, PRESET_NAMES
@@ -58,15 +58,23 @@ def model_from_config(config):
         raise
     except (TypeError, ValueError) as exc:
         raise SpecError(f"echo_times_ms must be a list of numbers, got {times_ms!r}") from exc
+    entries = config.get("species", [])
+    if not isinstance(entries, list):
+        raise SpecError(f"species must be a list, got {entries!r}")
     hz_per_ppm = config.get("hz_per_ppm")
     species = []
-    for entry in config.get("species", []):
-        if isinstance(entry, str):
-            if entry not in PRESET_NAMES:
-                raise SpecError(f"unknown species preset {entry!r}")
-            species.append(load_species(entry, hz_per_ppm=hz_per_ppm))
-        else:
-            species.append(species_from_dict(entry, hz_per_ppm=hz_per_ppm))
+    try:
+        for entry in entries:
+            if isinstance(entry, str):
+                if entry not in PRESET_NAMES:
+                    raise SpecError(f"unknown species preset {entry!r}")
+                species.append(load_species(entry, hz_per_ppm=hz_per_ppm))
+            else:
+                species.append(species_from_dict(entry, hz_per_ppm=hz_per_ppm))
+    except CsemriError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:  # an entry, peak or hz_per_ppm of the wrong type
+        raise SpecError(f"malformed species or hz_per_ppm: {exc}") from exc
     if not species:
         raise SpecError("acquisition config needs at least one species")
     return build_model(species, echoes)
@@ -152,6 +160,8 @@ def read_csir(header_path):
     if header["layout"] != CSIR_LAYOUT:
         raise SpecError(f"unsupported layout {header['layout']!r}")
     w, h, n_e = int(header["width"]), int(header["height"]), int(header["n_e"])
+    if min(w, h, n_e) < 1:
+        raise SpecError(f"CSIR width, height and n_e must be at least 1, got {w}, {h}, {n_e}")
     payload_path = header_path.parent / header["payload"]
     expected = w * h * n_e * 2 * 8
     actual = payload_path.stat().st_size

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import SpecError
 from .lattice import (
     delta_zero_set,
     fieldmap_lattice,
@@ -152,8 +153,11 @@ def experiment_curvature(
 
     Emits ``q_profiles.csv`` (x, y, radius_hz, q), plus the Lambert and
     tight radius maps and the 50%-reduction radius map as CSV matrices
-    (off-mask entries are NaN). Returns the artifact paths.
+    (off-mask entries are NaN). Returns the artifact paths. A phantom with
+    no masked voxel raises :class:`SpecError` before anything is written.
     """
+    if not np.any(truth.mask):
+        raise SpecError("the phantom mask selects no voxel")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     op = make_residual_operator(model)

@@ -214,14 +214,7 @@ def _unit_circle_roots(coeffs):
         dense[degree - (e - lo) // g] = c  # np.roots wants highest power first
     scale = np.max(np.abs(dense))
     roots_w = np.roots(dense / scale)
-
-    # a few Newton polishing steps in w, then expand w = z**g
-    exps_arr = np.arange(degree, -1, -1)
-    for _ in range(3):
-        pw = np.polyval(dense, roots_w)
-        dpw = np.polyval(dense[:-1] * exps_arr[:-1], roots_w)
-        step = np.where(np.abs(dpw) > 0, pw / np.where(dpw == 0, 1, dpw), 0.0)
-        roots_w = roots_w - step
+    # kept as found: _polish_zero refines the zeros that survive to full precision
     roots_w = roots_w[np.abs(np.abs(roots_w) - 1.0) < UNIT_TOL]
     if g == 1:
         return roots_w

@@ -113,6 +113,10 @@ class PhantomSpec:
     r2star: FieldSpec
     seed: int = 0
 
+    def __post_init__(self):
+        if min(self.width, self.height) < 1:
+            raise SpecError(f"phantom size must be positive, got {self.width} x {self.height}")
+
 
 @dataclass(frozen=True)
 class PhantomTruth:

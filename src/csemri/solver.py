@@ -19,9 +19,10 @@ Bounding ``beta`` by ``exp(a) exp(tau_s |eta|)`` yields the closed-form
 Lambert-W radius; evaluating ``beta`` exactly in the worst (imaginary)
 direction yields the loose radius, also in closed form (``log1p``);
 evaluating ``||R(xi) s0||`` and its derivatives on circles around the
-truth yields the tight radius, from one batched circle search over a
-geometric ladder of radii and a bisection. Each successive bound relaxes
-the previous inequality, so the three radii are always ordered.
+truth yields the tight radius, from batched circle searches over a
+geometric ladder of radii, then over evenly spaced radii inside its
+bracket. Each successive bound relaxes the previous inequality, so the
+three radii are always ordered.
 
 The recovery flows run :func:`csemri.imaging.projected_descent` on one voxel.
 """
@@ -61,6 +62,7 @@ __all__ = [
 
 RADIUS_CAP = 600.0  # radii are certified up to tau_s r = 600; beta overflows past exp(700)
 TIGHT_GROWTH = 1.12  # ratio of neighbouring radii on the tight radius's ladder
+TIGHT_SPLIT = 16  # sub-intervals of the tight radius's bracket per refinement round
 
 
 def lambert_w0(x):
@@ -230,14 +232,13 @@ def radius_tight(op, xi0, s0, rho=0.5, angular_samples=48):
     ``TIGHT_GROWTH`` per rung) from the loose radius, inside which the
     inequality is certified analytically, up to ``RADIUS_CAP / tau_s`` or
     the largest circle the residual kernel can evaluate; one batched circle
-    search covers the whole ladder, and bisection refines the bracket at
-    the first rung where the margin fails. Much sharper than the
-    envelope-based radii because the residual norms are evaluated rather
-    than bounded.
+    search covers the whole ladder. Each further search refines the bracket
+    at the first failing rung: it splits it into ``TIGHT_SPLIT`` equal
+    parts and keeps the last passing and the first failing interior radius.
+    Much sharper than the envelope-based radii because the residual norms
+    are evaluated rather than bounded.
     """
     r1, _, _ = _curvature_numbers(op, xi0, s0)
-    if r1 == 0.0:
-        raise DegenerateCurvature("||R'(xi0) s0|| vanishes; no curvature to certify")
     target = rho * r1**2
     # a circle's highest point, Im xi0 + r, stays inside the kernel's exponent guard with
     # room for the rounding of the points on it
@@ -256,15 +257,12 @@ def radius_tight(op, xi0, s0, rho=0.5, angular_samples=48):
     if fails[0] == 0:  # discretization slack at the seed
         return ladder[0]
     lo, hi = ladder[fails[0] - 1], ladder[fails[0]]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if margin(mid)[0] >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-    return lo
+    while hi - lo > 1e-12 * max(1.0, hi):
+        # only the interior is evaluated: batch rounding could flip an endpoint's sign near zero
+        edges = np.linspace(lo, hi, TIGHT_SPLIT + 1)
+        k = np.argmax(np.append(margin(edges[1:-1]) < 0.0, True))  # edges[k + 1] fails first
+        lo, hi = edges[k], edges[k + 1]
+    return float(lo)
 
 
 def step_bound(rho):

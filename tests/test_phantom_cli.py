@@ -435,16 +435,49 @@ class TestCli:
             ["analyze", "--grid-step", "-1", "--csv", "{tmp}/f.csv"],
             ["analyze", "--band", "100", "-100", "--csv", "{tmp}/f.csv"],
             ["analyze", "--band", "100", "100"],
+            ["phantom", "--width", "-3"],
+            ["phantom", "--width", "0"],
+            ["phantom", "--height", "0"],
+            ["experiment", "curvature", "--width", "0"],
+            ["experiment", "curvature", "--width", "4", "--height", "4"],  # no masked voxel
         ],
     )
     def test_out_of_range_numbers_exit_2(self, tmp_path, capsys, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
-        if argv[0] == "experiment":
+        if argv[0] in ("experiment", "phantom"):
             argv += ["--out", str(tmp_path / "exp")]
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"species": 5},
+            {"species": [5]},
+            {"species": ["water", "fat6"], "hz_per_ppm": "x"},
+            {"species": [{"name": "q", "peaks": [{"hz": "q", "weight": 1}]}]},
+        ],
+    )
+    def test_malformed_species_exit_2(self, tmp_path, capsys, config):
+        path = tmp_path / "acq.json"
+        path.write_text(json.dumps({"echo_times_ms": [1.2, 2.2, 3.2, 4.2, 5.2, 6.2], **config}))
+        assert cli_main(["model-info", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
+
+    @pytest.mark.parametrize("key", ["width", "height", "n_e"])
+    def test_empty_container_exits_2(self, tmp_path, capsys, key):
+        header = tmp_path / "img.json"
+        write_csir(header, np.ones((2, 3, 6), dtype=complex), [1.2, 2.2, 3.2, 4.2, 5.2, 6.2])
+        header.write_text(json.dumps({**json.loads(header.read_text()), key: 0}))
+        header.with_suffix(".bin").write_bytes(b"")
+        out = tmp_path / "r.npz"
+        assert cli_main(["reconstruct", "--input", str(header), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
+        assert not out.exists()
 
     def test_metrics_are_on_mask(self, tmp_path):
         rng = np.random.default_rng(43)

@@ -13,6 +13,7 @@ import csemri
 from csemri import solver
 from csemri.errors import DegenerateCurvature, DomainError, NonBracketed, OverflowRisk
 from csemri.lattice import fieldmap_lattice, rationalize_echoes
+from csemri.phantom import default_phantom_spec, generate_phantom
 from csemri.residual import EXP_GUARD, make_residual_operator, residual_pieces, residual_value
 from csemri.solver import (
     FlowConfig,
@@ -38,6 +39,7 @@ RNG = np.random.default_rng(424242)
 HZ_PER_PPM = 3.0 * 42.57747892
 WATER = load_species("water")
 FAT6 = load_species("fat6", hz_per_ppm=HZ_PER_PPM)
+SILICONE = load_species("silicone", hz_per_ppm=HZ_PER_PPM)
 MODEL = build_model([WATER, FAT6], EchoSpec.uniform_ms(1.238, 0.986, 6))
 OP = make_residual_operator(MODEL)
 
@@ -182,7 +184,7 @@ class TestRadii:
 
     def test_tight_satisfies_its_implicit_equality(self):
         # re-evaluation oracle: at the returned radius the circle-min margin
-        # sits on the rho-threshold within the bisection bracket
+        # sits on the rho-threshold within the final refinement bracket
         from csemri.solver import _circle_eval, _minorant_fn
 
         xi0, _, s0 = random_voxel()
@@ -192,6 +194,22 @@ class TestRadii:
         target = rho * np.linalg.norm(r1s) ** 2
         margin = _circle_eval(OP, xi0, s0, rt, 24, _minorant_fn) - target
         assert 0.0 <= margin < 1e-10 * target
+
+    def test_tight_refines_its_bracket_in_batches(self, monkeypatch):
+        # a certify voxel: one circle search for the ladder, about ten for the bracket
+        model = build_model([WATER, FAT6, SILICONE], EchoSpec.uniform_ms(1.238, 0.986, 6))
+        truth = generate_phantom(default_phantom_spec(width=32, height=32), model)
+        i, j = np.argwhere(truth.mask)[0]
+        calls = []
+        circle_eval = solver._circle_eval
+
+        def counted(*args):
+            calls.append(args[3])
+            return circle_eval(*args)
+
+        monkeypatch.setattr(solver, "_circle_eval", counted)
+        rt = radius_tight(make_residual_operator(model), truth.xi0_map[i, j], truth.grid.signal[i, j])
+        assert rt > 0.0 and len(calls) <= 12
 
     def test_tight_vs_lambert_gap_is_large(self):
         # the closed-form bound is known to underestimate severely; the
