@@ -15,6 +15,7 @@ out voxel by voxel in row-major order, echoes in order within a voxel and
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -147,11 +148,14 @@ def write_csir(header_path, signal, echo_times_ms, extra_header=None):
 def read_csir(header_path):
     """Read a CSIR pair; returns (signal array, header dict).
 
-    Validates the payload byte length against width*height*n_e*2*8.
+    Validates the header (integer sizes of at least 1, ``n_e`` finite echo
+    times) and the payload byte length against width*height*n_e*2*8.
     """
     header_path = Path(header_path)
     with open(header_path) as fh:
         header = json.load(fh)
+    if not isinstance(header, dict):
+        raise SpecError(f"CSIR header must be a JSON object, got {type(header).__name__}")
     for key in ("width", "height", "n_e", "echo_times_ms", "dtype", "layout", "payload"):
         if key not in header:
             raise SpecError(f"CSIR header misses {key!r}")
@@ -159,9 +163,16 @@ def read_csir(header_path):
         raise SpecError(f"unsupported dtype {header['dtype']!r}")
     if header["layout"] != CSIR_LAYOUT:
         raise SpecError(f"unsupported layout {header['layout']!r}")
-    w, h, n_e = int(header["width"]), int(header["height"]), int(header["n_e"])
-    if min(w, h, n_e) < 1:
-        raise SpecError(f"CSIR width, height and n_e must be at least 1, got {w}, {h}, {n_e}")
+    w, h, n_e = header["width"], header["height"], header["n_e"]
+    if not all(type(v) is int and v >= 1 for v in (w, h, n_e)):  # bool is no size
+        raise SpecError(f"CSIR width, height and n_e must be integers >= 1, got {w!r}, {h!r}, {n_e!r}")
+    times = header["echo_times_ms"]
+    if not (
+        type(times) is list and len(times) == n_e
+        # finite as a float: NaN, inf and an int beyond the float range fail
+        and all(type(t) in (int, float) and abs(t) <= sys.float_info.max for t in times)
+    ):
+        raise SpecError(f"CSIR echo_times_ms must be a list of {n_e} finite numbers, got {times!r}")
     payload_path = header_path.parent / header["payload"]
     expected = w * h * n_e * 2 * 8
     actual = payload_path.stat().st_size

@@ -5,22 +5,20 @@ convex set
 
     C_phi = { xi : || forward_gradient(Re xi)(v) ||_2 <= eps_g(v)  for all v }
 
-whose projection is computed by Dykstra's iterated corrections over the
-per-voxel constraints. Each constraint couples a voxel with its two
-forward neighbors, so constraints whose centers agree modulo 2 in both
-axes have disjoint footprints and one Dykstra block per parity class
-(four in total) can be projected exactly and vectorized. On the field
-padded by one zero row and column, a block's centers and their +e1 and +e2
-neighbors are three strided slices, so a sweep reads and writes slices and
-builds no index sets; the padding stands in for the neighbors that fall
-off the grid. The imaginary part (the decay rate) is simply clamped to be
-nonnegative, which is the exact projection because the constraint only
-reads the real part.
+whose projection is computed on the dual: with ``D`` the forward
+difference, the projection of ``z`` is ``z - D^T p`` for the minimizer
+``p`` of ``0.5 ||z - D^T p||^2 + sum_v eps_g(v) ||p(v)||``. The dual fast
+gradient projection (Beck and Teboulle's FISTA with step 1/8, since
+``||D||^2 <= 8``, and O'Donoghue and Candes's adaptive restart) reaches it
+with one gradient, one adjoint and one per-voxel shrink per iteration,
+vectorized over the whole grid. The imaginary part (the decay rate) is
+simply clamped to be nonnegative, which is the exact projection because
+the constraint only reads the real part.
 
 A field already in C_phi is its own projection, so the projection first
-tests every constraint with the arithmetic of the sweep and returns a
-feasible field (imaginary part clamped) without building the blocks; only
-a field that leaves C_phi is swept.
+tests every constraint with the arithmetic of the first dual step and
+returns a feasible field (imaginary part clamped) without iterating; only
+a field that leaves C_phi is iterated.
 
 One projected-descent loop, :func:`projected_descent`, moves a field and
 its per-voxel signals (kept in their noise balls ``||s(v) - y(v)|| <=
@@ -72,6 +70,7 @@ __all__ = [
 
 DB_CAP = 300.0
 PDFF_MIN_CONTENT = 1e-12  # PDFF is NaN where water + fat content is below this
+PROJ_MAX_ITERS = 20_000  # cap on the dual iterations of one projection
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ class FieldmapConstraint:
     eps_g: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if np.any(self.eps_g < 0):
+        if not np.all(self.eps_g >= 0):  # NaN fails too; inf is no bound
             raise DimensionError("gradient bounds must be nonnegative")
 
     @classmethod
@@ -184,84 +183,21 @@ def constraint_violation(phi, constraint):
     return float(max(np.max(excess), 0.0))
 
 
-def _project_triples(a, b1, b2, has1, has2, eps):
-    """Exact projection of each (a, b1, b2) onto its gradient-norm ball.
-
-    ``has1`` and ``has2`` mark which neighbors exist and broadcast against
-    the triples. Missing neighbors contribute zero difference and are
-    returned unchanged; with both present the KKT system reduces to a
-    scalar secular equation in the eigenbasis of the 2x2 Gram matrix of the
-    difference map, solved by vectorized bisection to machine precision.
-    Triples with an infinite bound, or with no neighbor, are never violated
-    and come back as they are.
-    """
-    u1 = np.where(has1, b1 - a, 0.0)
-    u2 = np.where(has2, b2 - a, 0.0)
-    norm2 = u1 * u1 + u2 * u2
-    viol = norm2 > eps * eps
-    if not np.any(viol):
-        return a, b1, b2
-    both = has1 & has2
-    single = viol & ~both
-    w1 = np.zeros_like(a)
-    w2 = np.zeros_like(a)
-
-    if np.any(single):
-        # one difference only: symmetric shrink of that pair
-        u = np.where(has1, u1, u2)[single]
-        excess = np.zeros_like(a)
-        excess[single] = np.sign(u) * (np.abs(u) - eps[single]) / 2.0
-        w1 = np.where(has1, excess, 0.0)
-        w2 = np.where(has2, excess, 0.0)
-
-    dual = viol & both
-    if np.any(dual):
-        sq = np.sqrt(2.0)
-        alpha = (u1[dual] + u2[dual]) / sq  # eigenvalue 3 direction
-        beta = (u1[dual] - u2[dual]) / sq  # eigenvalue 1 direction
-        e = eps[dual]
-        zero_eps = e <= 0.0
-        lam_hi = np.where(zero_eps, 0.0, np.sqrt(norm2[dual]) / np.where(zero_eps, 1.0, e) - 1.0)
-        lo = np.zeros_like(lam_hi)
-        hi = lam_hi
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            h = (alpha / (1.0 + 3.0 * mid)) ** 2 + (beta / (1.0 + mid)) ** 2
-            high = h > e * e
-            lo = np.where(high, mid, lo)
-            hi = np.where(high, hi, mid)
-        lam = 0.5 * (lo + hi)
-        a_s = alpha / (1.0 + 3.0 * lam)
-        b_s = beta / (1.0 + lam)
-        us1 = (a_s + b_s) / sq
-        us2 = (a_s - b_s) / sq
-        wd1 = lam * us1
-        wd2 = lam * us2
-        if np.any(zero_eps):
-            # eps = 0: exact projection onto equal values of the triple
-            g_inv_u1 = (2.0 * u1[dual] - u2[dual]) / 3.0
-            g_inv_u2 = (2.0 * u2[dual] - u1[dual]) / 3.0
-            wd1 = np.where(zero_eps, g_inv_u1, wd1)
-            wd2 = np.where(zero_eps, g_inv_u2, wd2)
-        w1[dual] = wd1
-        w2[dual] = wd2
-
-    return a + w1 + w2, b1 - w1, b2 - w2
-
-
-def project_onto_C_phi(xi, constraint, proj_tol=1e-9, max_sweeps=2000):
+def project_onto_C_phi(xi, constraint, proj_tol=1e-9):
     """Euclidean projection of Re(xi) onto the gradient-bound set.
 
-    Dykstra's algorithm with one block per parity class, swept until no
-    voxel moves by more than ``proj_tol max(|Re xi|, 1)``; the imaginary
-    part is clamped to the upper half-plane, which is the exact projection
-    of that separable factor. Raises :class:`NonConvergence` when the
-    result still violates the constraint by more than ``10 proj_tol
-    max(|Re xi|, 1)``, the bound it guarantees.
+    The dual fast gradient projection :func:`_dual_projection`, iterated
+    until the field moves by at most ``proj_tol max(|Re xi|, 1)`` per
+    iteration and violates the constraint by no more; the imaginary part is
+    clamped to the upper half-plane, which is the exact projection of that
+    separable factor. Raises :class:`NonConvergence` when the result still
+    violates the constraint by more than ``10 proj_tol max(|Re xi|, 1)``,
+    the bound it guarantees.
 
-    A field that violates no constraint, tested as the first sweep tests it
-    (squared gradient norm above ``eps**2``), is returned with its
-    imaginary part clamped and no sweep, which is what the sweep returns.
+    A field that violates no constraint, tested as the first dual step
+    tests it (squared gradient norm above ``eps**2``), is returned with its
+    imaginary part clamped and no iteration, which is what the iteration
+    returns.
     """
     xi = np.asarray(xi)
     eps = np.asarray(constraint.eps_g, dtype=float)
@@ -270,7 +206,7 @@ def project_onto_C_phi(xi, constraint, proj_tol=1e-9, max_sweeps=2000):
     g = forward_gradient(np.real(xi))
     if not np.any(g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1] > eps * eps):
         return clamp_upper_half_plane(xi)
-    return _dykstra(xi, constraint, proj_tol, max_sweeps)
+    return _dual_projection(xi, constraint, proj_tol)
 
 
 def clamp_upper_half_plane(xi):
@@ -278,42 +214,43 @@ def clamp_upper_half_plane(xi):
     return np.real(xi) + 1j * np.maximum(np.imag(xi), 0.0)
 
 
-def _dykstra(xi, constraint, proj_tol, max_sweeps):
-    """The sweeps of :func:`project_onto_C_phi` on a field of matching shape."""
+def _dual_projection(xi, constraint, proj_tol):
+    """The iteration of :func:`project_onto_C_phi` on a field of matching shape.
+
+    FISTA on the dual of ``min 0.5 ||x - z||^2`` over C_phi, with ``z = Re
+    xi``, ``D`` = :func:`forward_gradient` and step ``1/8 <= 1/||D||^2``. The
+    dual is kept as ``r = 8 p``, so a step is ``g = q + D(z - D^T q / 8)``
+    followed by shrinking each voxel's ``g(v)`` by ``eps(v)`` in norm (to 0
+    within ``eps(v)``, always for an infinite bound), and the primal point is
+    ``x = z - D^T r / 8``. The momentum restarts whenever it points against
+    the last step, ``<q - r_new, r_new - r> > 0``.
+    """
     eps = np.asarray(constraint.eps_g, dtype=float)
-    h, w = xi.shape
-    # the zero last row and column stand in for the missing neighbors
-    x = np.zeros((h + 1, w + 1))
-    x[:h, :w] = np.real(xi)
-    scale = max(float(np.max(np.abs(x))), 1.0)
-    blocks = []
-    for i in (0, 1):
-        for j in (0, 1):
-            # centers, their +e1 and their +e2 neighbors
-            slices = (
-                (slice(i, h, 2), slice(j, w, 2)),
-                (slice(i + 1, h + 1, 2), slice(j, w, 2)),
-                (slice(i, h, 2), slice(j + 1, w + 1, 2)),
-            )
-            has1 = (np.arange(i, h, 2) < h - 1)[:, None]
-            has2 = (np.arange(j, w, 2) < w - 1)[None, :]
-            blocks.append((slices, has1, has2, eps[slices[0]], [0.0, 0.0, 0.0]))
-    for _ in range(max_sweeps):
-        delta = 0.0
-        for slices, has1, has2, eps_c, corr in blocks:
-            views = [x[sl] for sl in slices]
-            z = [v + c for v, c in zip(views, corr)]
-            projected = _project_triples(*z, has1, has2, eps_c)
-            for k, (v, p) in enumerate(zip(views, projected)):
-                delta = max(delta, float(np.max(np.abs(p - v), initial=0.0)))
-                corr[k] = z[k] - p
-                v[...] = p
-        if delta <= proj_tol * scale:
+    z = np.real(xi)
+    tol = proj_tol * max(float(np.max(np.abs(z))), 1.0)
+    x, t = z, 1.0
+    r = q = np.zeros(z.shape + (2,))  # never written in place
+    for _ in range(PROJ_MAX_ITERS):
+        g = q + forward_gradient(z - gradient_adjoint(q) / 8.0)
+        norm2 = g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1]
+        over = norm2 > eps * eps
+        shrink = np.zeros_like(norm2)
+        shrink[over] = 1.0 - eps[over] / np.sqrt(norm2[over])
+        r_new = g * shrink[..., None]
+        x_new = z - gradient_adjoint(r_new) / 8.0
+        move, x = float(np.max(np.abs(x_new - x))), x_new
+        if move <= tol and constraint_violation(x, constraint) <= tol:
             break
-    out = x[:h, :w] + 1j * np.maximum(np.imag(xi), 0.0)
-    if constraint_violation(out, constraint) > 10.0 * proj_tol * scale:
+        if np.sum((q - r_new) * (r_new - r)) > 0.0:
+            t_new, q = 1.0, r_new
+        else:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            q = r_new + ((t - 1.0) / t_new) * (r_new - r)
+        r, t = r_new, t_new
+    out = x + 1j * np.maximum(np.imag(xi), 0.0)
+    if constraint_violation(out, constraint) > 10.0 * tol:
         raise NonConvergence(
-            f"projection still violates the constraint after {max_sweeps} sweeps"
+            f"projection still violates the constraint after {PROJ_MAX_ITERS} iterations"
         )
     return out
 
@@ -362,7 +299,7 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
     h, w = grid.height, grid.width
     y_flat = grid.signal.reshape(-1, grid.n_e)
     delta_flat = np.broadcast_to(np.asarray(delta, dtype=float), (h, w)).ravel()
-    if np.any(delta_flat < 0):
+    if not np.all(delta_flat >= 0):  # NaN fails too
         raise DimensionError("delta must be nonnegative")
     xi = np.asarray(xi_init, dtype=complex).copy()
     if xi.shape != (h, w):

@@ -367,9 +367,9 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
     """
     from .imaging import clamp_upper_half_plane, projected_descent  # imaging imports solver
 
-    if delta < 0:
+    if not delta >= 0:  # NaN fails too
         raise DomainError(f"delta must be nonnegative, got {delta}")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise DomainError(f"epsilon must be nonnegative, got {epsilon}")
     y = np.asarray(y, dtype=complex)
     y_norm = max(float(np.linalg.norm(y)), 1e-300)

@@ -145,7 +145,7 @@ class TestProjection:
             x0 = 3.0 * RNG.standard_normal((h, w))
             eps = RNG.uniform(0.5, 3.0, (h, w))
             con = FieldmapConstraint(eps_g=eps)
-            mine = project_onto_C_phi(x0.astype(complex), con, proj_tol=1e-11, max_sweeps=200_000).real
+            mine = project_onto_C_phi(x0.astype(complex), con, proj_tol=1e-11).real
             v = cp.Variable((h, w))
             cons = []
             for i in range(h):
@@ -193,25 +193,52 @@ class TestProjection:
         con = FieldmapConstraint(eps_g=eps)
         proj_tol = 1e-11
         x_scale = max(float(np.max(np.abs(xi.real))), 1.0)
-        out = project_onto_C_phi(xi, con, proj_tol=proj_tol, max_sweeps=200_000)
+        out = project_onto_C_phi(xi, con, proj_tol=proj_tol)
         assert constraint_violation(out, con) <= 10.0 * proj_tol * x_scale
         assert np.array_equal(out.imag, np.maximum(xi.imag, 0.0))
-        again = project_onto_C_phi(out, con, proj_tol=proj_tol, max_sweeps=200_000)
+        again = project_onto_C_phi(out, con, proj_tol=proj_tol)
         assert np.max(np.abs(again - out)) <= 1e-9 * x_scale
         stationarity, move = kkt_residual(xi.real, out.real, eps)
         assert stationarity <= 1e-8 * move
+
+    def test_far_start_converges(self):
+        # fields of 50 Hz spread under bounds of a few Hz: most constraints
+        # are active far from the start
+        rng = np.random.default_rng(4)
+        proj_tol = 1e-11
+        for _ in range(12):
+            h, w = rng.integers(4, 9, 2)
+            x0 = 50.0 * rng.standard_normal((h, w))
+            eps = rng.uniform(0.5, 3.0, (h, w))
+            con = FieldmapConstraint(eps_g=eps)
+            x_scale = max(float(np.max(np.abs(x0))), 1.0)
+            out = project_onto_C_phi(x0.astype(complex), con, proj_tol=proj_tol)
+            assert constraint_violation(out, con) <= 10.0 * proj_tol * x_scale
+            again = project_onto_C_phi(out, con, proj_tol=proj_tol)
+            assert np.max(np.abs(again - out)) <= 1e-9 * x_scale
+            stationarity, move = kkt_residual(x0, out.real, eps)
+            assert stationarity <= 1e-8 * move
+
+    def test_nan_bound_rejected(self):
+        eps = np.full((3, 3), np.inf)
+        FieldmapConstraint(eps_g=eps)  # an infinite bound is no bound
+        eps[1, 1] = np.nan
+        with pytest.raises(DimensionError):
+            FieldmapConstraint(eps_g=eps)
+        with pytest.raises(DimensionError):
+            FieldmapConstraint.from_mask(np.ones((3, 3), bool), np.nan, 10.0)
 
 
 FIELD_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)
 
 
-def _no_sweep(*args):
-    raise AssertionError("a feasible field must not be swept")
+def _no_iteration(*args):
+    raise AssertionError("a feasible field must not be iterated")
 
 
 class TestProjectionFastPath:
     def test_feasible_field_is_returned_without_a_sweep(self, monkeypatch):
-        monkeypatch.setattr(imaging, "_project_triples", _no_sweep)
+        monkeypatch.setattr(imaging, "_dual_projection", _no_iteration)
         con = FieldmapConstraint.uniform(7, 9, 5.0)
         xi = 0.5 * RNG.standard_normal((7, 9)) + 1j * RNG.standard_normal((7, 9))
         assert constraint_violation(xi, con) == 0.0
@@ -226,9 +253,9 @@ class TestProjectionFastPath:
         con = FieldmapConstraint(eps_g=eps)
         assert constraint_violation(x0, con) > 0.0
         with mock.patch.object(
-            imaging, "_project_triples", side_effect=imaging._project_triples
+            imaging, "_dual_projection", side_effect=imaging._dual_projection
         ) as spy:
-            out = project_onto_C_phi(x0.astype(complex), con, proj_tol=1e-11, max_sweeps=200_000)
+            out = project_onto_C_phi(x0.astype(complex), con, proj_tol=1e-11)
         assert spy.called
         assert constraint_violation(out, con) <= 10.0 * 1e-11 * np.max(np.abs(x0))
         stationarity, move = kkt_residual(x0, out.real, eps)
@@ -247,8 +274,8 @@ class TestProjectionFastPath:
     @example(x=np.array([[0.0, 4.0], [3.0, 7.0]]), nudge=0, seed=0)  # squared norms 25, 9, 16, 0
     def test_boundary_matches_the_sweep(self, x, nudge, seed):
         # eps at the gradient norm of the field itself: a constraint that
-        # holds with equality is not violated, so no sweep runs, and the
-        # result equals the sweep's bit for bit either way
+        # holds with equality is not violated, so no iteration runs, and the
+        # result equals the iteration's bit for bit either way
         rng = np.random.default_rng(seed)
         x = np.where((x == 0) & (rng.random(x.shape) < 0.5), -0.0, x)
         g = forward_gradient(x)
@@ -263,11 +290,11 @@ class TestProjectionFastPath:
         xi.imag = np.where(rng.random(x.shape) < 0.3, -0.0, rng.standard_normal(x.shape))
         violated = bool(np.any(norm2 > eps * eps))
         with mock.patch.object(
-            imaging, "_project_triples", side_effect=imaging._project_triples
+            imaging, "_dual_projection", side_effect=imaging._dual_projection
         ) as spy:
-            out = project_onto_C_phi(xi, con, proj_tol=1e-11, max_sweeps=200_000)
+            out = project_onto_C_phi(xi, con, proj_tol=1e-11)
         assert spy.called == violated
-        swept = imaging._dykstra(xi, con, 1e-11, 200_000)
+        swept = imaging._dual_projection(xi, con, 1e-11)
         assert np.array_equal(out.view(np.uint64), swept.view(np.uint64))
 
 
@@ -438,6 +465,13 @@ class TestReconstructNoisy:
         # the value and both gradients from one order-1 call, then one adjoint
         assert orders == [1, 0] * 8
 
+    def test_nan_delta_rejected(self):
+        truth = small_phantom(side=8, n_shapes=1)
+        con = FieldmapConstraint.uniform(8, 8, 30.0)
+        cfg = FlowConfig(certified=True, max_iters=5)
+        with pytest.raises(DimensionError):
+            reconstruct_noisy(truth.grid, MODEL, con, np.nan, cfg, np.full((8, 8), 1.0 + 0j))
+
     def test_delta_zero_matches_noiseless_path(self):
         truth = small_phantom()
         con = FieldmapConstraint.from_mask(truth.mask, 30.0, 1000.0)
@@ -493,7 +527,8 @@ class TestSupportRule:
             ImageGrid(32, 32, signal, mask), MODEL, FieldmapConstraint.from_mask(mask, 30.0, np.inf),
             FlowConfig(certified=True, max_iters=1000, grad_tol=1e-6), init,
         )
-        # even offsets keep every voxel in its Dykstra parity block
+        # the bounded constraints reach no voxel outside the embedded image,
+        # so the projection acts on it as on the small grid
         big_signal = np.zeros((40, 44, 6), complex)
         big_signal[4:36, 6:38] = signal
         big_mask = np.zeros((40, 44), bool)

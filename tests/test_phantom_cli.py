@@ -479,6 +479,61 @@ class TestCli:
         assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("doc", [5, None])
+    def test_header_that_is_not_an_object_exits_2(self, tmp_path, capsys, doc):
+        header = tmp_path / "img.json"
+        header.write_text(json.dumps(doc))
+        out = tmp_path / "r.npz"
+        assert cli_main(["reconstruct", "--input", str(header), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("width", "x"), ("height", 2.0), ("n_e", True)])
+    def test_non_integer_size_exits_2(self, tmp_path, capsys, key, value):
+        header = tmp_path / "img.json"
+        write_csir(header, np.ones((2, 3, 6), dtype=complex), [1.2, 2.2, 3.2, 4.2, 5.2, 6.2])
+        header.write_text(json.dumps({**json.loads(header.read_text()), key: value}))
+        out = tmp_path / "r.npz"
+        assert cli_main(["reconstruct", "--input", str(header), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            ["a", 2.2, 3.2, 4.2, 5.2, 6.2],
+            [1.2, 2.2, 3.2, 4.2, 5.2, None],
+            [1.2, 2.2, 3.2, 4.2, 5.2, float("nan")],
+            [1.2, 2.2, 3.2, 4.2, 5.2, 10**400],
+            [1.2, 2.2, 3.2],
+            "1.2",
+        ],
+    )
+    def test_malformed_header_echo_times_exit_2(self, tmp_path, capsys, times):
+        header = tmp_path / "img.json"
+        write_csir(header, np.ones((2, 3, 6), dtype=complex), [1.2, 2.2, 3.2, 4.2, 5.2, 6.2])
+        header.write_text(json.dumps({**json.loads(header.read_text()), "echo_times_ms": times}))
+        out = tmp_path / "noisy.json"
+        assert cli_main(["corrupt", "--input", str(header), "--out", str(out), "--sigma", "0.01"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
+        assert not out.exists() and not out.with_suffix(".bin").exists()
+
+    @pytest.mark.parametrize("flag", ["--eps-on-mask", "--eps-off-mask", "--delta"])
+    def test_nan_bound_exits_2(self, tmp_path, capsys, flag):
+        header = tmp_path / "img.json"
+        signal = np.ones((2, 3, 6), dtype=complex)
+        signal[0, 0] = 0.0  # one voxel off the mask
+        write_csir(header, signal, [1.238 + 0.986 * k for k in range(6)])
+        out = tmp_path / "r.npz"
+        argv = ["reconstruct", "--input", str(header), "--out", str(out), flag, "nan"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "DimensionError"
+        assert not out.exists()
+
     def test_metrics_are_on_mask(self, tmp_path):
         rng = np.random.default_rng(43)
         mask = np.zeros((5, 6), dtype=bool)

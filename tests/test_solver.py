@@ -458,6 +458,14 @@ class TestConstrainedFlow:
         with pytest.raises(DomainError):
             regularized_constrained_flow(OP, s0, 0.02, -1.0, xi0, cfg)
 
+    def test_nan_radius_or_ridge_rejected(self):
+        xi0, c0, s0 = random_voxel(np.random.default_rng(12))
+        cfg = FlowConfig(certified=True, max_iters=10)
+        with pytest.raises(DomainError):
+            constrained_flow(OP, s0, np.nan, xi0, cfg)
+        with pytest.raises(DomainError):
+            constrained_flow(OP, s0, 0.02, xi0, cfg, epsilon=np.nan)
+
     def test_noiseless_feasible_reaches_zero_objective(self):
         xi0, c0, s0 = random_voxel()
         cfg = FlowConfig(certified=True, max_iters=5000)
