@@ -267,6 +267,8 @@ def cmd_reconstruct(args):
     )
     summary = {
         "iterations": res.iterations,
+        "fallback_iterations": res.fallback_iterations,
+        "step_spread": list(res.step_spread),
         "converged": res.converged,
         "constraint_violation": res.constraint_violation,
         "final_objective": res.objective_trace[-1],

@@ -23,8 +23,9 @@ a field that leaves C_phi is iterated.
 One projected-descent loop, :func:`projected_descent`, moves a field and
 its per-voxel signals (kept in their noise balls ``||s(v) - y(v)|| <=
 delta(v)``) together. The image driver, :func:`reconstruct_noisy`, runs it
-with the projection onto C_phi, and the single-voxel flows of
-:mod:`csemri.solver` on a batch of one with the upper half-plane clamp.
+with per-voxel certified steps and the projection onto C_phi, and the
+single-voxel flows of :mod:`csemri.solver` on a batch of one with the
+upper half-plane clamp.
 Noiseless reconstruction, :func:`reconstruct`, is ``delta = 0``, where the
 signals are held at the data. The objective is evaluated only on the
 signal support, the voxels whose data is nonzero: a zero-signal voxel has
@@ -200,13 +201,19 @@ def project_onto_C_phi(xi, constraint, proj_tol=1e-9):
     returns.
     """
     xi = np.asarray(xi)
-    eps = np.asarray(constraint.eps_g, dtype=float)
-    if eps.shape != xi.shape:
-        raise DimensionError(f"eps_g shape {eps.shape} does not match field {xi.shape}")
-    g = forward_gradient(np.real(xi))
-    if not np.any(g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1] > eps * eps):
+    if _in_C_phi(xi, constraint):
         return clamp_upper_half_plane(xi)
     return _dual_projection(xi, constraint, proj_tol)
+
+
+def _in_C_phi(xi, constraint):
+    """Whether ``Re xi`` violates no gradient bound, tested as the first dual
+    step tests it: no squared gradient norm above ``eps**2``."""
+    eps = np.asarray(constraint.eps_g, dtype=float)
+    if eps.shape != np.shape(xi):
+        raise DimensionError(f"eps_g shape {eps.shape} does not match field {np.shape(xi)}")
+    g = forward_gradient(np.real(xi))
+    return not np.any(g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1] > eps * eps)
 
 
 def clamp_upper_half_plane(xi):
@@ -257,6 +264,13 @@ def _dual_projection(xi, constraint, proj_tol):
 
 @dataclass(frozen=True)
 class ReconResult:
+    """A reconstruction and its run statistics.
+
+    ``fallback_iterations`` counts the iterations whose per-voxel step left
+    C_phi and that took the smallest step over the mask with the projection
+    instead; ``step_spread`` is (min, median, max) of the per-voxel steps.
+    """
+
     xi_map: np.ndarray = field(repr=False)
     c_map: np.ndarray = field(repr=False)
     objective_trace: tuple[float, ...]
@@ -264,15 +278,26 @@ class ReconResult:
     iterations: int
     converged: bool
     s_map: np.ndarray = field(repr=False)
+    fallback_iterations: int
+    step_spread: tuple[float, float, float]
 
 
-def _global_step(op, cfg, xi_flat, s_flat, mask_flat):
+def _descent_steps(op, cfg, xi, s, on_mask):
+    """Per-voxel steps of the voxels ``xi``, ``s`` and the fallback step.
+
+    In certified mode each voxel's :func:`certified_step` at ``xi``, and the
+    fallback is their minimum over ``on_mask``. Both are ``0.9
+    step_bound(rho)`` when no voxel has curvature, and so is the fallback
+    when ``on_mask`` selects no voxel. Otherwise both are ``cfg.step``.
+    """
     if not cfg.certified:
-        return cfg.step
+        return cfg.step, cfg.step
+    fixed = 0.9 * step_bound(cfg.rho)
     try:
-        return certified_step(op, xi_flat[mask_flat], s_flat[mask_flat], cfg.rho)
+        steps = certified_step(op, xi, s, cfg.rho)
     except DegenerateCurvature:
-        return 0.9 * step_bound(cfg.rho)
+        return fixed, fixed
+    return steps, float(np.min(steps[on_mask])) if np.any(on_mask) else fixed
 
 
 def reconstruct(grid, model, constraint, cfg, xi_init, proj_tol=1e-9):
@@ -284,11 +309,13 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
     """Joint projected Wirtinger descent on the field and the per-voxel signals.
 
     :func:`projected_descent` on the signal support, the voxels with any
-    nonzero echo, with one global step size (the smallest certified step
-    over the mask in certified mode) and the exact projection onto C_phi;
-    the signals stay in their balls ``||s(v) - y(v)|| <= delta(v)`` and are
-    held at ``y`` when every ``delta`` is zero. Off the support ``R s = 0``,
-    so the signal stays at ``y = 0`` even where ``delta > 0`` and the field
+    nonzero echo. In certified mode every voxel steps by its own certified
+    step at ``xi_init``; an iteration whose step leaves C_phi takes the
+    smallest of those steps over the mask instead, followed by the exact
+    projection onto C_phi (with ``cfg.step`` both steps are that step). The
+    signals stay in their balls ``||s(v) - y(v)|| <= delta(v)`` and are held
+    at ``y`` when every ``delta`` is zero. Off the support ``R s = 0``, so
+    the signal stays at ``y = 0`` even where ``delta > 0`` and the field
     moves only through the projection; voxels below the mask threshold that
     still carry signal count in the objective. ``converged`` is reported
     only for a field within ``10 proj_tol max(|Re xi|, 1)`` of the set.
@@ -304,18 +331,17 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
     xi = np.asarray(xi_init, dtype=complex).copy()
     if xi.shape != (h, w):
         raise DimensionError(f"xi_init shape {xi.shape} does not match grid")
-    alpha = _global_step(op, cfg, xi.ravel(), y_flat, grid.mask.ravel())
 
     support = np.flatnonzero(np.any(y_flat != 0, axis=1))
     y, delta_s = y_flat[support], delta_flat[support]
+    steps, fallback = _descent_steps(op, cfg, xi.ravel()[support], y, grid.mask.ravel()[support])
     # the gradient is tested against ||y||^2, the signal move against max(||y||, delta)
     grad_scale = np.maximum(np.sum(np.abs(y) ** 2, axis=1), 1e-300)
     s_scale = np.maximum(np.maximum(np.linalg.norm(y, axis=1), delta_s), 1e-300)
-    xi, s, iterations, converged, _, trace, _ = projected_descent(
-        op, xi, support, y, delta_s, alpha,
-        lambda x: project_onto_C_phi(x, constraint, proj_tol=proj_tol),
+    xi, s, iterations, converged, _, trace, _, fallbacks = projected_descent(
+        op, xi, support, y, delta_s, steps, constraint,
         (grad_scale, cfg.grad_tol if cfg.grad_tol is not None else 1e-12, s_scale, 1e-10),
-        cfg.max_iters,
+        cfg.max_iters, fallback_step=fallback, proj_tol=proj_tol,
     )
     s_map = y_flat.copy()
     s_map[support] = s
@@ -324,6 +350,7 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
     # convergence needs the bound that project_onto_C_phi enforces
     violation = constraint_violation(xi, constraint)
     feasible = violation <= 10.0 * proj_tol * max(float(np.max(np.abs(xi.real))), 1.0)
+    steps = np.atleast_1d(steps)
     return ReconResult(
         xi_map=xi,
         c_map=c_map,
@@ -332,28 +359,36 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
         iterations=iterations,
         converged=converged and feasible,
         s_map=s_map.reshape(h, w, grid.n_e),
+        fallback_iterations=fallbacks,
+        step_spread=(float(steps.min()), float(np.median(steps)), float(steps.max())),
     )
 
 
-def projected_descent(op, xi, support, y, delta, alpha, project, tests, max_iters,
-                      epsilon=0.0, record=False):
+def projected_descent(op, xi, support, y, delta, alpha, constraint, tests, max_iters,
+                      epsilon=0.0, record=False, fallback_step=None, proj_tol=1e-9):
     """Projected joint descent of f(xi, s) (+ epsilon ||s||^2), the loop of every flow.
 
     Each iteration evaluates f and both gradients once, at the flat entries
-    ``support`` of the field ``xi`` (updated in place) with data ``y`` and
-    ball radii ``delta``; the field steps by ``alpha`` and is mapped back by
-    ``project``, the signals by :func:`projected_signal_step` (held at ``y``
-    if every ``delta`` is 0). It stops once ``|grad| / grad_scale <=
-    grad_tol`` and ``||s move|| / s_scale <= s_tol`` everywhere (``tests``
-    holds these four) or after ``max_iters`` steps. Returns the field,
-    signals, iterations, convergence, last gradient, objective per iterate
-    and, with ``record``, a copy of every iterate.
+    ``support`` of the field ``xi`` with data ``y`` and ball radii
+    ``delta``. The field steps by ``alpha``, one step per support voxel or
+    one for all. The candidate is clamped to the upper half-plane when
+    ``constraint`` is None (the single-voxel flows) or when it lies in
+    C_phi, where that clamp is its projection; otherwise the iteration steps
+    by ``fallback_step`` instead and maps the field back with
+    :func:`project_onto_C_phi`. The signals take :func:`projected_signal_step`
+    (held at ``y`` if every ``delta`` is 0). It stops once ``|grad| /
+    grad_scale <= grad_tol`` and ``||s move|| / s_scale <= s_tol``
+    everywhere (``tests`` holds these four) or after ``max_iters`` steps.
+    Returns the field, signals, iterations, convergence, last gradient,
+    objective per iterate, with ``record`` a copy of every iterate, and the
+    number of iterations that fell back.
     """
     grad_scale, grad_tol, s_scale, s_tol = tests
     hold_signal = not np.any(delta > 0)
     s = y.copy()
     trace = []
     trajectory = [xi.copy()] if record else None
+    fallbacks = 0
     for iterations in range(max_iters + 1):
         xi_s = xi.ravel()[support]
         s_new, s_move = s, 0.0
@@ -370,13 +405,18 @@ def projected_descent(op, xi, support, y, delta, alpha, project, tests, max_iter
         )
         if converged or iterations == max_iters:
             break
-        flat = xi.ravel()
-        flat[support] = xi_s - alpha * grad  # the gradient is zero off the support
-        xi = project(flat.reshape(xi.shape))
+        moved = xi.copy()
+        moved.ravel()[support] = xi_s - alpha * grad  # the gradient is zero off the support
+        if constraint is None or _in_C_phi(moved, constraint):
+            xi = clamp_upper_half_plane(moved)
+        else:
+            fallbacks += 1
+            moved.ravel()[support] = xi_s - fallback_step * grad
+            xi = project_onto_C_phi(moved, constraint, proj_tol=proj_tol)
         s = s_new
         if record:
             trajectory.append(xi.copy())
-    return xi, s, iterations, converged, grad, trace, trajectory
+    return xi, s, iterations, converged, grad, trace, trajectory, fallbacks
 
 
 MISMATCH = np.iinfo(np.int64).min  # sentinel for offsets that are no lattice multiple

@@ -273,22 +273,23 @@ def step_bound(rho):
 
 
 def certified_step(op, xi_ref, s_ref, rho):
-    """Absolute step: 0.9 * step_bound(rho) / L with L = (2+rho) ||R'(xi) s||^2.
+    """Absolute step per voxel: 0.9 * step_bound(rho) / L with L = (2+rho) ||R'(xi) s||^2.
 
     The certified bound is stated in units where the curvature scale
     ``||R'(xi0) s0||^2`` multiplies the objective; the Lipschitz estimate
-    converts it into an absolute step. For a batch of voxels (``xi_ref``
-    of shape (n,), ``s_ref`` of shape (n, n_e)) ``L`` takes the largest
-    curvature, so the step is the smallest per-voxel step; voxels with zero
-    curvature cannot attain that maximum, and only an all-zero batch
-    raises :class:`DegenerateCurvature`.
+    converts it into an absolute step. A batch of voxels (``xi_ref`` of
+    shape (n,), ``s_ref`` of shape (n, n_e)) gets one step per voxel, in
+    the shape of ``xi_ref``; a voxel with zero curvature has no step of its
+    own and takes the batch's smallest, and only an all-zero batch raises
+    :class:`DegenerateCurvature`.
     """
     _check_square_guard(op, xi_ref)
     _, r1s = residual_pieces(op, xi_ref, s_ref, 1)
-    curvature = float(np.max(np.sum(np.abs(r1s) ** 2, axis=1), initial=0.0))
-    if curvature == 0.0:
+    curvature = np.sum(np.abs(r1s) ** 2, axis=1).reshape(np.shape(xi_ref))
+    largest = float(np.max(curvature, initial=0.0))
+    if largest == 0.0:
         raise DegenerateCurvature("cannot scale the certified step: zero curvature")
-    return 0.9 * step_bound(rho) / ((2.0 + rho) * curvature)
+    return 0.9 * step_bound(rho) / ((2.0 + rho) * np.where(curvature > 0.0, curvature, largest))
 
 
 @dataclass(frozen=True)
@@ -297,12 +298,15 @@ class FlowConfig:
 
     ``step`` is the absolute step size; leave it None and set
     ``certified=True`` to derive it from the curvature at the initial
-    iterate. ``max_iters >= 0`` caps the steps. ``grad_tol`` bounds each
-    voxel's real-chart field gradient over the scale its caller passes to
-    :func:`csemri.imaging.projected_descent`: the single-voxel flows pass 1
-    (an absolute bound, default ``1e-12 ||y||^2``, as the gradient scales
-    with the squared signal), the image driver ``||y(v)||^2`` (a relative
-    bound, default ``1e-12``).
+    iterate: the voxel's :func:`certified_step` in the single-voxel flows,
+    and each support voxel's own step in the image driver, which falls back
+    to the smallest step over the mask (and the projection) in an iteration
+    whose steps leave C_phi. ``max_iters >= 0`` caps the steps.
+    ``grad_tol`` bounds each voxel's real-chart field gradient over the
+    scale its caller passes to :func:`csemri.imaging.projected_descent`: the
+    single-voxel flows pass 1 (an absolute bound, default ``1e-12 ||y||^2``,
+    as the gradient scales with the squared signal), the image driver
+    ``||y(v)||^2`` (a relative bound, default ``1e-12``).
     """
 
     step: float | None = None
@@ -365,7 +369,7 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
     the signal is held there, its gradient is never formed, and the loop is
     plain Wirtinger flow on ``f0``.
     """
-    from .imaging import clamp_upper_half_plane, projected_descent  # imaging imports solver
+    from .imaging import projected_descent  # imaging imports solver
 
     if not delta >= 0:  # NaN fails too
         raise DomainError(f"delta must be nonnegative, got {delta}")
@@ -375,9 +379,9 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
     y_norm = max(float(np.linalg.norm(y)), 1e-300)
     grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12 * y_norm**2
     alpha = cfg.step if not cfg.certified else certified_step(op, xi_init, y, cfg.rho)
-    xi, s, iterations, converged, grad, _, trajectory = projected_descent(
-        op, np.array([complex(xi_init)]), slice(None), y[None], delta, alpha,
-        clamp_upper_half_plane, (1.0, grad_tol, max(y_norm, float(delta)), 1e-12),
+    xi, s, iterations, converged, grad, _, trajectory, _ = projected_descent(
+        op, np.array([complex(xi_init)]), slice(None), y[None], delta, alpha, None,
+        (1.0, grad_tol, max(y_norm, float(delta)), 1e-12),
         cfg.max_iters, epsilon, cfg.keep_trajectory,
     )
     xi, s = complex(xi[0]), s[0]

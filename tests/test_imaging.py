@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from csemri import imaging
 from csemri.errors import DegenerateCurvature, DimensionError, OverflowRisk
 from csemri.imaging import (
-    _global_step,
+    _descent_steps,
     FieldmapConstraint,
     ImageGrid,
     constraint_violation,
@@ -33,7 +33,7 @@ from csemri.phantom import (
     default_phantom_spec,
     generate_phantom,
 )
-from csemri.residual import make_residual_operator, voxelwise_concentrations
+from csemri.residual import make_residual_operator, residual_pieces, voxelwise_concentrations
 from csemri.solver import (
     FlowConfig,
     certified_step,
@@ -317,23 +317,31 @@ class TestImageGrid:
 
 
 class TestCertifiedStepBatch:
-    def test_equals_smallest_voxel_step(self):
+    def test_batch_equals_the_scalar_call_per_voxel(self):
         truth = small_phantom()
         xi = truth.xi0_map.ravel()
         s = truth.grid.signal.reshape(-1, 6).copy()
         s[np.flatnonzero(truth.mask.ravel())[::5]] = 0.0  # zero-signal voxels on the mask
         mask = truth.mask.ravel() | (np.arange(len(xi)) % 7 == 0)  # and off-mask ones
-        steps, zero = [], 0
-        for i in np.flatnonzero(mask):
-            try:
-                steps.append(certified_step(OP, xi[i], s[i], 0.5))
-            except DegenerateCurvature:
-                zero += 1
-        assert zero > 0
         batch = certified_step(OP, xi[mask], s[mask], 0.5)
-        assert batch == pytest.approx(min(steps), rel=1e-12)
-        cfg = FlowConfig(certified=True, rho=0.5)
-        assert _global_step(OP, cfg, xi, s, mask) == batch
+        assert batch.shape == (np.count_nonzero(mask),)
+        zero = []
+        for k, i in enumerate(np.flatnonzero(mask)):
+            try:
+                # BLAS rounds a batch's kernel product and a single row's differently
+                assert batch[k] == pytest.approx(certified_step(OP, xi[i], s[i], 0.5), rel=1e-12)
+            except DegenerateCurvature:
+                zero.append(k)
+        assert zero
+        assert np.all(batch[zero] == batch.min())  # zero curvature takes the batch minimum
+        # the fallback is the mask minimum, which is the step of the largest curvature
+        on_mask = truth.mask.ravel()[mask]
+        steps, fallback = _descent_steps(OP, FlowConfig(certified=True, rho=0.5),
+                                         xi[mask], s[mask], on_mask)
+        assert np.array_equal(steps, batch)
+        _, r1s = residual_pieces(OP, xi[mask][on_mask], s[mask][on_mask], 1)
+        largest = np.max(np.sum(np.abs(r1s) ** 2, axis=1))
+        assert fallback == 0.9 * step_bound(0.5) / (2.5 * largest)
 
     def test_all_zero_batch_falls_back(self):
         xi = np.full(5, 10.0 + 3j)
@@ -341,8 +349,9 @@ class TestCertifiedStepBatch:
         with pytest.raises(DegenerateCurvature):
             certified_step(OP, xi, s, 0.5)
         cfg = FlowConfig(certified=True, rho=0.5)
-        assert _global_step(OP, cfg, xi, s, np.ones(5, bool)) == 0.9 * step_bound(0.5)
-        assert _global_step(OP, cfg, xi, s, np.zeros(5, bool)) == 0.9 * step_bound(0.5)
+        fixed = 0.9 * step_bound(0.5)
+        assert _descent_steps(OP, cfg, xi, s, np.ones(5, bool)) == (fixed, fixed)
+        assert _descent_steps(OP, cfg, xi, s, np.zeros(5, bool)) == (fixed, fixed)
 
     def test_overflow_is_raised_not_dropped(self):
         truth = small_phantom()
@@ -351,7 +360,7 @@ class TestCertifiedStepBatch:
         xi[np.flatnonzero(mask)[3]] = 1j * 2e4 / MODEL.times[-1]
         cfg = FlowConfig(certified=True, rho=0.5)
         with pytest.raises(OverflowRisk):
-            _global_step(OP, cfg, xi, truth.grid.signal.reshape(-1, 6), mask)
+            _descent_steps(OP, cfg, xi, truth.grid.signal.reshape(-1, 6), mask)
 
 
 class TestReconstruct:
@@ -510,6 +519,58 @@ class TestReconstructNoisy:
             mse_oracle = np.mean(np.abs(c_oracle[mask, :2] - truth.c0_map[mask, :2]) ** 2)
             ratios.append(mse / mse_oracle)
         assert max(ratios) < 3.0
+
+
+class TestPerVoxelSteps:
+    """Each voxel steps by its own certified step; a step that leaves C_phi
+    takes the smallest step over the mask and the projection instead."""
+
+    def test_binding_constraint_falls_back_to_a_stationary_point(self):
+        truth = small_phantom(side=10)
+        # bounds far below the truth's own gradients: the set binds at the solution
+        con = FieldmapConstraint.from_mask(truth.mask, 0.05, 1000.0)
+        cfg = FlowConfig(certified=True, max_iters=200, grad_tol=1e-8)
+        init = np.full((10, 10), 1.0 + 0j)
+        res = reconstruct(truth.grid, MODEL, con, cfg, init, proj_tol=1e-11)
+        assert 0 < res.fallback_iterations < res.iterations == 200
+        x = res.xi_map
+        assert res.constraint_violation <= 10.0 * 1e-11 * max(np.max(np.abs(x.real)), 1.0)
+        y = truth.grid.signal.reshape(-1, 6)
+        support = np.flatnonzero(np.any(y != 0, axis=1))
+        _, fallback = _descent_steps(
+            OP, cfg, init.ravel()[support], y[support], truth.mask.ravel()[support]
+        )
+        assert fallback == res.step_spread[0]
+        _, d_xi = imaging.voxelwise_value_and_gradient(OP, x.ravel()[support], y[support])
+        grad = 2.0 * np.conj(d_xi) / np.sum(np.abs(y[support]) ** 2, axis=1)
+        assert np.max(np.abs(grad)) > 1e3 * cfg.grad_tol  # the gradient alone does not vanish
+        # stationary: the projected step of the smallest step returns x
+        moved = x.copy()
+        moved.ravel()[support] -= fallback * 2.0 * np.conj(d_xi)
+        back = project_onto_C_phi(moved, con, proj_tol=1e-11)
+        residual = np.abs(back - x).ravel()[support] / fallback
+        assert np.max(residual / np.sum(np.abs(y[support]) ** 2, axis=1)) <= cfg.grad_tol
+
+    @pytest.mark.parametrize("delta", [0.0, 0.02])
+    def test_noise_voxels_never_iterate_the_projection(self, delta):
+        # the CLI's defaults on a noisy image: every voxel is on the mask, so
+        # pure-noise voxels get steps of order 1 / sigma^2
+        truth = generate_phantom(default_phantom_spec(width=32, height=32), MODEL)
+        sigma = 0.01 * np.abs(truth.grid.signal).max()
+        noisy, _ = corrupt(truth.grid, CorruptionSpec(sigma=sigma), seed=1)
+        grid = ImageGrid.from_signal(noisy.signal)
+        assert grid.mask.all()
+        con = FieldmapConstraint.from_mask(grid.mask, 30.0, 1000.0)
+        cfg = FlowConfig(certified=True, max_iters=100)
+        with mock.patch.object(
+            imaging, "_dual_projection", side_effect=imaging._dual_projection
+        ) as spy:
+            res = reconstruct_noisy(grid, MODEL, con, delta, cfg, np.full((32, 32), 1.0 + 0j))
+        assert res.iterations == 100
+        assert not spy.called
+        assert res.constraint_violation == 0.0
+        assert res.step_spread[2] > 1e3 * res.step_spread[0]
+        assert np.all(np.isfinite(res.xi_map))
 
 
 class TestSupportRule:

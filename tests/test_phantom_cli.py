@@ -608,6 +608,19 @@ class TestCli:
         assert cli_main(["metrics", "--truth", str(truth), "--recon", str(recon), "--out",
                          str(tmp_path / "m2.json")]) == 0
 
+    def test_default_reconstruct_converges(self, tmp_path):
+        ph, met = tmp_path / "ph.json", tmp_path / "metrics.json"
+        assert cli_main(["phantom", "--out", str(ph), "--width", "32", "--height", "32"]) == 0
+        assert cli_main(["reconstruct", "--input", str(ph), "--out", str(tmp_path / "r.npz"),
+                         "--metrics-out", str(met)]) == 0
+        report = json.loads(met.read_text())
+        assert report["converged"] is True
+        assert 0 < report["iterations"] < 2000
+        assert {"constraint_violation", "final_objective"} <= set(report)
+        assert 0 <= report["fallback_iterations"] <= report["iterations"]
+        low, median, high = report["step_spread"]
+        assert 0 < low <= median <= high
+
     def test_analyze_writes_report_and_csv(self, tmp_path):
         config = tmp_path / "acq.json"
         config.write_text(json.dumps({
