@@ -19,7 +19,6 @@ import numpy as np
 
 from . import errors
 from .containers import (
-    constraint_from_config,
     flow_config_from_dict,
     grid_from_csir,
     load_acquisition_config,
@@ -27,7 +26,14 @@ from .containers import (
     read_csir,
     write_csir,
 )
-from .imaging import ImageGrid, metrics_table, pdff_map, reconstruct, reconstruct_noisy
+from .imaging import (
+    FieldmapConstraint,
+    ImageGrid,
+    metrics_table,
+    pdff_map,
+    reconstruct,
+    reconstruct_noisy,
+)
 from .lattice import delta_zero_set, fieldmap_lattice, rationalize_echoes, sigma_min_profile
 from .phantom import CorruptionSpec, corrupt, default_phantom_spec, generate_phantom
 from .residual import make_residual_operator
@@ -241,16 +247,20 @@ def cmd_corrupt(args):
 
 
 def cmd_reconstruct(args):
+    if args.flow and args.max_iters is not None:
+        raise errors.SpecError("--max-iters conflicts with --flow; set max_iters in the flow config")
     model, _ = _load_acquisition(args.config)
     grid, header = grid_from_csir(args.input, mask_threshold=args.mask_threshold)
-    constraint = constraint_from_config(
-        {"eps_on_mask_hz": args.eps_on_mask, "eps_off_mask_hz": args.eps_off_mask}, grid.mask
-    )
+    constraint = FieldmapConstraint.from_mask(grid.mask, args.eps_on_mask, args.eps_off_mask)
     flow_doc = {}
     if args.flow:
         with open(args.flow) as fh:
             flow_doc = json.load(fh)
-    cfg = flow_config_from_dict(flow_doc) if flow_doc else FlowConfig(certified=True, max_iters=args.max_iters)
+    if flow_doc:
+        cfg = flow_config_from_dict(flow_doc)
+    else:
+        max_iters = 2000 if args.max_iters is None else args.max_iters
+        cfg = FlowConfig(certified=True, max_iters=max_iters)
     xi_init = np.full((grid.height, grid.width), complex(args.init_re, args.init_im))
     if args.delta is not None:
         res = reconstruct_noisy(grid, model, constraint, args.delta, cfg, xi_init)
@@ -379,7 +389,7 @@ def build_parser():
     p.add_argument("--eps-on-mask", type=float, default=30.0)
     p.add_argument("--eps-off-mask", type=float, default=1000.0)
     p.add_argument("--mask-threshold", type=float, default=0.0)
-    p.add_argument("--max-iters", type=int, default=2000)
+    p.add_argument("--max-iters", type=int, default=None, help="default 2000; not with --flow")
     p.add_argument("--init-re", type=float, default=1.0)
     p.add_argument("--init-im", type=float, default=0.0)
     p.add_argument("--water-index", type=int, default=0)

@@ -1,4 +1,4 @@
-"""File formats: acquisition/constraint/flow configs and the CSIR container.
+"""File formats: acquisition and flow configs and the CSIR container.
 
 The CSIR image container is a pair of files: a JSON header
 
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CsemriError, DimensionError, SpecError
-from .imaging import FieldmapConstraint, ImageGrid
+from .imaging import ImageGrid
 from .solver import FlowConfig
 from .species import EchoSpec, build_model, load_species, species_from_dict, PRESET_NAMES
 
@@ -29,7 +29,6 @@ __all__ = [
     "model_from_config",
     "load_acquisition_config",
     "flow_config_from_dict",
-    "constraint_from_config",
     "write_csir",
     "read_csir",
     "grid_from_csir",
@@ -102,14 +101,6 @@ def flow_config_from_dict(doc):
     except (AttributeError, TypeError, ValueError) as exc:
         raise SpecError(f"malformed flow config: {exc}") from exc
     return FlowConfig(**fields)
-
-
-def constraint_from_config(doc, mask):
-    return FieldmapConstraint.from_mask(
-        mask,
-        float(doc.get("eps_on_mask_hz", 30.0)),
-        float(doc.get("eps_off_mask_hz", 1000.0)),
-    )
 
 
 def write_csir(header_path, signal, echo_times_ms, extra_header=None):

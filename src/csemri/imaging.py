@@ -91,8 +91,10 @@ class ImageGrid:
             )
         if self.mask.shape != (self.height, self.width):
             raise DimensionError(f"mask shape {self.mask.shape} mismatch")
-        if not np.all(np.isfinite(self.signal[self.mask])):
-            raise DimensionError("signal has non-finite entries on the mask")
+        # checked on every voxel: a NaN voxel fails the mask threshold and
+        # would otherwise reach the objective from off the mask
+        if not np.all(np.isfinite(self.signal)):
+            raise DimensionError("signal has non-finite entries")
 
     @property
     def n_e(self):

@@ -4,9 +4,11 @@ Two fieldmap values ``xi`` and ``xi + eta`` explain the same signal exactly
 when the stacked matrix ``Delta(eta) = [W(eta) Phi, Phi]`` has a kernel
 vector of the right structure. For commensurable echo times every diagonal
 entry of ``W(eta)`` is an integer power of ``z = exp(2*pi*i*eta*t_max/q)``,
-so every ``2 n_s x 2 n_s`` minor of ``Delta`` is a polynomial in ``z`` and
-the zero set can be computed by companion-matrix root finding instead of a
-dense scan.
+so every ``2 n_s x 2 n_s`` minor of ``Delta`` is a polynomial in ``z``. Every
+zero of ``Delta`` is a root of each minor, so the roots of one minor, found
+as companion-matrix eigenvalues, are the candidates, and a polish of
+``sigma_min`` plus a kernel diagnosis keep the zeros among them; no dense
+scan is needed.
 
 Kernel structure at a zero decides what can go wrong there:
 
@@ -24,11 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, inf, lcm
+from math import gcd, inf, lcm
 
 import numpy as np
 
-from .errors import CombinatorialLimit, DimensionError, PolynomialDegreeLimit
+from .errors import DimensionError, PolynomialDegreeLimit
 from .solver import golden_section
 from .species import weighting_diag
 
@@ -53,11 +55,12 @@ EXACT_RECOVERY = "ExactRecovery"
 SWAP_RISK = "SwapRisk"
 
 # guards and merge radii of the zero-set search
-MAX_SELECTIONS = 10**6  # row selections of Delta, each one determinant polynomial
-MAX_DEGREE = 10**4  # degree of one determinant polynomial in z
-CLUSTER_RADIUS_HZ = 1e-6  # roots of one selection closer than this are one root
-# multiple roots leave the companion matrix about sqrt(eps) off the unit circle, so
-# the modulus filter sits well above that; sigma_min classification drops impostors
+MAX_DEGREE = 10**4  # degree of the determinant polynomial in z
+# the companion eigenvalues of an m-fold root scatter like eps**(1/m) around it:
+# roots closer than this radius are one root, and the modulus filter sits well
+# above the scatter of a double root; the polish and sigma_min classification
+# drop impostors, and eta = 0 is a candidate whatever its roots' scatter
+CLUSTER_RADIUS_HZ = 1e-6
 UNIT_TOL = 1e-5
 EIG_CLUSTER_TOL = 1e-8  # swap-map eigenvalues closer than this share one basis block
 EXACT_TOL = 1e-6  # kernel mixing and invariance below this count as exact
@@ -246,24 +249,6 @@ def _cluster_angles(values, radius):
     return means
 
 
-def _periodic_near(common, other, radius, period):
-    """Mask of the entries of ``common`` within periodic distance ``radius`` of
-    some entry of the sorted array ``other``; both lie in ``[0, period)``.
-
-    The nearest entry without wrap-around is a sorted neighbour of the
-    insertion point and the nearest with it an end of ``other``, so the
-    distance formula runs on those four entries only.
-    """
-    if len(other) == 0:
-        return np.zeros(len(common), dtype=bool)
-    j = np.searchsorted(other, common)
-    near = np.stack([other[j - 1], other[np.minimum(j, len(other) - 1)],
-                     np.full_like(common, other[0]), np.full_like(common, other[-1])])
-    diff = np.abs(near - common)
-    diff = np.minimum(diff, period - diff)
-    return diff.min(axis=0) <= radius
-
-
 def _orthonormal_eigensystem(matrix):
     """Eigendecomposition with per-eigenvalue-cluster orthonormalization."""
     evals, evecs = np.linalg.eig(matrix)
@@ -352,13 +337,15 @@ def delta_zero_set(model, search_band_hz=(-1000.0, 1000.0), tol=1e-8):
     zero set is the whole line). For incommensurable echoes the set is just
     ``{0}``. Otherwise the pipeline runs in this order:
 
-    1. roots: each row selection's determinant polynomial in ``z`` is solved
-       by companion-matrix eigenvalues and its unit-circle roots are mapped
-       back to ``eta`` in one W period;
-    2. intersection: a candidate survives when every selection has a root
-       within the intersect radius of it (periodic distance);
+    1. roots: the determinant polynomial in ``z`` of the first ``2 n_s``
+       rows is solved by companion-matrix eigenvalues and its unit-circle
+       roots are mapped back to ``eta`` in one W period; every zero of
+       ``Delta`` is among them;
+    2. merge: ``eta = 0`` is added (``Delta(0) = [Phi, Phi]`` always has
+       the kernel ``(c, -c)``) and candidates within twice the merge
+       radius of each other become one;
     3. band prefilter: the golden-section polish moves a candidate by at
-       most ``half = 2 * intersect_radius + 1e-4``, so only candidates with
+       most ``half = 2 * merge_radius + 1e-4``, so only candidates with
        a periodic image within ``half`` of the search band go on;
     4. polish: golden-section refinement of the local minimum of
        ``sigma_min`` around each candidate, all candidates in one lockstep
@@ -384,39 +371,26 @@ def delta_zero_set(model, search_band_hz=(-1000.0, 1000.0), tol=1e-8):
     exponents = [pk * q // qk for pk, qk in structure.fractions]
     w_period = q / structure.t_max  # W(eta + w_period) = W(eta) exactly
 
-    n_sel = comb(n_e, 2 * n_s)
-    if n_sel > MAX_SELECTIONS:
-        raise CombinatorialLimit(f"{n_sel} selections exceed the guard {MAX_SELECTIONS}")
-
-    base_sets = []
-    for rows in combinations(range(n_e), 2 * n_s):
-        coeffs = _minor_polynomial(model.phi, rows, exponents)
-        roots = _unit_circle_roots(coeffs)
-        # angles in [0, 2*pi) -> eta in [0, w_period)
-        angles = np.mod(np.angle(roots), 2 * np.pi)
-        etas = angles * w_period / (2 * np.pi)
-        etas = np.mod(etas, w_period)
-        base_sets.append(_cluster_angles(etas, CLUSTER_RADIUS_HZ))
-
-    # companion eigenvalues of multiple roots scatter like a fractional power
-    # of machine epsilon, so intersect selections with a period-scaled slack
-    # and recover full accuracy afterwards by polishing sigma_min itself
-    intersect_radius_hz = max(CLUSTER_RADIUS_HZ, 1e-6 * w_period)
-    common = base_sets[0]
-    for other in base_sets[1:]:
-        if len(common) == 0:
-            break
-        common = common[_periodic_near(common, other, intersect_radius_hz, w_period)]
-    common = _cluster_angles(common, 2 * intersect_radius_hz)
+    # every zero of Delta is a root of each minor, so the first one gives all
+    # candidates; eta = 0 is always a zero but its m-fold root at z = 1 can
+    # land off the unit circle, so it is a candidate whatever the roots say
+    roots = _unit_circle_roots(_minor_polynomial(model.phi, range(2 * n_s), exponents))
+    # angles in [0, 2*pi) -> eta in [0, w_period)
+    etas = np.mod(np.mod(np.angle(roots), 2 * np.pi) * w_period / (2 * np.pi), w_period)
+    etas = np.append(_cluster_angles(etas, CLUSTER_RADIUS_HZ), 0.0)
+    # the scattered images of a multiple root merge within a period-scaled
+    # radius; polishing sigma_min itself recovers full accuracy afterwards
+    merge_radius_hz = max(CLUSTER_RADIUS_HZ, 1e-6 * w_period)
+    candidates = _cluster_angles(etas, 2 * merge_radius_hz)
 
     # a polish moves a candidate by at most ``half``: drop those with no
     # periodic image within ``half`` of the band before paying for it
-    half = 2 * intersect_radius_hz + 1e-4
-    first = common + np.ceil((band_lo - half - common) / w_period) * w_period
-    common = common[first <= band_hi + half]
+    half = 2 * merge_radius_hz + 1e-4
+    first = candidates + np.ceil((band_lo - half - candidates) / w_period) * w_period
+    candidates = candidates[first <= band_hi + half]
 
     zeros = []
-    for eta0 in _polish_zero(model, common, half):
+    for eta0 in _polish_zero(model, candidates, half):
         shifts = np.arange(
             np.ceil((band_lo - eta0) / w_period), np.floor((band_hi - eta0) / w_period) + 1
         )

@@ -111,7 +111,6 @@ class PhantomSpec:
     shapes: tuple[Shape, ...]
     fieldmap: FieldSpec
     r2star: FieldSpec
-    seed: int = 0
 
     def __post_init__(self):
         if min(self.width, self.height) < 1:
@@ -214,7 +213,7 @@ def corrupt(grid, corruption, seed, xi0_map=None, echo_times_s=None):
     return ImageGrid(width=w, height=h, signal=y, mask=grid.mask.copy()), report
 
 
-def default_phantom_spec(width=64, height=64, fieldmap_amplitude_hz=20.0, seed=0):
+def default_phantom_spec(width=64, height=64, fieldmap_amplitude_hz=20.0):
     """Twelve-vial layout: pure water, fat and silicone plus nine water/fat
     mixtures at 10..90% fat fraction, on a Gaussian-bump fieldmap with
     region-wise constant decay. Species order is (water, fat, silicone)."""
@@ -242,5 +241,4 @@ def default_phantom_spec(width=64, height=64, fieldmap_amplitude_hz=20.0, seed=0
             {"amplitude": float(fieldmap_amplitude_hz), "sigma": 22.0, "offset": -5.0},
         ),
         r2star=FieldSpec("constant", {"value": 8.0}),
-        seed=seed,
     )

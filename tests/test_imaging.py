@@ -308,6 +308,10 @@ class TestImageGrid:
         mask[0, 0] = True
         with pytest.raises(DimensionError):
             ImageGrid(width=3, height=3, signal=sig, mask=mask)
+        with pytest.raises(DimensionError):  # off the mask too
+            ImageGrid(width=3, height=3, signal=sig, mask=~mask)
+        with pytest.raises(DimensionError):  # a NaN norm fails the threshold
+            ImageGrid.from_signal(sig)
 
     def test_mask_from_threshold(self):
         sig = np.zeros((2, 2, 3), complex)

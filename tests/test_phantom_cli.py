@@ -381,6 +381,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
 
+    def test_max_iters_with_flow_exits_2(self, tmp_path, capsys):
+        ph, flow, out = tmp_path / "ph.json", tmp_path / "flow.json", tmp_path / "r.npz"
+        assert cli_main(["phantom", "--out", str(ph), "--width", "4", "--height", "4"]) == 0
+        flow.write_text(json.dumps({"max_iters": 3}))
+        capsys.readouterr()
+        assert cli_main(["reconstruct", "--input", str(ph), "--out", str(out),
+                         "--flow", str(flow), "--max-iters", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["reconstruct", "corrupt"])
+    def test_non_finite_signal_off_the_mask_exits_2(self, tmp_path, capsys, command):
+        # the corner voxel holds no species, so its NaN fails the mask threshold
+        ph = tmp_path / "ph.json"
+        assert cli_main(["phantom", "--out", str(ph), "--width", "16", "--height", "16"]) == 0
+        signal, header = read_csir(ph)
+        assert not np.any(signal[0, 0])
+        signal[0, 0, 2] = np.nan
+        write_csir(ph, signal, header["echo_times_ms"])
+        out = tmp_path / ("r.npz" if command == "reconstruct" else "noisy.json")
+        argv = [command, "--input", str(ph), "--out", str(out)]
+        argv += ["--max-iters", "5"] if command == "reconstruct" else ["--sigma", "0.01"]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "DimensionError"
+        assert not out.exists() and not out.with_suffix(".bin").exists()
+
     def test_negative_max_iters_exits_2(self, tmp_path, capsys):
         ph = tmp_path / "ph.json"
         assert cli_main(["phantom", "--out", str(ph), "--width", "4", "--height", "4"]) == 0
