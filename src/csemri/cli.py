@@ -278,6 +278,7 @@ def cmd_reconstruct(args):
     summary = {
         "iterations": res.iterations,
         "fallback_iterations": res.fallback_iterations,
+        "zero_branch_voxels": res.zero_branch_voxels,
         "step_spread": list(res.step_spread),
         "converged": res.converged,
         "constraint_violation": res.constraint_violation,

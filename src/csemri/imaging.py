@@ -25,11 +25,16 @@ its per-voxel signals (kept in their noise balls ``||s(v) - y(v)|| <=
 delta(v)``) together. The image driver, :func:`reconstruct_noisy`, runs it
 with per-voxel certified steps and the projection onto C_phi, and the
 single-voxel flows of :mod:`csemri.solver` on a batch of one with the
-upper half-plane clamp.
+upper half-plane clamp. A noisy iteration takes one exponential per voxel:
+the signal gradient's adjoint ``R(xi)^H = R(conj xi)`` reuses the
+objective's ``W(xi)``, because ``W(conj xi) = 1 / conj W(xi)``.
 Noiseless reconstruction, :func:`reconstruct`, is ``delta = 0``, where the
 signals are held at the data. The objective is evaluated only on the
-signal support, the voxels whose data is nonzero: a zero-signal voxel has
-``R s = 0`` and zero gradients, so its field moves only by projection.
+signal support, the voxels whose noise ball excludes 0: ``||y(v)|| >
+delta(v)``, which for ``delta(v) = 0`` is any nonzero echo. Off the support
+``s = 0`` lies in the ball and gives ``R s = 0`` and zero gradients for
+every field (the zero branch), so the signal is set to 0 and the field
+moves only by projection.
 """
 
 from __future__ import annotations
@@ -105,6 +110,8 @@ class ImageGrid:
         signal = np.asarray(signal, dtype=complex)
         h, w = signal.shape[:2]
         if mask is None:
+            if not np.all(np.isfinite(signal)):  # before the norm, which would warn
+                raise DimensionError("signal has non-finite entries")
             mask = np.linalg.norm(signal, axis=2) > mask_threshold
         return cls(width=w, height=h, signal=signal, mask=np.asarray(mask, bool))
 
@@ -271,6 +278,8 @@ class ReconResult:
     ``fallback_iterations`` counts the iterations whose per-voxel step left
     C_phi and that took the smallest step over the mask with the projection
     instead; ``step_spread`` is (min, median, max) of the per-voxel steps.
+    ``zero_branch_voxels`` counts the voxels with ``delta(v) > 0`` whose
+    noise ball holds 0 and that therefore left the support.
     """
 
     xi_map: np.ndarray = field(repr=False)
@@ -282,6 +291,18 @@ class ReconResult:
     s_map: np.ndarray = field(repr=False)
     fallback_iterations: int
     step_spread: tuple[float, float, float]
+    zero_branch_voxels: int
+
+
+def _signal_support(y, delta):
+    """Flat indices of the voxels whose noise ball excludes 0, and the zero branch.
+
+    The zero branch holds the voxels with ``delta > 0`` whose ball ``||s -
+    y|| <= delta`` contains ``s = 0``; where ``delta = 0`` the support is
+    the voxels with any nonzero echo.
+    """
+    zero_branch = (delta > 0) & (np.linalg.norm(y, axis=-1) <= delta)
+    return np.flatnonzero(np.any(y != 0, axis=-1) & ~zero_branch), zero_branch
 
 
 def _descent_steps(op, cfg, xi, s, on_mask):
@@ -310,17 +331,22 @@ def reconstruct(grid, model, constraint, cfg, xi_init, proj_tol=1e-9):
 def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-9):
     """Joint projected Wirtinger descent on the field and the per-voxel signals.
 
-    :func:`projected_descent` on the signal support, the voxels with any
-    nonzero echo. In certified mode every voxel steps by its own certified
-    step at ``xi_init``; an iteration whose step leaves C_phi takes the
-    smallest of those steps over the mask instead, followed by the exact
-    projection onto C_phi (with ``cfg.step`` both steps are that step). The
-    signals stay in their balls ``||s(v) - y(v)|| <= delta(v)`` and are held
-    at ``y`` when every ``delta`` is zero. Off the support ``R s = 0``, so
-    the signal stays at ``y = 0`` even where ``delta > 0`` and the field
-    moves only through the projection; voxels below the mask threshold that
-    still carry signal count in the objective. ``converged`` is reported
-    only for a field within ``10 proj_tol max(|Re xi|, 1)`` of the set.
+    :func:`projected_descent` on the signal support, the voxels whose noise
+    ball excludes 0: ``||y(v)|| > delta(v)``, and any nonzero echo where
+    ``delta(v) = 0``. In certified mode every voxel steps by its own
+    certified step at ``xi_init``; an iteration whose step leaves C_phi
+    takes the smallest of those steps over the mask instead, followed by the
+    exact projection onto C_phi (with ``cfg.step`` both steps are that
+    step). The signals stay in their balls ``||s(v) - y(v)|| <= delta(v)``
+    and are held at ``y`` when every ``delta`` is zero; each evaluation
+    takes one exponential per voxel (``W(conj xi) = 1 / conj W(xi)`` gives
+    the adjoint). Off the support ``s = 0`` gives ``f = 0`` for every field:
+    there ``s_map = 0``, ``c_map = 0`` (so :func:`pdff_map` is NaN, below
+    ``PDFF_MIN_CONTENT``), and the field moves only through the projection.
+    ``zero_branch_voxels`` counts the voxels with ``delta > 0`` that leave
+    the support so. Voxels below the mask threshold that still carry signal
+    count in the objective. ``converged`` is reported only for a field
+    within ``10 proj_tol max(|Re xi|, 1)`` of the set.
     """
     if grid.n_e != model.n_e:
         raise DimensionError("grid echo count does not match the model")
@@ -334,7 +360,7 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
     if xi.shape != (h, w):
         raise DimensionError(f"xi_init shape {xi.shape} does not match grid")
 
-    support = np.flatnonzero(np.any(y_flat != 0, axis=1))
+    support, zero_branch = _signal_support(y_flat, delta_flat)
     y, delta_s = y_flat[support], delta_flat[support]
     steps, fallback = _descent_steps(op, cfg, xi.ravel()[support], y, grid.mask.ravel()[support])
     # the gradient is tested against ||y||^2, the signal move against max(||y||, delta)
@@ -345,7 +371,7 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
         (grad_scale, cfg.grad_tol if cfg.grad_tol is not None else 1e-12, s_scale, 1e-10),
         cfg.max_iters, fallback_step=fallback, proj_tol=proj_tol,
     )
-    s_map = y_flat.copy()
+    s_map = np.zeros_like(y_flat)
     s_map[support] = s
     c_map = voxelwise_concentrations(op, xi.ravel(), s_map).reshape(h, w, model.n_s)
     # the start is never projected, so a stationary start may be infeasible;
@@ -363,6 +389,7 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
         s_map=s_map.reshape(h, w, grid.n_e),
         fallback_iterations=fallbacks,
         step_spread=(float(steps.min()), float(np.median(steps)), float(steps.max())),
+        zero_branch_voxels=int(np.count_nonzero(zero_branch)),
     )
 
 
@@ -370,10 +397,12 @@ def projected_descent(op, xi, support, y, delta, alpha, constraint, tests, max_i
                       epsilon=0.0, record=False, fallback_step=None, proj_tol=1e-9):
     """Projected joint descent of f(xi, s) (+ epsilon ||s||^2), the loop of every flow.
 
-    Each iteration evaluates f and both gradients once, at the flat entries
-    ``support`` of the field ``xi`` with data ``y`` and ball radii
-    ``delta``. The field steps by ``alpha``, one step per support voxel or
-    one for all. The candidate is clamped to the upper half-plane when
+    Each iteration evaluates f and both gradients once, with one
+    exponential per voxel, at the flat entries ``support`` of the field
+    ``xi`` with data ``y`` and ball radii ``delta``; the callers leave out
+    the voxels whose ball holds 0, where ``s = 0`` gives ``f = 0``. The
+    field steps by ``alpha``, one step per support voxel or one for all.
+    The candidate is clamped to the upper half-plane when
     ``constraint`` is None (the single-voxel flows) or when it lies in
     C_phi, where that clamp is its projection; otherwise the iteration steps
     by ``fallback_step`` instead and maps the field back with

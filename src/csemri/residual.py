@@ -31,11 +31,13 @@ takes one exponential per batch (``W(-xi)`` is the reciprocal of
 against the stacked derivative kernels. The objective, its derivatives and
 the signal gradient square the residual, which overflows first, so they
 also raise :class:`OverflowRisk` where ``tau_s |Im xi| > 700``. The
-concentration estimates share its demodulation step ``W(-xi) s``; the
-signal-block gradient applies it twice, through ``R(xi)^H = R(conj xi)``.
-The joint objective ``f(xi, s)`` takes its value and both gradients from
-one order-1 call plus that adjoint (:func:`voxelwise_full_residual`;
-:func:`full_residual` is its batch of one).
+concentration estimates share its demodulation step ``W(-xi) s``. The
+signal-block gradient applies ``R(xi)^H = R(conj xi)`` without a second
+exponential, because ``W(conj xi) = 1 / conj W(xi)``: the joint objective
+``f(xi, s)`` takes its value and both gradients from one order-1 call and
+that adjoint, one exponential per evaluation
+(:func:`voxelwise_full_residual`; :func:`full_residual` is its batch of
+one).
 The dense :func:`residual_matrix` and :func:`residual_derivative` build
 ``R`` independently and serve as references.
 """
@@ -181,6 +183,13 @@ def _demodulate(op, xi, s):
     return w, s.reshape(-1, op.n_e) / w
 
 
+def _modulated_pieces(op, w, u, order):
+    """``W P_R^(k) u`` for k = 0 ... order, shape (order + 1, n, n_e)."""
+    out = (u @ op.stacked[order]).reshape(len(u), order + 1, op.n_e)
+    out *= w[:, None, :]
+    return out.transpose(1, 0, 2)
+
+
 def residual_pieces(op, xi, s, order):
     """[R(xi) s, R'(xi) s, ..., R^(order)(xi) s] for a batch of voxels.
 
@@ -189,18 +198,16 @@ def residual_pieces(op, xi, s, order):
     batch of one. Returns an array of shape (order + 1, n, n_e); ``order``
     is 0, 1 or 2.
     """
-    w, u = _demodulate(op, xi, s)
-    out = (u @ op.stacked[order]).reshape(len(u), order + 1, op.n_e)
-    out *= w[:, None, :]
-    return out.transpose(1, 0, 2)
+    return _modulated_pieces(op, *_demodulate(op, xi, s), order)
 
 
 def _value_gradient_residual(op, xi, s):
-    """f0, d_xi f0 and ``R(xi) s`` for a batch from one order-1 kernel call."""
+    """f0, d_xi f0, ``R(xi) s`` and ``W(xi)`` for a batch from one order-1 kernel call."""
     _check_square_guard(op, xi)
-    pieces = residual_pieces(op, xi, s, 1)
+    w, u = _demodulate(op, xi, s)
+    pieces = _modulated_pieces(op, w, u, 1)
     f, d_xi = 0.5 * np.einsum("kne,ne->kn", pieces, pieces[0].conj())
-    return f.real, d_xi, pieces[0]
+    return f.real, d_xi, pieces[0], w
 
 
 def voxelwise_value_and_gradient(op, xi, s):
@@ -212,9 +219,16 @@ def voxelwise_value_and_gradient(op, xi, s):
 
 
 def voxelwise_full_residual(op, xi, s):
-    """f, d_xi f and d_{s*} f = 0.5 R(xi)^H R(xi) s for a batch: one kernel call, one adjoint."""
-    f, d_xi, rs = _value_gradient_residual(op, xi, s)
-    return f, d_xi, 0.5 * residual_pieces(op, np.conj(xi), rs, 0)[0]  # R(xi)^H = R(conj xi)
+    """f, d_xi f and d_{s*} f = 0.5 R(xi)^H R(xi) s for a batch: one kernel call, one adjoint.
+
+    The adjoint ``R(xi)^H = R(conj xi) = W(conj xi) P_R W(-conj xi)`` reuses
+    the kernel call's exponential, since ``W(conj xi) = 1 / conj W(xi)``:
+    ``R(xi)^H r = ((r conj W) P_R^T) / conj W`` row by row, so one
+    evaluation takes one exponential.
+    """
+    f, d_xi, rs, w = _value_gradient_residual(op, xi, s)
+    w_conj = w.conj()
+    return f, d_xi, 0.5 * ((rs * w_conj) @ op.stacked[0]) / w_conj
 
 
 def voxelwise_signal_gradient(op, xi, s):

@@ -365,11 +365,16 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
 
     Simultaneous gradient steps in both Wirtinger blocks, followed by the
     closed-form radial projection of ``s`` and the clamp of ``xi`` to the
-    closed upper half-plane. With ``delta = 0`` the ball is the point ``y``:
-    the signal is held there, its gradient is never formed, and the loop is
-    plain Wirtinger flow on ``f0``.
+    closed upper half-plane; each iteration takes one exponential
+    (``W(conj xi) = 1 / conj W(xi)`` gives the signal gradient's adjoint).
+    With ``delta = 0`` the ball is the point ``y``: the signal is held
+    there, its gradient is never formed, and the loop is plain Wirtinger
+    flow on ``f0``. A voxel whose ball holds 0 (``0 < ||y|| <= delta``, or
+    ``y = 0``) is off the support, as in the image driver: ``s = 0`` gives
+    ``f = 0`` for every field, so the flow returns ``s_hat = 0`` and
+    ``xi_init`` after 0 iterations on the zero branch.
     """
-    from .imaging import projected_descent  # imaging imports solver
+    from .imaging import _signal_support, projected_descent  # imaging imports solver
 
     if not delta >= 0:  # NaN fails too
         raise DomainError(f"delta must be nonnegative, got {delta}")
@@ -378,20 +383,21 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
     y = np.asarray(y, dtype=complex)
     y_norm = max(float(np.linalg.norm(y)), 1e-300)
     grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12 * y_norm**2
-    alpha = cfg.step if not cfg.certified else certified_step(op, xi_init, y, cfg.rho)
+    support, _ = _signal_support(y[None], delta)
+    alpha = certified_step(op, xi_init, y, cfg.rho) if cfg.certified and len(support) else cfg.step
     xi, s, iterations, converged, grad, _, trajectory, _ = projected_descent(
-        op, np.array([complex(xi_init)]), slice(None), y[None], delta, alpha, None,
+        op, np.array([complex(xi_init)]), support, y[None][support], delta, alpha, None,
         (1.0, grad_tol, max(y_norm, float(delta)), 1e-12),
         cfg.max_iters, epsilon, cfg.keep_trajectory,
     )
-    xi, s = complex(xi[0]), s[0]
+    xi, s = complex(xi[0]), (s[0] if len(s) else np.zeros_like(y))
     s_norm = float(np.linalg.norm(s))
     boundary_gap = abs(float(np.linalg.norm(y - s)) - delta)
     return RecoveryResult(
         xi_hat=xi,
         c_hat=concentrations_ri(op, xi, s),
         iterations=iterations,
-        final_grad_norm=float(abs(grad[0])),
+        final_grad_norm=float(np.abs(grad).max(initial=0.0)),
         converged=converged,
         trajectory=tuple(complex(x[0]) for x in trajectory) if trajectory is not None else None,
         s_hat=s,

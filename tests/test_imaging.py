@@ -1,5 +1,6 @@
 """Grid operators, constraint projection, reconstruction, metrics."""
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -313,6 +314,14 @@ class TestImageGrid:
         with pytest.raises(DimensionError):  # a NaN norm fails the threshold
             ImageGrid.from_signal(sig)
 
+    def test_infinite_signal_raises_before_the_mask_norm(self):
+        sig = np.zeros((3, 3, 4), complex)
+        sig[1, 2, 3] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionError):
+                ImageGrid.from_signal(sig)
+
     def test_mask_from_threshold(self):
         sig = np.zeros((2, 2, 3), complex)
         sig[0, 1] = 1.0
@@ -455,28 +464,36 @@ class TestReconstructNoisy:
         grid = ImageGrid.from_signal(y[None, None, :])
         unbounded = FieldmapConstraint.uniform(1, 1, np.inf)
         image = reconstruct_noisy(grid, MODEL, unbounded, delta, cfg, np.full((1, 1), xi_init))
-        assert voxel.iterations == image.iterations == 20
+        # a ball that holds 0 (delta_rel = 2) is the zero branch: no iteration
+        assert voxel.iterations == image.iterations == (0 if delta_rel >= 1.0 else 20)
+        assert image.zero_branch_voxels == (delta_rel >= 1.0)
         assert np.array_equal(image.xi_map.ravel(), [voxel.xi_hat])
         assert np.array_equal(image.s_map.ravel(), voxel.s_hat)
 
     def test_one_joint_evaluation_per_iteration(self, monkeypatch):
         from csemri import residual
 
-        orders = []
-        pieces = residual.residual_pieces
+        calls = []
+        full, demodulate = imaging.voxelwise_full_residual, residual._demodulate
 
-        def counted(op, xi, s, order):
-            orders.append(order)
-            return pieces(op, xi, s, order)
+        def counted_full(op, xi, s):
+            calls.append("evaluation")
+            return full(op, xi, s)
 
-        monkeypatch.setattr(residual, "residual_pieces", counted)
+        def counted_demodulate(op, xi, s):
+            calls.append("exp")
+            return demodulate(op, xi, s)
+
+        monkeypatch.setattr(imaging, "voxelwise_full_residual", counted_full)
+        monkeypatch.setattr(residual, "_demodulate", counted_demodulate)
         truth = small_phantom()
         con = FieldmapConstraint.from_mask(truth.mask, 30.0, 1000.0)
         cfg = FlowConfig(step=2e3, max_iters=7, grad_tol=1e-300)
         res = reconstruct_noisy(truth.grid, MODEL, con, 0.05, cfg, np.full((24, 24), 1.0 + 0j))
         assert res.iterations == 7
-        # the value and both gradients from one order-1 call, then one adjoint
-        assert orders == [1, 0] * 8
+        # the value and both gradients take one exponential (the adjoint reuses
+        # it), and the concentration estimate at the end one more
+        assert calls == ["evaluation", "exp"] * 8 + ["exp"]
 
     def test_nan_delta_rejected(self):
         truth = small_phantom(side=8, n_shapes=1)
@@ -578,7 +595,7 @@ class TestPerVoxelSteps:
 
 
 class TestSupportRule:
-    """The driver evaluates the objective on the voxels with nonzero signal only."""
+    """The driver evaluates the objective on the voxels whose noise ball excludes 0 only."""
 
     def test_zero_signal_border_and_mask_voxels_change_nothing(self):
         truth = small_phantom(side=32)  # the mask stays off the grid's edges
@@ -649,6 +666,87 @@ class TestSupportRule:
         assert abs(bound.xi_map[0, 0] - 5000.0) > 1000.0
         assert bound.constraint_violation <= 1e-8 * 5000.0
         assert not np.any(bound.s_map[~support])
+
+
+class TestZeroBranch:
+    """Where ``delta > 0`` and ``||y|| <= delta``, ``s = 0`` gives ``f = 0``: the voxel
+    leaves the support with its signal set to 0."""
+
+    def test_zero_branch_frame_voxels_change_nothing(self):
+        truth = small_phantom(side=32)  # the mask stays off the grid's edges
+        signal, mask = truth.grid.signal, truth.mask
+        delta = 0.05 * float(np.max(np.linalg.norm(signal, axis=2)))
+        init = truth.xi0_map + 2.0 + 0.5j
+        cfg = FlowConfig(certified=True, max_iters=60, grad_tol=1e-300)
+        small = reconstruct_noisy(
+            ImageGrid(32, 32, signal, mask), MODEL,
+            FieldmapConstraint.from_mask(mask, 30.0, np.inf), delta, cfg, init,
+        )
+        # a frame of pure noise inside the ball, part of it on the mask
+        rng = np.random.default_rng(21)
+        big_signal = rng.standard_normal((40, 44, 6)) + 1j * rng.standard_normal((40, 44, 6))
+        big_signal *= delta * rng.uniform(0.0, 1.0, (40, 44, 1)) / np.linalg.norm(
+            big_signal, axis=2, keepdims=True
+        )
+        big_signal[4:36, 6:38] = signal
+        big_mask = np.zeros((40, 44), bool)
+        big_mask[4:36, 6:38] = mask
+        big_mask[1:3, 1:40:3] = True
+        big_init = np.full((40, 44), 1.0 + 0.5j)
+        big_init[4:36, 6:38] = init
+        big = reconstruct_noisy(
+            ImageGrid(44, 40, big_signal, big_mask), MODEL,
+            FieldmapConstraint.from_mask(big_mask, 30.0, np.inf), delta, cfg, big_init,
+        )
+        frame = np.ones((40, 44), bool)
+        frame[4:36, 6:38] = False
+        assert big.zero_branch_voxels == small.zero_branch_voxels + frame.sum()
+        assert big.iterations == small.iterations == 60
+        assert big.fallback_iterations == small.fallback_iterations
+        assert big.step_spread == pytest.approx(small.step_spread, rel=1e-12)
+        on = np.linalg.norm(signal, axis=2) > delta
+        assert on.any()
+        region = big.xi_map[4:36, 6:38]
+        scale = np.max(np.abs(small.xi_map[on]))
+        assert np.max(np.abs(region[on] - small.xi_map[on])) <= 1e-12 * scale
+        assert np.allclose(big.objective_trace, small.objective_trace, rtol=1e-12, atol=0.0)
+        # the frame keeps its start and carries no signal and no concentrations
+        assert np.array_equal(big.xi_map[frame], big_init[frame])
+        assert not np.any(big.s_map[frame]) and not np.any(big.c_map[frame])
+
+    def test_voxel_just_above_delta_stays_on_the_support(self):
+        rng = np.random.default_rng(4)
+        xi0 = complex(rng.uniform(-60.0, 60.0), rng.uniform(0.0, 40.0))
+        y = MODEL.phi @ (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+        y = y * np.exp(2j * np.pi * xi0 * MODEL.times)
+        cfg = FlowConfig(certified=True, max_iters=20, grad_tol=1e-300)
+        grid = ImageGrid.from_signal(y[None, None, :])
+        unbounded = FieldmapConstraint.uniform(1, 1, np.inf)
+        norm = float(np.linalg.norm(y))
+        below = np.nextafter(norm, 0.0)
+        for delta, zero in ((below, False), (norm, True)):
+            voxel = constrained_flow(OP, y, delta, xi0 + 1.0, cfg)
+            image = reconstruct_noisy(grid, MODEL, unbounded, delta, cfg, np.full((1, 1), xi0 + 1.0))
+            assert image.zero_branch_voxels == int(zero)
+            assert voxel.iterations == image.iterations == (0 if zero else 20)
+            assert np.array_equal(image.s_map.ravel(), voxel.s_hat)
+            assert np.any(voxel.s_hat) != zero
+            assert (voxel.xi_hat == xi0 + 1.0) == zero
+
+    def test_recon_noisy_input_raises_no_floating_point_error(self):
+        # the CLI's 128^2 phantom, corrupted at 1% and solved with delta 0.02 for
+        # 15 iterations; the adjoint divides by conj W(xi)
+        truth = generate_phantom(default_phantom_spec(width=128, height=128), MODEL)
+        sigma = 0.01 * np.abs(truth.grid.signal).max()
+        noisy, _ = corrupt(truth.grid, CorruptionSpec(sigma=sigma), seed=1)
+        grid = ImageGrid.from_signal(noisy.signal)
+        con = FieldmapConstraint.from_mask(grid.mask, 30.0, 1000.0)
+        cfg = FlowConfig(certified=True, max_iters=15)
+        with np.errstate(all="raise"):
+            res = reconstruct_noisy(grid, MODEL, con, 0.02, cfg, np.full((128, 128), 1.0 + 0j))
+        assert res.iterations == 15
+        assert 0 < res.zero_branch_voxels < 128 * 128
+        assert np.all(np.isfinite(res.xi_map)) and np.all(np.isfinite(res.objective_trace))
 
 
 class TestSeparationCheck:

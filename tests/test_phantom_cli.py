@@ -650,6 +650,30 @@ class TestCli:
         low, median, high = report["step_spread"]
         assert 0 < low <= median <= high
 
+    def test_metrics_count_the_zero_branch(self, tmp_path):
+        ph, noisy, met = tmp_path / "ph.json", tmp_path / "noisy.json", tmp_path / "metrics.json"
+        recon = tmp_path / "r.npz"
+        assert cli_main(["phantom", "--out", str(ph), "--width", "32", "--height", "32"]) == 0
+        assert cli_main(["corrupt", "--input", str(ph), "--out", str(noisy),
+                         "--sigma", "0.01", "--relative", "--seed", "1"]) == 0
+        y, _ = read_csir(noisy)
+        norms = np.linalg.norm(y, axis=2)
+        assert 0 < np.sum(norms <= 0.02) < 32 * 32
+        for delta in ("0.02", "1e6"):
+            assert cli_main(["reconstruct", "--input", str(noisy), "--out", str(recon),
+                             "--delta", delta, "--max-iters", "10",
+                             "--metrics-out", str(met)]) == 0
+            report = json.loads(met.read_text())
+            zero = norms <= float(delta)
+            assert report["zero_branch_voxels"] == np.sum(zero)
+            assert {"fallback_iterations", "step_spread", "converged"} <= set(report)
+            data = np.load(recon)
+            assert not np.any(data["s_map"][zero]) and not np.any(data["c_map"][zero])
+            assert np.all(np.isnan(data["pdff"][zero]))
+        # every voxel on the zero branch: nothing to solve
+        assert report["converged"] is True and report["iterations"] == 0
+        assert not np.any(data["c_map"])
+
     def test_analyze_writes_report_and_csv(self, tmp_path):
         config = tmp_path / "acq.json"
         config.write_text(json.dumps({
