@@ -279,7 +279,7 @@ def cmd_reconstruct(args):
         "iterations": res.iterations,
         "fallback_iterations": res.fallback_iterations,
         "zero_branch_voxels": res.zero_branch_voxels,
-        "step_spread": list(res.step_spread),
+        "step_spread": None if res.step_spread is None else list(res.step_spread),
         "converged": res.converged,
         "constraint_violation": res.constraint_violation,
         "final_objective": res.objective_trace[-1],

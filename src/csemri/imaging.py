@@ -277,7 +277,8 @@ class ReconResult:
 
     ``fallback_iterations`` counts the iterations whose per-voxel step left
     C_phi and that took the smallest step over the mask with the projection
-    instead; ``step_spread`` is (min, median, max) of the per-voxel steps.
+    instead; ``step_spread`` is (min, median, max) of the per-voxel steps,
+    and ``None`` in certified mode when no support voxel has curvature.
     ``zero_branch_voxels`` counts the voxels with ``delta(v) > 0`` whose
     noise ball holds 0 and that therefore left the support.
     """
@@ -290,7 +291,7 @@ class ReconResult:
     converged: bool
     s_map: np.ndarray = field(repr=False)
     fallback_iterations: int
-    step_spread: tuple[float, float, float]
+    step_spread: tuple[float, float, float] | None
     zero_branch_voxels: int
 
 
@@ -378,7 +379,8 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
     # convergence needs the bound that project_onto_C_phi enforces
     violation = constraint_violation(xi, constraint)
     feasible = violation <= 10.0 * proj_tol * max(float(np.max(np.abs(xi.real))), 1.0)
-    steps = np.atleast_1d(steps)
+    # certified steps come one per voxel; a scalar there is the dimensionless fallback
+    spread = None if cfg.certified and np.ndim(steps) == 0 else np.atleast_1d(steps)
     return ReconResult(
         xi_map=xi,
         c_map=c_map,
@@ -388,7 +390,8 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
         converged=converged and feasible,
         s_map=s_map.reshape(h, w, grid.n_e),
         fallback_iterations=fallbacks,
-        step_spread=(float(steps.min()), float(np.median(steps)), float(steps.max())),
+        step_spread=None if spread is None
+        else (float(spread.min()), float(np.median(spread)), float(spread.max())),
         zero_branch_voxels=int(np.count_nonzero(zero_branch)),
     )
 

@@ -670,8 +670,12 @@ class TestCli:
             data = np.load(recon)
             assert not np.any(data["s_map"][zero]) and not np.any(data["c_map"][zero])
             assert np.all(np.isnan(data["pdff"][zero]))
-        # every voxel on the zero branch: nothing to solve
+            if delta == "0.02":
+                low, median, high = report["step_spread"]
+                assert 0 < low <= median <= high
+        # every voxel on the zero branch: nothing to solve, and no voxel took a step
         assert report["converged"] is True and report["iterations"] == 0
+        assert report["step_spread"] is None
         assert not np.any(data["c_map"])
 
     def test_analyze_writes_report_and_csv(self, tmp_path):

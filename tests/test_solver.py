@@ -196,7 +196,7 @@ class TestRadii:
         assert 0.0 <= margin < 1e-10 * target
 
     def test_tight_refines_its_bracket_in_batches(self, monkeypatch):
-        # a certify voxel: one circle search for the ladder, about ten for the bracket
+        # a certify voxel: one circle search for the ladder, three for the bracket
         model = build_model([WATER, FAT6, SILICONE], EchoSpec.uniform_ms(1.238, 0.986, 6))
         truth = generate_phantom(default_phantom_spec(width=32, height=32), model)
         i, j = np.argwhere(truth.mask)[0]
@@ -209,7 +209,54 @@ class TestRadii:
 
         monkeypatch.setattr(solver, "_circle_eval", counted)
         rt = radius_tight(make_residual_operator(model), truth.xi0_map[i, j], truth.grid.signal[i, j])
-        assert rt > 0.0 and len(calls) <= 12
+        assert rt > 0.0 and len(calls) <= 5
+
+    @pytest.mark.parametrize("drop", [
+        lambda x: np.where(x < 1.0, 1.0, -1e6),
+        lambda x: 1.0 - np.minimum(x, 2.0) ** 60,
+        lambda x: np.where(x < 1.0, np.inf, -1.0),  # no finite regula-falsi estimate
+    ], ids=["step", "power", "infinite"])
+    def test_tight_survives_a_poor_secant_guess(self, monkeypatch, drop):
+        # a margin flat up to a known root and then falling sharply puts the
+        # regula-falsi estimate at the bracket's passing end every round
+        xi0, _, s0 = random_voxel(np.random.default_rng(12))
+        _, r1s = residual_pieces(OP, xi0, s0, 1)
+        target = 0.5 * np.linalg.norm(r1s) ** 2
+        root = 3.7 * radius_loose(OP, xi0, s0, 0.5)
+        calls = []
+
+        def synthetic(op, xi0, s0, radii, angular_samples, fn):
+            radii = np.atleast_1d(np.asarray(radii, dtype=float))
+            calls.append(radii)
+            return target + drop(radii / root)
+
+        monkeypatch.setattr(solver, "_circle_eval", synthetic)
+        rt = radius_tight(OP, xi0, s0, 0.5)
+        assert abs(rt - root) <= 1e-12 * max(1.0, root)
+        assert len(calls) <= 1 + 10  # the ladder and the uniform split's rounds
+
+    def test_tight_agrees_with_batch_of_one_bisection(self):
+        # oracle: the ladder and a bisection, one radius per circle search
+        from csemri.solver import _circle_eval, _minorant_fn
+
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            xi0, _, s0 = random_voxel(rng)
+            rho = rng.uniform(0.2, 0.8)
+            _, r1s = residual_pieces(OP, xi0, s0, 1)
+            target = rho * np.linalg.norm(r1s) ** 2
+
+            def passes(r):
+                return _circle_eval(OP, xi0, s0, r, 24, _minorant_fn)[0] >= target
+
+            lo = hi = radius_loose(OP, xi0, s0, rho)
+            while passes(hi):
+                lo, hi = hi, solver.TIGHT_GROWTH * hi
+            while hi - lo > 1e-12 * max(1.0, hi):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if passes(mid) else (lo, mid)
+            rt = radius_tight(OP, xi0, s0, rho, angular_samples=24)
+            assert rt == pytest.approx(lo, rel=1e-11)
 
     def test_tight_vs_lambert_gap_is_large(self):
         # the closed-form bound is known to underestimate severely; the
