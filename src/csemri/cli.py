@@ -40,6 +40,8 @@ from .residual import make_residual_operator
 from .solver import FlowConfig, wirtinger_flow
 from .species import check_J_full_rank, check_submatrices_nonsingular, load_species
 from .experiments import (
+    BAND_HZ,
+    GRID_STEP_HZ,
     experiment_curvature,
     experiment_solution_set,
     write_matrix_csv,
@@ -76,7 +78,7 @@ DEFAULT_ACQUISITION = {
 
 def _load_acquisition(path):
     if path is None:
-        return model_from_config(DEFAULT_ACQUISITION), dict(DEFAULT_ACQUISITION)
+        return model_from_config(DEFAULT_ACQUISITION)
     return load_acquisition_config(path)
 
 
@@ -95,7 +97,7 @@ def _dump(obj, path=None):
 
 
 def cmd_model_info(args):
-    model, config = _load_acquisition(args.config)
+    model = _load_acquisition(args.config)
     sub = check_submatrices_nonsingular(model, tol=args.tol)
     jr = check_J_full_rank(model, tol=args.tol)
     _dump(
@@ -126,7 +128,7 @@ def cmd_analyze(args):
     if not args.band[0] < args.band[1]:
         raise errors.SpecError(f"--band needs its low end below its high end, got {args.band}")
     _require_positive("--grid-step", args.grid_step)
-    model, _ = _load_acquisition(args.config)
+    model = _load_acquisition(args.config)
     structure = rationalize_echoes(model.echoes)
     lattice = fieldmap_lattice(structure)
     report = {
@@ -183,7 +185,7 @@ def cmd_solve(args):
 
 
 def cmd_phantom(args):
-    model, config = _load_acquisition(args.config)
+    model = _load_acquisition(args.config)
     spec = default_phantom_spec(
         width=args.width, height=args.height, fieldmap_amplitude_hz=args.fieldmap_amplitude
     )
@@ -206,7 +208,7 @@ def cmd_phantom(args):
 
 def cmd_corrupt(args):
     signal, header = read_csir(args.input)
-    grid = ImageGrid.from_signal(signal, mask_threshold=args.mask_threshold)
+    grid = ImageGrid.from_signal(signal)
     mismatch_species = None
     mismatch_c = None
     xi0 = None
@@ -249,7 +251,7 @@ def cmd_corrupt(args):
 def cmd_reconstruct(args):
     if args.flow and args.max_iters is not None:
         raise errors.SpecError("--max-iters conflicts with --flow; set max_iters in the flow config")
-    model, _ = _load_acquisition(args.config)
+    model = _load_acquisition(args.config)
     grid, header = grid_from_csir(args.input, mask_threshold=args.mask_threshold)
     constraint = FieldmapConstraint.from_mask(grid.mask, args.eps_on_mask, args.eps_off_mask)
     flow_doc = {}
@@ -321,7 +323,7 @@ def cmd_metrics(args):
 
 
 def cmd_experiment(args):
-    model, _ = _load_acquisition(args.config)
+    model = _load_acquisition(args.config)
     if args.study == "solution-set":
         experiment_solution_set(model.species, args.out)
     elif args.study == "curvature":
@@ -348,8 +350,8 @@ def build_parser():
     p.add_argument("--config")
     p.add_argument("--out")
     p.add_argument("--csv")
-    p.add_argument("--band", type=float, nargs=2, default=(-1100.0, 1100.0))
-    p.add_argument("--grid-step", type=float, default=0.25)
+    p.add_argument("--band", type=float, nargs=2, default=BAND_HZ)
+    p.add_argument("--grid-step", type=float, default=GRID_STEP_HZ)
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("solve", help="single-voxel recovery")
@@ -373,7 +375,6 @@ def build_parser():
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--relative", action="store_true", help="sigma relative to peak |signal|")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mask-threshold", type=float, default=0.0)
     p.add_argument("--mismatch-species")
     p.add_argument("--mismatch-concentration", type=float, default=0.0)
     p.add_argument("--truth")
@@ -407,9 +408,9 @@ def build_parser():
     p.add_argument("study", choices=("solution-set", "curvature"))
     p.add_argument("--out", required=True)
     p.add_argument("--config")
-    p.add_argument("--width", type=int, default=32)
-    p.add_argument("--height", type=int, default=32)
-    p.add_argument("--stride", type=int, default=4)
+    p.add_argument("--width", type=int, default=32, help="curvature only")
+    p.add_argument("--height", type=int, default=32, help="curvature only")
+    p.add_argument("--stride", type=int, default=4, help="curvature only")
     p.set_defaults(fn=cmd_experiment)
     return parser
 

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 CSIR_LAYOUT = "row-major, per-voxel interleaved re/im, echo-major"
+FLOW_CONFIG_KEYS = ("step", "max_iters", "grad_tol", "rho", "certified")
 
 
 def model_from_config(config):
@@ -81,26 +82,36 @@ def model_from_config(config):
 
 
 def load_acquisition_config(path):
+    """The acquisition model of the JSON config at ``path``."""
     with open(path) as fh:
-        config = json.load(fh)
-    return model_from_config(config), config
+        return model_from_config(json.load(fh))
 
 
 def flow_config_from_dict(doc):
-    """Build a :class:`FlowConfig`; a value of the wrong type raises :class:`SpecError`."""
+    """Build a :class:`FlowConfig` from a JSON object with keys among ``FLOW_CONFIG_KEYS``.
+
+    ``certified`` defaults to true when no ``step`` is given. An unknown key, a
+    non-boolean ``certified`` or a value of the wrong type raises :class:`SpecError`.
+    """
+    if not isinstance(doc, dict):
+        raise SpecError(f"flow config must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(FLOW_CONFIG_KEYS))
+    if unknown:
+        raise SpecError(f"unknown flow config keys {unknown}; allowed are {list(FLOW_CONFIG_KEYS)}")
+    step, grad_tol = doc.get("step"), doc.get("grad_tol")
+    certified = doc.get("certified", step is None)
+    if not isinstance(certified, bool):
+        raise SpecError(f"flow config certified must be true or false, got {certified!r}")
     try:
-        step, grad_tol = doc.get("step"), doc.get("grad_tol")
         fields = dict(
             step=None if step is None else float(step),
             max_iters=int(doc.get("max_iters", 100_000)),
             grad_tol=None if grad_tol is None else float(grad_tol),
             rho=float(doc.get("rho", 0.5)),
-            certified=bool(doc.get("certified", step is None)),
-            keep_trajectory=bool(doc.get("keep_trajectory", False)),
         )
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise SpecError(f"malformed flow config: {exc}") from exc
-    return FlowConfig(**fields)
+    return FlowConfig(certified=certified, **fields)
 
 
 def write_csir(header_path, signal, echo_times_ms, extra_header=None):

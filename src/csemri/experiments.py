@@ -33,6 +33,17 @@ __all__ = [
     "zero_set_record",
 ]
 
+# the solution-set scan; ``csemri analyze`` defaults to its band and grid step
+FIRST_ECHO_MS = 1.3
+ECHO_SPACING_MS = 1.05
+ECHO_COUNTS = (4, 6, 7, 8)
+BAND_HZ = (-1100.0, 1100.0)
+GRID_STEP_HZ = 0.25
+# the curvature study
+RHO = 0.5
+RADII_HZ = np.geomspace(0.5, 120.0, 18)
+ANGULAR_SAMPLES = 16
+
 
 def write_matrix_csv(path, matrix, header=None):
     """CSV of a real matrix, one row per line, each value as ``%.12g``.
@@ -74,18 +85,11 @@ def zero_set_record(zero_set):
     }
 
 
-def experiment_solution_set(
-    species,
-    out_dir,
-    first_echo_ms=1.3,
-    spacing_ms=1.05,
-    echo_counts=(4, 6, 7, 8),
-    band_hz=(-1100.0, 1100.0),
-    grid_step_hz=0.25,
-):
-    """Scan the weighting error and sigma_min(Delta) over a fieldmap band.
+def experiment_solution_set(species, out_dir):
+    """Scan the weighting error and sigma_min(Delta) over ``BAND_HZ`` at ``GRID_STEP_HZ``.
 
-    Writes, per echo count: ``w_error_ne{n}.csv`` (phi_hz, frobenius error
+    Writes, per echo count in ``ECHO_COUNTS`` (echoes from ``FIRST_ECHO_MS``
+    every ``ECHO_SPACING_MS``): ``w_error_ne{n}.csv`` (phi_hz, frobenius error
     of I - W(phi)), ``sigma_min_ne{n}.csv`` (eta_hz, sigma_min) and
     ``zeros_ne{n}.json`` (classified zero set). Echo counts below
     ``2 n_s``, where the zero-set search does not apply, are skipped and
@@ -93,15 +97,15 @@ def experiment_solution_set(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid = np.arange(band_hz[0], band_hz[1] + grid_step_hz / 2, grid_step_hz)
+    grid = np.arange(BAND_HZ[0], BAND_HZ[1] + GRID_STEP_HZ / 2, GRID_STEP_HZ)
     min_echoes = 2 * len(species)
-    scanned = [n for n in echo_counts if n >= min_echoes]
+    scanned = [n for n in ECHO_COUNTS if n >= min_echoes]
     path = out_dir / "solution_set.json"
     with open(path, "w") as fh:
         json.dump(
             {
                 "echo_counts": scanned,
-                "skipped_echo_counts": [n for n in echo_counts if n < min_echoes],
+                "skipped_echo_counts": [n for n in ECHO_COUNTS if n < min_echoes],
                 "min_echo_count": min_echoes,
             },
             fh,
@@ -109,7 +113,7 @@ def experiment_solution_set(
         )
     artifacts = [path]
     for n in scanned:
-        echoes = EchoSpec.uniform_ms(first_echo_ms, spacing_ms, n)
+        echoes = EchoSpec.uniform_ms(FIRST_ECHO_MS, ECHO_SPACING_MS, n)
         model = build_model(species, echoes)
         w_err = weighting_error_profile(grid, np.ones(n), echoes.array())
         artifacts.append(
@@ -131,7 +135,7 @@ def experiment_solution_set(
             "lattice_period_hz": _finite_or_none(
                 fieldmap_lattice(rationalize_echoes(echoes)).period_hz
             ),
-            **zero_set_record(delta_zero_set(model, search_band_hz=band_hz)),
+            **zero_set_record(delta_zero_set(model, search_band_hz=BAND_HZ)),
         }
         path = out_dir / f"zeros_ne{n}.json"
         with open(path, "w") as fh:
@@ -140,29 +144,20 @@ def experiment_solution_set(
     return artifacts
 
 
-def experiment_curvature(
-    truth,
-    model,
-    out_dir,
-    rho=0.5,
-    radii=None,
-    angular_samples=16,
-    stride=1,
-):
-    """Per-voxel curvature study over a phantom's masked voxels.
+def experiment_curvature(truth, model, out_dir, stride=1):
+    """Per-voxel curvature study over every ``stride``-th masked phantom voxel.
 
-    Emits ``q_profiles.csv`` (x, y, radius_hz, q), plus the Lambert and
-    tight radius maps and the 50%-reduction radius map as CSV matrices
-    (off-mask entries are NaN). Returns the artifact paths. A phantom with
-    no masked voxel raises :class:`SpecError` before anything is written.
+    Emits ``q_profiles.csv`` (x, y, radius_hz, q) over ``RADII_HZ``, plus the
+    Lambert and tight radius maps at ``RHO`` and the 50%-reduction radius map
+    as CSV matrices (off-mask entries are NaN), searching each circle from
+    ``ANGULAR_SAMPLES`` angles. Returns the artifact paths. A phantom with no
+    masked voxel raises :class:`SpecError` before anything is written.
     """
     if not np.any(truth.mask):
         raise SpecError("the phantom mask selects no voxel")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     op = make_residual_operator(model)
-    if radii is None:
-        radii = np.geomspace(0.5, 120.0, 18)
     h, w = truth.mask.shape
     lam_map = np.full((h, w), np.nan)
     tight_map = np.full((h, w), np.nan)
@@ -172,9 +167,9 @@ def experiment_curvature(
     for i, j in zip(ys[::stride], xs[::stride]):
         xi0 = truth.xi0_map[i, j]
         s0 = truth.grid.signal[i, j]
-        lam_map[i, j] = radius_lambert(op, xi0, s0, rho)
-        tight_map[i, j] = radius_tight(op, xi0, s0, rho, angular_samples=angular_samples)
-        prof = curvature_profile(op, xi0, s0, radii, angular_samples=angular_samples)
+        lam_map[i, j] = radius_lambert(op, xi0, s0, RHO)
+        tight_map[i, j] = radius_tight(op, xi0, s0, RHO, angular_samples=ANGULAR_SAMPLES)
+        prof = curvature_profile(op, xi0, s0, RADII_HZ, angular_samples=ANGULAR_SAMPLES)
         half_map[i, j] = radius_empirical_from_profile(prof, level=0.5)
         for r, q in prof:
             rows.append((j, i, r, q))
@@ -185,7 +180,7 @@ def experiment_curvature(
         write_matrix_csv(out_dir / "radius_half_reduction_map.csv", half_map),
     ]
     summary = {
-        "rho": rho,
+        "rho": RHO,
         "max_radius_lambert_hz": float(np.nanmax(lam_map)),
         "max_radius_tight_hz": float(np.nanmax(tight_map)),
         "empirical_band_hz": [

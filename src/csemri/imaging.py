@@ -81,25 +81,28 @@ PROJ_MAX_ITERS = 20_000  # cap on the dual iterations of one projection
 
 @dataclass(frozen=True)
 class ImageGrid:
-    """Per-voxel echo signals on a 2D grid with an acquisition mask."""
+    """Per-voxel echo signals on a 2D grid with an acquisition mask; the size is the signal's."""
 
-    width: int
-    height: int
     signal: np.ndarray = field(repr=False)  # (height, width, n_e) complex
     mask: np.ndarray = field(repr=False)  # (height, width) bool
 
     def __post_init__(self):
-        if self.signal.shape[:2] != (self.height, self.width):
-            raise DimensionError(
-                f"signal shape {self.signal.shape} does not match "
-                f"{self.height} x {self.width}"
-            )
-        if self.mask.shape != (self.height, self.width):
+        if self.signal.ndim != 3:
+            raise DimensionError(f"signal must be (height, width, n_e), got {self.signal.shape}")
+        if self.mask.shape != self.signal.shape[:2]:
             raise DimensionError(f"mask shape {self.mask.shape} mismatch")
         # checked on every voxel: a NaN voxel fails the mask threshold and
         # would otherwise reach the objective from off the mask
         if not np.all(np.isfinite(self.signal)):
             raise DimensionError("signal has non-finite entries")
+
+    @property
+    def height(self):
+        return self.signal.shape[0]
+
+    @property
+    def width(self):
+        return self.signal.shape[1]
 
     @property
     def n_e(self):
@@ -108,12 +111,11 @@ class ImageGrid:
     @classmethod
     def from_signal(cls, signal, mask=None, mask_threshold=0.0):
         signal = np.asarray(signal, dtype=complex)
-        h, w = signal.shape[:2]
         if mask is None:
             if not np.all(np.isfinite(signal)):  # before the norm, which would warn
                 raise DimensionError("signal has non-finite entries")
-            mask = np.linalg.norm(signal, axis=2) > mask_threshold
-        return cls(width=w, height=h, signal=signal, mask=np.asarray(mask, bool))
+            mask = np.linalg.norm(signal, axis=-1) > mask_threshold  # the echo axis
+        return cls(signal, np.asarray(mask, bool))
 
 
 @dataclass(frozen=True)
@@ -532,24 +534,17 @@ def metrics(truth, estimate):
     }
 
 
-def pdff_map(c_map, water_idx, fat_idx, convention="magnitude"):
-    """Fat fraction in percent from a concentration map.
+def pdff_map(c_map, water_idx, fat_idx):
+    """Magnitude fat fraction ``100 |c_fat| / (|c_water| + |c_fat|)`` in percent.
 
-    ``magnitude`` uses |c|; ``real-part`` uses clipped real parts. Voxels
-    whose water+fat content falls below ``PDFF_MIN_CONTENT`` are NaN.
+    Voxels whose water+fat content falls below ``PDFF_MIN_CONTENT`` are NaN.
     """
     c_map = np.asarray(c_map)
     n_s = c_map.shape[-1]
     if not (0 <= water_idx < n_s and 0 <= fat_idx < n_s):
         raise DimensionError("species index out of range")
-    if convention == "magnitude":
-        cw = np.abs(c_map[..., water_idx])
-        cf = np.abs(c_map[..., fat_idx])
-    elif convention == "real-part":
-        cw = np.maximum(np.real(c_map[..., water_idx]), 0.0)
-        cf = np.maximum(np.real(c_map[..., fat_idx]), 0.0)
-    else:
-        raise ValueError(f"unknown pdff convention {convention!r}")
+    cw = np.abs(c_map[..., water_idx])
+    cf = np.abs(c_map[..., fat_idx])
     denom = cw + cf
     with np.errstate(invalid="ignore"):
         return 100.0 * cf / np.where(denom < PDFF_MIN_CONTENT, np.nan, denom)

@@ -228,11 +228,10 @@ def _unit_circle_roots(coeffs):
 def _polish_zero(model, etas_hz, half_width_hz):
     """Golden-section refinement of the local minimum of sigma_min(Delta) around each
     entry of ``etas_hz``, all of them in one lockstep search."""
-
-    def smin(eta):
-        return np.linalg.svd(delta_matrix(eta, model), compute_uv=False)[..., -1]
-
-    a, b, _ = golden_section(smin, etas_hz - half_width_hz, etas_hz + half_width_hz, 90)
+    a, b, _ = golden_section(
+        lambda eta: sigma_min_profile(model, eta),
+        etas_hz - half_width_hz, etas_hz + half_width_hz, 90,
+    )
     return (a + b) / 2.0
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "PhantomTruth",
     "CorruptionSpec",
     "CorruptionReport",
-    "evaluate_field",
     "generate_phantom",
     "corrupt",
     "default_phantom_spec",
@@ -64,44 +63,28 @@ class Shape:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Smooth scalar field: constant, linear, gaussian-bump or harmonic."""
+    """Smooth scalar field on the pixel grid.
+
+    ``"constant"`` takes ``value``; ``"gaussian-bump"`` takes ``amplitude``
+    and ``sigma`` (pixels), plus an optional ``offset`` and ``center`` (x, y)
+    that defaults to the grid's center.
+    """
 
     kind: str
     params: dict
 
     def evaluate(self, height, width):
-        return evaluate_field(self, height, width)
-
-
-def evaluate_field(spec, height, width):
-    yy, xx = np.mgrid[0:height, 0:width].astype(float)
-    p = spec.params
-    if spec.kind == "constant":
-        return np.full((height, width), float(p["value"]))
-    if spec.kind == "linear":
-        x0, y0 = p.get("origin", (0.0, 0.0))
-        return (
-            float(p.get("value", 0.0))
-            + float(p.get("gx", 0.0)) * (xx - x0)
-            + float(p.get("gy", 0.0)) * (yy - y0)
-        )
-    if spec.kind == "gaussian-bump":
-        cx, cy = p.get("center", ((width - 1) / 2.0, (height - 1) / 2.0))
-        sig = float(p["sigma"])
-        return float(p.get("offset", 0.0)) + float(p["amplitude"]) * np.exp(
-            -((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * sig**2)
-        )
-    if spec.kind == "harmonic":
-        # a (x^2 - y^2) + b x y is harmonic for the 5-point stencil
-        cx, cy = p.get("center", ((width - 1) / 2.0, (height - 1) / 2.0))
-        scale = float(p.get("scale", max(height, width)))
-        u, v = (xx - cx) / scale, (yy - cy) / scale
-        return (
-            float(p.get("offset", 0.0))
-            + float(p.get("a", 0.0)) * (u * u - v * v)
-            + float(p.get("b", 0.0)) * (u * v)
-        )
-    raise SpecError(f"unknown field kind {spec.kind!r}")
+        p = self.params
+        if self.kind == "constant":
+            return np.full((height, width), float(p["value"]))
+        if self.kind == "gaussian-bump":
+            yy, xx = np.mgrid[0:height, 0:width].astype(float)
+            cx, cy = p.get("center", ((width - 1) / 2.0, (height - 1) / 2.0))
+            sig = float(p["sigma"])
+            return float(p.get("offset", 0.0)) + float(p["amplitude"]) * np.exp(
+                -((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * sig**2)
+            )
+        raise SpecError(f"unknown field kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -210,7 +193,7 @@ def corrupt(grid, corruption, seed, xi0_map=None, echo_times_s=None):
         y = y + corruption.sigma * noise / sqrt(2.0)
         budget += corruption.sigma * sqrt(n_e)
     report = CorruptionReport(budget=budget, empirical=np.linalg.norm(y - grid.signal, axis=2))
-    return ImageGrid(width=w, height=h, signal=y, mask=grid.mask.copy()), report
+    return ImageGrid(y, grid.mask.copy()), report
 
 
 def default_phantom_spec(width=64, height=64, fieldmap_amplitude_hz=20.0):

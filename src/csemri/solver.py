@@ -314,15 +314,17 @@ class FlowConfig:
 
     ``step`` is the absolute step size; leave it None and set
     ``certified=True`` to derive it from the curvature at the initial
-    iterate: the voxel's :func:`certified_step` in the single-voxel flows,
-    and each support voxel's own step in the image driver, which falls back
-    to the smallest step over the mask (and the projection) in an iteration
-    whose steps leave C_phi. ``max_iters >= 0`` caps the steps.
+    iterate (exactly one of the two is given): the voxel's
+    :func:`certified_step` in the single-voxel flows, and each support
+    voxel's own step in the image driver, which falls back to the smallest
+    step over the mask (and the projection) in an iteration whose steps
+    leave C_phi. ``max_iters >= 0`` caps the steps.
     ``grad_tol`` bounds each voxel's real-chart field gradient over the
     scale its caller passes to :func:`csemri.imaging.projected_descent`: the
     single-voxel flows pass 1 (an absolute bound, default ``1e-12 ||y||^2``,
     as the gradient scales with the squared signal), the image driver
-    ``||y(v)||^2`` (a relative bound, default ``1e-12``).
+    ``||y(v)||^2`` (a relative bound, default ``1e-12``). ``keep_trajectory``
+    records every iterate of the single-voxel flows.
     """
 
     step: float | None = None
@@ -339,8 +341,8 @@ class FlowConfig:
             raise DomainError(f"step must be positive, got {self.step}")
         if self.max_iters < 0:
             raise DomainError(f"max_iters must be nonnegative, got {self.max_iters}")
-        if self.step is None and not self.certified:
-            raise DomainError("either give an absolute step or request certified mode")
+        if (self.step is None) != bool(self.certified):
+            raise DomainError("give exactly one of an absolute step and certified mode")
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 WEIGHT_SUM_TOL = 1e-12
+MAX_SELECTIONS = 10**6  # guard on the row selections check_submatrices_nonsingular scans
 
 # Bundled presets (see data/*.json). Peak positions are stored in ppm
 # relative to water and require a field-strength factor (Hz per ppm) to
@@ -258,19 +259,20 @@ class SubmatrixReport:
     ok: bool
 
 
-def check_submatrices_nonsingular(model, tol=1e-10, max_selections=10**6):
+def check_submatrices_nonsingular(model, tol=1e-10):
     """Scan every ``n_s x n_s`` row selection of the model matrix.
 
     Returns the minimum absolute determinant, the selection attaining it,
     and ``ok`` relative to ``tol`` times the Hadamard row-norm scale of the
     worst selection. Exact singularity happens only for exceptional echo
     choices, so the default tolerance sits at machine-precision scale.
+    More than ``MAX_SELECTIONS`` selections raise :class:`CombinatorialLimit`.
     """
     n_e, n_s = model.n_e, model.n_s
     n_sel = comb(n_e, n_s)
-    if n_sel > max_selections:
+    if n_sel > MAX_SELECTIONS:
         raise CombinatorialLimit(
-            f"{n_sel} selections exceed the guard of {max_selections}"
+            f"{n_sel} selections exceed the guard of {MAX_SELECTIONS}"
         )
     selections = list(combinations(range(n_e), n_s))
     stacked = model.phi[np.array(selections), :]  # (n_sel, n_s, n_s)

@@ -302,17 +302,25 @@ class TestProjectionFastPath:
 class TestImageGrid:
     def test_validation(self):
         with pytest.raises(DimensionError):
-            ImageGrid(width=3, height=3, signal=np.zeros((2, 3, 4)), mask=np.zeros((3, 3), bool))
+            ImageGrid(np.zeros((2, 3, 4)), np.zeros((3, 3), bool))
         sig = np.zeros((3, 3, 4), complex)
         sig[0, 0, 0] = np.nan
         mask = np.zeros((3, 3), bool)
         mask[0, 0] = True
         with pytest.raises(DimensionError):
-            ImageGrid(width=3, height=3, signal=sig, mask=mask)
+            ImageGrid(sig, mask)
         with pytest.raises(DimensionError):  # off the mask too
-            ImageGrid(width=3, height=3, signal=sig, mask=~mask)
+            ImageGrid(sig, ~mask)
         with pytest.raises(DimensionError):  # a NaN norm fails the threshold
             ImageGrid.from_signal(sig)
+
+    def test_size_is_read_from_the_signal(self):
+        with pytest.raises(DimensionError):  # no echo axis
+            ImageGrid(np.zeros((3, 5), complex), np.zeros((3, 5), bool))
+        with pytest.raises(DimensionError):
+            ImageGrid.from_signal(np.ones((3, 5)))
+        grid = ImageGrid(np.zeros((3, 5, 2), complex), np.zeros((3, 5), bool))
+        assert (grid.height, grid.width, grid.n_e) == (3, 5, 2)
 
     def test_infinite_signal_raises_before_the_mask_norm(self):
         sig = np.zeros((3, 3, 4), complex)
@@ -606,7 +614,7 @@ class TestSupportRule:
         signal[np.nonzero(mask)[0][::40], np.nonzero(mask)[1][::40]] = 0.0
         init = truth.xi0_map + 2.0 + 0.5j
         small = reconstruct(
-            ImageGrid(32, 32, signal, mask), MODEL, FieldmapConstraint.from_mask(mask, 30.0, np.inf),
+            ImageGrid(signal, mask), MODEL, FieldmapConstraint.from_mask(mask, 30.0, np.inf),
             FlowConfig(certified=True, max_iters=1000, grad_tol=1e-6), init,
         )
         # the bounded constraints reach no voxel outside the embedded image,
@@ -619,7 +627,7 @@ class TestSupportRule:
         big_init = np.full((40, 44), 1.0 + 0.5j)
         big_init[4:36, 6:38] = init
         big = reconstruct(
-            ImageGrid(44, 40, big_signal, big_mask), MODEL,
+            ImageGrid(big_signal, big_mask), MODEL,
             FieldmapConstraint.from_mask(big_mask, 30.0, np.inf),
             FlowConfig(certified=True, max_iters=1000, grad_tol=1e-6), big_init,
         )
@@ -679,7 +687,7 @@ class TestZeroBranch:
         init = truth.xi0_map + 2.0 + 0.5j
         cfg = FlowConfig(certified=True, max_iters=60, grad_tol=1e-300)
         small = reconstruct_noisy(
-            ImageGrid(32, 32, signal, mask), MODEL,
+            ImageGrid(signal, mask), MODEL,
             FieldmapConstraint.from_mask(mask, 30.0, np.inf), delta, cfg, init,
         )
         # a frame of pure noise inside the ball, part of it on the mask
@@ -695,7 +703,7 @@ class TestZeroBranch:
         big_init = np.full((40, 44), 1.0 + 0.5j)
         big_init[4:36, 6:38] = init
         big = reconstruct_noisy(
-            ImageGrid(44, 40, big_signal, big_mask), MODEL,
+            ImageGrid(big_signal, big_mask), MODEL,
             FieldmapConstraint.from_mask(big_mask, 30.0, np.inf), delta, cfg, big_init,
         )
         frame = np.ones((40, 44), bool)

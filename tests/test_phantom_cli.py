@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from csemri import experiments
 from csemri.cli import _limit_threads, cli_main
 from csemri.containers import read_csir, write_csir
 from csemri.errors import SpecError
@@ -249,11 +250,11 @@ class TestExperiments:
         _csv_writer_reference(tmp_path / "ref.csv", matrix, header=header)
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
-    def test_solution_set_artifacts(self, tmp_path):
-        paths = experiment_solution_set(
-            SPECIES[:2], tmp_path, echo_counts=(4, 6), band_hz=(-1000.0, 1000.0),
-            grid_step_hz=2.0,
-        )
+    def test_solution_set_artifacts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "ECHO_COUNTS", (4, 6))
+        monkeypatch.setattr(experiments, "BAND_HZ", (-1000.0, 1000.0))
+        monkeypatch.setattr(experiments, "GRID_STEP_HZ", 2.0)
+        paths = experiment_solution_set(SPECIES[:2], tmp_path)
         assert all(p.exists() for p in paths)
         with open(tmp_path / "zeros_ne4.json") as fh:
             z4 = json.load(fh)
@@ -276,11 +277,13 @@ class TestExperiments:
         assert at[0] < 1e-9
         assert at[1] > 1e-2
 
-    def test_solution_set_writes_null_for_infinite_periods(self, tmp_path):
-        experiment_solution_set(
-            SPECIES[:2], tmp_path, first_echo_ms=1.0, spacing_ms=np.pi / 2,
-            echo_counts=(4,), band_hz=(-100.0, 100.0), grid_step_hz=10.0,
-        )
+    def test_solution_set_writes_null_for_infinite_periods(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "FIRST_ECHO_MS", 1.0)
+        monkeypatch.setattr(experiments, "ECHO_SPACING_MS", np.pi / 2)
+        monkeypatch.setattr(experiments, "ECHO_COUNTS", (4,))
+        monkeypatch.setattr(experiments, "BAND_HZ", (-100.0, 100.0))
+        monkeypatch.setattr(experiments, "GRID_STEP_HZ", 10.0)
+        experiment_solution_set(SPECIES[:2], tmp_path)
 
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")
@@ -289,15 +292,15 @@ class TestExperiments:
         assert doc["lattice_period_hz"] is None and doc["w_period_hz"] is None
         assert [z["eta_hz"] for z in doc["zeros"]] == [0.0]
 
-    def test_curvature_artifacts(self, tmp_path):
+    def test_curvature_artifacts(self, tmp_path, monkeypatch):
         spec = default_phantom_spec(width=16, height=16)
         truth = generate_phantom(
             PhantomSpec(16, 16, spec.shapes[:2], spec.fieldmap, spec.r2star), MODEL
         )
         radii = np.geomspace(1.0, 60.0, 6)
-        paths = experiment_curvature(
-            truth, MODEL, tmp_path, stride=13, radii=radii, angular_samples=8,
-        )
+        monkeypatch.setattr(experiments, "RADII_HZ", radii)
+        monkeypatch.setattr(experiments, "ANGULAR_SAMPLES", 8)
+        paths = experiment_curvature(truth, MODEL, tmp_path, stride=13)
         assert all(p.exists() for p in paths)
         with open(tmp_path / "curvature_summary.json") as fh:
             summary = json.load(fh)
@@ -380,6 +383,38 @@ class TestCli:
                          "--flow", str(flow)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
+
+    @pytest.mark.parametrize(
+        "flow, error",
+        [
+            ({"max_iter": 10}, "SpecError"),
+            ({"keep_trajectory": True}, "SpecError"),
+            ({"certified": "false"}, "SpecError"),
+            ({"step": 1000, "certified": True}, "DomainError"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["reconstruct", "solve"])
+    def test_flow_config_that_would_be_dropped_exits_2(self, tmp_path, capsys, command, flow, error):
+        out = tmp_path / "out"
+        if command == "reconstruct":
+            ph, path = tmp_path / "ph.json", tmp_path / "flow.json"
+            assert cli_main(["phantom", "--out", str(ph), "--width", "4", "--height", "4"]) == 0
+            path.write_text(json.dumps(flow))
+            argv = ["reconstruct", "--input", str(ph), "--out", str(out), "--flow", str(path)]
+        else:
+            path = tmp_path / "solve.json"
+            path.write_text(json.dumps({
+                "acquisition": {"echo_times_ms": [1.238 + 0.986 * k for k in range(6)],
+                                "species": ["water"]},
+                "signal": [[1.0, 0.0]] * 6,
+                "flow": flow,
+            }))
+            argv = ["solve", "--input", str(path), "--out", str(out)]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == error
+        assert not out.exists()
 
     def test_max_iters_with_flow_exits_2(self, tmp_path, capsys):
         ph, flow, out = tmp_path / "ph.json", tmp_path / "flow.json", tmp_path / "r.npz"

@@ -455,6 +455,8 @@ class TestWirtingerFlow:
             FlowConfig(step=1.0, rho=1.5)
         with pytest.raises(DomainError):
             FlowConfig(step=1.0, max_iters=-1)
+        with pytest.raises(DomainError):  # the certified step would drop it
+            FlowConfig(step=1.0, certified=True)
 
     def test_zero_iterations_evaluate_the_start(self):
         xi0, c0, s0 = random_voxel()

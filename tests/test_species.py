@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from csemri import species
 from csemri.errors import CombinatorialLimit, DimensionError, InvalidSpecies
 from csemri.species import (
     EchoSpec,
@@ -201,10 +202,11 @@ class TestSubmatrixScan:
         ]
         assert np.isclose(report.min_abs_det, min(dets))
 
-    def test_combinatorial_guard(self):
+    def test_combinatorial_guard(self, monkeypatch):
         model = build_model([WATER, FAT6], PROTOCOL_ECHOES_6)
+        monkeypatch.setattr(species, "MAX_SELECTIONS", 2)
         with pytest.raises(CombinatorialLimit):
-            check_submatrices_nonsingular(model, max_selections=2)
+            check_submatrices_nonsingular(model)
 
 
 class TestJRank:
