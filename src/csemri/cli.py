@@ -50,25 +50,6 @@ from .experiments import (
 
 log = logging.getLogger(__name__)
 
-INPUT_ERRORS = (
-    errors.SpecError,
-    errors.InvalidSpecies,
-    errors.DimensionError,
-    errors.DomainError,
-    FileNotFoundError,
-    KeyError,
-    json.JSONDecodeError,
-)
-NUMERICAL_ERRORS = (
-    errors.RankDeficient,
-    errors.NonConvergence,
-    errors.OverflowRisk,
-    errors.DegenerateCurvature,
-    errors.NonBracketed,
-    errors.CombinatorialLimit,
-    errors.PolynomialDegreeLimit,
-)
-
 DEFAULT_ACQUISITION = {
     "echo_times_ms": [1.238 + 0.986 * k for k in range(6)],
     "species": ["water", "fat6", "silicone"],
@@ -249,17 +230,19 @@ def cmd_corrupt(args):
 
 
 def cmd_reconstruct(args):
-    if args.flow and args.max_iters is not None:
+    if args.flow is not None and args.max_iters is not None:
         raise errors.SpecError("--max-iters conflicts with --flow; set max_iters in the flow config")
     model = _load_acquisition(args.config)
+    if not (0 <= args.water_index < model.n_s and 0 <= args.fat_index < model.n_s):
+        raise errors.DimensionError(
+            f"species index out of range: --water-index {args.water_index}, "
+            f"--fat-index {args.fat_index} for n_s={model.n_s}"
+        )
     grid, header = grid_from_csir(args.input, mask_threshold=args.mask_threshold)
     constraint = FieldmapConstraint.from_mask(grid.mask, args.eps_on_mask, args.eps_off_mask)
-    flow_doc = {}
-    if args.flow:
+    if args.flow is not None:
         with open(args.flow) as fh:
-            flow_doc = json.load(fh)
-    if flow_doc:
-        cfg = flow_config_from_dict(flow_doc)
+            cfg = flow_config_from_dict(json.load(fh))
     else:
         max_iters = 2000 if args.max_iters is None else args.max_iters
         cfg = FlowConfig(certified=True, max_iters=max_iters)
@@ -436,10 +419,10 @@ def cli_main(argv=None):
         _limit_threads()
         args = parser.parse_args(argv)
         return args.fn(args)
-    except INPUT_ERRORS as exc:
+    except (errors.InputError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except errors.NumericalError as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 3
 

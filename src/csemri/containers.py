@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CsemriError, DimensionError, SpecError
+from .errors import CsemriError, SpecError
 from .imaging import ImageGrid
 from .solver import FlowConfig
 from .species import EchoSpec, build_model, load_species, species_from_dict, PRESET_NAMES
@@ -35,7 +35,12 @@ __all__ = [
 ]
 
 CSIR_LAYOUT = "row-major, per-voxel interleaved re/im, echo-major"
-FLOW_CONFIG_KEYS = ("step", "max_iters", "grad_tol", "rho", "certified")
+FLOW_CONFIG_KEYS = ("step", "max_iters", "grad_tol", "certified")
+
+
+def _is_number(value):
+    """True for a finite JSON number; a JSON boolean is no number."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def model_from_config(config):
@@ -43,7 +48,9 @@ def model_from_config(config):
 
     Expected keys: ``echo_times_ms`` (list), ``species`` (preset names or
     inline species dicts) and, when any species is given in ppm,
-    ``hz_per_ppm``.
+    ``hz_per_ppm``. The echo times, ``hz_per_ppm`` and each inline peak's
+    ``hz``, ``ppm`` and ``weight`` must be finite JSON numbers (a boolean is
+    none), or :class:`SpecError` is raised.
     """
     if not isinstance(config, dict):
         raise SpecError(f"acquisition config must be a JSON object, got {type(config).__name__}")
@@ -51,18 +58,15 @@ def model_from_config(config):
         times_ms = config["echo_times_ms"]
     except KeyError as exc:
         raise SpecError("acquisition config needs echo_times_ms") from exc
-    try:
-        if isinstance(times_ms, str):  # iterable, but it would read one echo per character
-            raise TypeError("a string is not a list")
-        echoes = EchoSpec.from_ms(times_ms)
-    except DimensionError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"echo_times_ms must be a list of numbers, got {times_ms!r}") from exc
+    if type(times_ms) is not list or not all(map(_is_number, times_ms)):
+        raise SpecError(f"echo_times_ms must be a list of numbers, got {times_ms!r}")
+    echoes = EchoSpec.from_ms(times_ms)
     entries = config.get("species", [])
     if not isinstance(entries, list):
         raise SpecError(f"species must be a list, got {entries!r}")
     hz_per_ppm = config.get("hz_per_ppm")
+    if not (hz_per_ppm is None or _is_number(hz_per_ppm)):
+        raise SpecError(f"hz_per_ppm must be a number, got {hz_per_ppm!r}")
     species = []
     try:
         for entry in entries:
@@ -70,12 +74,16 @@ def model_from_config(config):
                 if entry not in PRESET_NAMES:
                     raise SpecError(f"unknown species preset {entry!r}")
                 species.append(load_species(entry, hz_per_ppm=hz_per_ppm))
-            else:
-                species.append(species_from_dict(entry, hz_per_ppm=hz_per_ppm))
+                continue
+            for peak in entry["peaks"]:
+                bad = [k for k in ("hz", "ppm", "weight") if k in peak and not _is_number(peak[k])]
+                if bad:
+                    raise SpecError(f"peak {bad} of species {entry.get('name')!r} must be numbers")
+            species.append(species_from_dict(entry, hz_per_ppm=hz_per_ppm))
     except CsemriError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:  # an entry, peak or hz_per_ppm of the wrong type
-        raise SpecError(f"malformed species or hz_per_ppm: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # an entry or peak of the wrong type
+        raise SpecError(f"malformed species: {exc}") from exc
     if not species:
         raise SpecError("acquisition config needs at least one species")
     return build_model(species, echoes)
@@ -90,8 +98,12 @@ def load_acquisition_config(path):
 def flow_config_from_dict(doc):
     """Build a :class:`FlowConfig` from a JSON object with keys among ``FLOW_CONFIG_KEYS``.
 
-    ``certified`` defaults to true when no ``step`` is given. An unknown key, a
-    non-boolean ``certified`` or a value of the wrong type raises :class:`SpecError`.
+    ``certified`` defaults to true when no ``step`` is given, so an empty
+    object gives the :class:`FlowConfig` defaults in certified mode; the
+    certified step takes the margin ``solver.RHO``. ``step`` and ``grad_tol``
+    must be finite JSON numbers, ``max_iters`` one with an integral value and
+    ``certified`` a boolean; anything else, and an unknown key, raises
+    :class:`SpecError`.
     """
     if not isinstance(doc, dict):
         raise SpecError(f"flow config must be a JSON object, got {type(doc).__name__}")
@@ -99,19 +111,20 @@ def flow_config_from_dict(doc):
     if unknown:
         raise SpecError(f"unknown flow config keys {unknown}; allowed are {list(FLOW_CONFIG_KEYS)}")
     step, grad_tol = doc.get("step"), doc.get("grad_tol")
+    max_iters = doc.get("max_iters", 100_000)
     certified = doc.get("certified", step is None)
     if not isinstance(certified, bool):
         raise SpecError(f"flow config certified must be true or false, got {certified!r}")
-    try:
-        fields = dict(
-            step=None if step is None else float(step),
-            max_iters=int(doc.get("max_iters", 100_000)),
-            grad_tol=None if grad_tol is None else float(grad_tol),
-            rho=float(doc.get("rho", 0.5)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SpecError(f"malformed flow config: {exc}") from exc
-    return FlowConfig(certified=certified, **fields)
+    if not all(v is None or _is_number(v) for v in (step, grad_tol)):
+        raise SpecError(f"flow config step and grad_tol must be numbers, got {step!r}, {grad_tol!r}")
+    if not (_is_number(max_iters) and float(max_iters).is_integer()):
+        raise SpecError(f"flow config max_iters must be an integer, got {max_iters!r}")
+    return FlowConfig(
+        step=None if step is None else float(step),
+        max_iters=int(max_iters),
+        grad_tol=None if grad_tol is None else float(grad_tol),
+        certified=certified,
+    )
 
 
 def write_csir(header_path, signal, echo_times_ms, extra_header=None):
@@ -171,8 +184,7 @@ def read_csir(header_path):
     times = header["echo_times_ms"]
     if not (
         type(times) is list and len(times) == n_e
-        # finite as a float: NaN, inf and an int beyond the float range fail
-        and all(type(t) in (int, float) and abs(t) <= sys.float_info.max for t in times)
+        and all(map(_is_number, times))
     ):
         raise SpecError(f"CSIR echo_times_ms must be a list of {n_e} finite numbers, got {times!r}")
     payload_path = header_path.parent / header["payload"]

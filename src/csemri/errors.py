@@ -1,49 +1,62 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every concrete error derives from exactly one of :class:`InputError` (the
+CLI exits 2) and :class:`NumericalError` (the CLI exits 3), and keeps a
+builtin base so that callers can also catch it as that builtin.
+"""
 
 
 class CsemriError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionError(CsemriError, ValueError):
+class InputError(CsemriError):
+    """An input, argument or file that the package cannot accept."""
+
+
+class NumericalError(CsemriError):
+    """A computation that failed on an accepted input."""
+
+
+class DimensionError(InputError, ValueError):
     """Array or model dimensions are incompatible."""
 
 
-class InvalidSpecies(CsemriError, ValueError):
+class InvalidSpecies(InputError, ValueError):
     """Species definition violates the spectrum invariants."""
 
 
-class CombinatorialLimit(CsemriError, RuntimeError):
+class CombinatorialLimit(NumericalError, RuntimeError):
     """An enumeration would exceed the configured guard."""
 
 
-class PolynomialDegreeLimit(CsemriError, RuntimeError):
+class PolynomialDegreeLimit(NumericalError, RuntimeError):
     """A determinant polynomial exceeds the configured degree guard."""
 
 
-class RankDeficient(CsemriError, RuntimeError):
+class RankDeficient(NumericalError, RuntimeError):
     """A matrix required to be full-rank is numerically rank-deficient."""
 
 
-class OverflowRisk(CsemriError, FloatingPointError):
+class OverflowRisk(NumericalError, FloatingPointError):
     """Evaluating exp(2*pi*i*xi*t) would overflow IEEE doubles."""
 
 
-class DomainError(CsemriError, ValueError):
+class DomainError(InputError, ValueError):
     """Scalar argument outside the mathematical domain of the function."""
 
 
-class DegenerateCurvature(CsemriError, RuntimeError):
+class DegenerateCurvature(NumericalError, RuntimeError):
     """The residual has no curvature at the requested point."""
 
 
-class NonBracketed(CsemriError, RuntimeError):
+class NonBracketed(NumericalError, RuntimeError):
     """A scalar root search found no sign change inside the search cap."""
 
 
-class NonConvergence(CsemriError, RuntimeError):
+class NonConvergence(NumericalError, RuntimeError):
     """An iterative projection failed to reach its tolerance."""
 
 
-class SpecError(CsemriError, ValueError):
+class SpecError(InputError, ValueError):
     """Malformed phantom or configuration specification."""

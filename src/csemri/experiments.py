@@ -23,7 +23,7 @@ from .lattice import (
     weighting_error_profile,
 )
 from .residual import make_residual_operator
-from .solver import curvature_profile, radius_empirical_from_profile, radius_lambert, radius_tight
+from .solver import RHO, curvature_profile, radius_empirical_from_profile, radius_lambert, radius_tight
 from .species import EchoSpec, build_model
 
 __all__ = [
@@ -39,8 +39,7 @@ ECHO_SPACING_MS = 1.05
 ECHO_COUNTS = (4, 6, 7, 8)
 BAND_HZ = (-1100.0, 1100.0)
 GRID_STEP_HZ = 0.25
-# the curvature study
-RHO = 0.5
+# the curvature study, at the certified step's margin RHO
 RADII_HZ = np.geomspace(0.5, 120.0, 18)
 ANGULAR_SAMPLES = 16
 

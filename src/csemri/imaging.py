@@ -52,7 +52,7 @@ from .residual import (
     voxelwise_signal_gradient,  # noqa: F401  (the benchmark trace looks it up here)
     voxelwise_value_and_gradient,
 )
-from .solver import certified_step, projected_signal_step, step_bound
+from .solver import RHO, certified_step, projected_signal_step, step_bound
 
 __all__ = [
     "ImageGrid",
@@ -313,14 +313,14 @@ def _descent_steps(op, cfg, xi, s, on_mask):
 
     In certified mode each voxel's :func:`certified_step` at ``xi``, and the
     fallback is their minimum over ``on_mask``. Both are ``0.9
-    step_bound(rho)`` when no voxel has curvature, and so is the fallback
+    step_bound(RHO)`` when no voxel has curvature, and so is the fallback
     when ``on_mask`` selects no voxel. Otherwise both are ``cfg.step``.
     """
     if not cfg.certified:
         return cfg.step, cfg.step
-    fixed = 0.9 * step_bound(cfg.rho)
+    fixed = 0.9 * step_bound(RHO)
     try:
-        steps = certified_step(op, xi, s, cfg.rho)
+        steps = certified_step(op, xi, s, RHO)
     except DegenerateCurvature:
         return fixed, fixed
     return steps, float(np.min(steps[on_mask])) if np.any(on_mask) else fixed

@@ -70,9 +70,8 @@ RATIO_TOL = 1e-12  # echo ratios this close to their fractions are commensurable
 
 @dataclass(frozen=True)
 class RationalEchoStructure:
-    """Rationalization t_k/t_max = p_k/q_k over a support of echo indices."""
+    """Rationalization t_k/t_max = p_k/q_k of every echo time."""
 
-    support: tuple[int, ...]
     t_max: float
     fractions: tuple[tuple[int, int], ...]
     p: int
@@ -92,8 +91,8 @@ class SolutionLattice:
         return not np.isfinite(self.period_hz)
 
 
-def rationalize_echoes(echoes, support=None):
-    """Rationalize the echo-time ratios over the given support.
+def rationalize_echoes(echoes):
+    """Rationalize the ratio of every echo time to the last.
 
     Each ratio ``t_k/t_max`` is replaced by its best rational approximation
     with denominator at most ``DENOM_LIMIT`` (continued-fraction based).
@@ -103,17 +102,11 @@ def rationalize_echoes(echoes, support=None):
     ratios are flagged rather than rounded.
     """
     times = np.asarray(echoes.times_s, dtype=float)
-    if support is None:
-        support = tuple(range(len(times)))
-    support = tuple(sorted(int(k) for k in support))
-    if len(support) == 0:
-        raise DimensionError("support must be non-empty")
-    sub = times[list(support)]
-    t_max = float(sub.max())
+    t_max = float(times.max())
 
     fractions = []
     commensurable = True
-    for t in sub:
+    for t in times:
         ratio = t / t_max
         frac = Fraction(ratio).limit_denominator(DENOM_LIMIT)
         if abs(float(frac) - ratio) > RATIO_TOL:
@@ -126,7 +119,6 @@ def rationalize_echoes(echoes, support=None):
     else:
         p = q = 0
     return RationalEchoStructure(
-        support=support,
         t_max=t_max,
         fractions=tuple(fractions),
         p=p,
@@ -136,7 +128,7 @@ def rationalize_echoes(echoes, support=None):
 
 
 def fieldmap_lattice(structure):
-    """Lattice of shifts ``eta`` with ``exp(2*pi*i*eta*t_k) = 1`` on the support."""
+    """Lattice of shifts ``eta`` with ``exp(2*pi*i*eta*t_k) = 1`` at every echo."""
     if not structure.commensurable:
         return SolutionLattice(period_hz=inf)
     return SolutionLattice(period_hz=(structure.q / structure.p) / structure.t_max)

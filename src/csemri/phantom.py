@@ -10,7 +10,7 @@ missing from the reconstruction model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import inf, sqrt
 
 import numpy as np
 
@@ -33,16 +33,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Shape:
-    """A rasterized region contributing one species' concentration.
+    """A disk of ``radius`` pixels around ``center`` (x, y) contributing one
+    species' concentration.
 
-    Overlapping shapes add their concentrations, so a water/fat mixture is
+    Overlapping disks add their concentrations, so a water/fat mixture is
     two co-located disks. ``r2star_hz`` optionally overrides the decay
-    field inside the shape (later shapes win).
+    field inside the disk (later shapes win).
     """
 
-    kind: str  # "disk" | "rect"
-    center: tuple[float, float]  # (x, y) in pixels
-    size: float | tuple[float, float]  # radius, or (width, height)
+    center: tuple[float, float]
+    radius: float
     species_index: int
     concentration: complex
     r2star_hz: float | None = None
@@ -50,41 +50,28 @@ class Shape:
     def rasterize(self, height, width):
         yy, xx = np.mgrid[0:height, 0:width]
         cx, cy = self.center
-        if self.kind == "disk":
-            return (xx - cx) ** 2 + (yy - cy) ** 2 <= float(self.size) ** 2
-        if self.kind == "rect":
-            try:
-                sx, sy = self.size
-            except TypeError as exc:
-                raise SpecError("rect size must be a (width, height) pair") from exc
-            return (np.abs(xx - cx) <= sx / 2.0) & (np.abs(yy - cy) <= sy / 2.0)
-        raise SpecError(f"unknown shape kind {self.kind!r}")
+        return (xx - cx) ** 2 + (yy - cy) ** 2 <= float(self.radius) ** 2
 
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Smooth scalar field on the pixel grid.
+    """Smooth scalar field ``offset + amplitude exp(-d^2 / (2 sigma^2))`` on the
+    pixel grid, ``d`` the distance in pixels to the grid's center.
 
-    ``"constant"`` takes ``value``; ``"gaussian-bump"`` takes ``amplitude``
-    and ``sigma`` (pixels), plus an optional ``offset`` and ``center`` (x, y)
-    that defaults to the grid's center.
+    ``FieldSpec(offset)`` is the constant field: with ``amplitude = 0`` and
+    the infinite default ``sigma`` the bump is exactly 0 everywhere.
     """
 
-    kind: str
-    params: dict
+    offset: float
+    amplitude: float = 0.0
+    sigma: float = inf
 
     def evaluate(self, height, width):
-        p = self.params
-        if self.kind == "constant":
-            return np.full((height, width), float(p["value"]))
-        if self.kind == "gaussian-bump":
-            yy, xx = np.mgrid[0:height, 0:width].astype(float)
-            cx, cy = p.get("center", ((width - 1) / 2.0, (height - 1) / 2.0))
-            sig = float(p["sigma"])
-            return float(p.get("offset", 0.0)) + float(p["amplitude"]) * np.exp(
-                -((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * sig**2)
-            )
-        raise SpecError(f"unknown field kind {self.kind!r}")
+        yy, xx = np.mgrid[0:height, 0:width].astype(float)
+        cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
+        return float(self.offset) + float(self.amplitude) * np.exp(
+            -((xx - cx) ** 2 + (yy - cy) ** 2) / (2.0 * float(self.sigma) ** 2)
+        )
 
 
 @dataclass(frozen=True)
@@ -102,13 +89,12 @@ class PhantomSpec:
 
 @dataclass(frozen=True)
 class PhantomTruth:
-    """Ground-truth maps plus the simulated acquisition."""
+    """Ground-truth maps plus the simulated acquisition ``grid``."""
 
     c0_map: np.ndarray = field(repr=False)  # (h, w, n_s) complex
     xi0_map: np.ndarray = field(repr=False)  # (h, w) complex
     mask: np.ndarray = field(repr=False)
     grid: ImageGrid
-    spec: PhantomSpec
 
     @property
     def fieldmap(self):
@@ -141,7 +127,7 @@ def generate_phantom(spec, model):
     mask = np.linalg.norm(c0, axis=2) > 0
     sig = weighting_diag(xi0, model.times) * (c0 @ model.phi.T)
     grid = ImageGrid.from_signal(sig, mask=mask)
-    return PhantomTruth(c0_map=c0, xi0_map=xi0, mask=mask, grid=grid, spec=spec)
+    return PhantomTruth(c0_map=c0, xi0_map=xi0, mask=mask, grid=grid)
 
 
 @dataclass(frozen=True)
@@ -205,23 +191,20 @@ def default_phantom_spec(width=64, height=64, fieldmap_amplitude_hz=20.0):
     centers = [(x, y) for y in ys for x in xs]
     radius = 6.0
     shapes = [
-        Shape("disk", centers[0], radius, 0, 1.0, r2star_hz=30.0),
-        Shape("disk", centers[1], radius, 1, 1.0, r2star_hz=45.0),
-        Shape("disk", centers[2], radius, 2, 1.0, r2star_hz=20.0),
+        Shape(centers[0], radius, 0, 1.0, r2star_hz=30.0),
+        Shape(centers[1], radius, 1, 1.0, r2star_hz=45.0),
+        Shape(centers[2], radius, 2, 1.0, r2star_hz=20.0),
     ]
     fractions = np.linspace(0.1, 0.9, 9)
     decays = np.linspace(12.0, 36.0, 9)
     for k, (frac, dec) in enumerate(zip(fractions, decays)):
         center = centers[3 + k]
-        shapes.append(Shape("disk", center, radius, 0, 1.0 - frac, r2star_hz=float(dec)))
-        shapes.append(Shape("disk", center, radius, 1, float(frac)))
+        shapes.append(Shape(center, radius, 0, 1.0 - frac, r2star_hz=float(dec)))
+        shapes.append(Shape(center, radius, 1, float(frac)))
     return PhantomSpec(
         width=width,
         height=height,
         shapes=tuple(shapes),
-        fieldmap=FieldSpec(
-            "gaussian-bump",
-            {"amplitude": float(fieldmap_amplitude_hz), "sigma": 22.0, "offset": -5.0},
-        ),
-        r2star=FieldSpec("constant", {"value": 8.0}),
+        fieldmap=FieldSpec(-5.0, amplitude=float(fieldmap_amplitude_hz), sigma=22.0),
+        r2star=FieldSpec(8.0),
     )

@@ -61,6 +61,7 @@ __all__ = [
     "regularized_constrained_flow",
 ]
 
+RHO = 0.5  # curvature margin of the certified step in the flows and the image driver
 RADIUS_CAP = 600.0  # radii are certified up to tau_s r = 600; beta overflows past exp(700)
 TIGHT_GROWTH = 1.12  # ratio of neighbouring radii on the tight radius's ladder
 TIGHT_SPLIT = 16  # sub-intervals of the tight radius's bracket per refinement round
@@ -324,19 +325,17 @@ class FlowConfig:
     single-voxel flows pass 1 (an absolute bound, default ``1e-12 ||y||^2``,
     as the gradient scales with the squared signal), the image driver
     ``||y(v)||^2`` (a relative bound, default ``1e-12``). ``keep_trajectory``
-    records every iterate of the single-voxel flows.
+    records every iterate of the single-voxel flows. The certified step
+    takes the curvature margin ``RHO``.
     """
 
     step: float | None = None
     max_iters: int = 100_000
     grad_tol: float | None = None
-    rho: float = 0.5
     certified: bool = False
     keep_trajectory: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.rho < 1.0:
-            raise DomainError(f"rho must lie in (0, 1), got {self.rho}")
         if self.step is not None and self.step <= 0.0:
             raise DomainError(f"step must be positive, got {self.step}")
         if self.max_iters < 0:
@@ -402,7 +401,7 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
     y_norm = max(float(np.linalg.norm(y)), 1e-300)
     grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12 * y_norm**2
     support, _ = _signal_support(y[None], delta)
-    alpha = certified_step(op, xi_init, y, cfg.rho) if cfg.certified and len(support) else cfg.step
+    alpha = certified_step(op, xi_init, y, RHO) if cfg.certified and len(support) else cfg.step
     xi, s, iterations, converged, grad, _, trajectory, _ = projected_descent(
         op, np.array([complex(xi_init)]), support, y[None][support], delta, alpha, None,
         (1.0, grad_tol, max(y_norm, float(delta)), 1e-12),

@@ -66,13 +66,14 @@ class SpectralPeak:
 class Species:
     """A chemical species as a finite sum of weighted resonance peaks.
 
-    Weights must sum to one within ``1e-12``; use :meth:`normalized` to
-    rescale tabulated amplitudes that are only approximately normalized.
+    Peak offsets are in Hz; a species tabulated in ppm is converted when it
+    is read (:func:`species_from_dict`). Weights must sum to one within
+    ``1e-12``; use :meth:`normalized` to rescale tabulated amplitudes that
+    are only approximately normalized.
     """
 
     name: str
     peaks: tuple[SpectralPeak, ...]
-    conversion_hz_per_ppm: float | None = None
 
     def __post_init__(self):
         if len(self.peaks) == 0:
@@ -85,7 +86,7 @@ class Species:
             )
 
     @classmethod
-    def normalized(cls, name, frequencies_hz, weights, conversion_hz_per_ppm=None):
+    def normalized(cls, name, frequencies_hz, weights):
         """Build a species, rescaling ``weights`` to sum exactly to one."""
         w = np.asarray(weights, dtype=float)
         if np.any(w < 0):
@@ -98,7 +99,7 @@ class Species:
         peaks = tuple(
             SpectralPeak(float(f), float(wi)) for f, wi in zip(frequencies_hz, w, strict=True)
         )
-        return cls(name, peaks, conversion_hz_per_ppm)
+        return cls(name, peaks)
 
     @classmethod
     def single_peak(cls, name, frequency_hz=0.0):
@@ -120,7 +121,6 @@ def species_from_dict(doc, hz_per_ppm=None):
     """
     peaks_hz = []
     weights = []
-    used_ppm = False
     for peak in doc["peaks"]:
         if "hz" in peak:
             peaks_hz.append(float(peak["hz"]))
@@ -129,17 +129,11 @@ def species_from_dict(doc, hz_per_ppm=None):
                 raise InvalidSpecies(
                     f"species {doc.get('name')!r} is defined in ppm; hz_per_ppm is required"
                 )
-            used_ppm = True
             peaks_hz.append(float(peak["ppm"]) * float(hz_per_ppm))
         else:
             raise InvalidSpecies("each peak needs an 'hz' or 'ppm' entry")
         weights.append(float(peak["weight"]))
-    return Species.normalized(
-        str(doc["name"]),
-        peaks_hz,
-        weights,
-        conversion_hz_per_ppm=float(hz_per_ppm) if used_ppm else None,
-    )
+    return Species.normalized(str(doc["name"]), peaks_hz, weights)
 
 
 def load_species(name, hz_per_ppm=None):
@@ -171,10 +165,6 @@ class EchoSpec:
     @classmethod
     def uniform_ms(cls, first_ms, spacing_ms, n_echoes):
         return cls.from_ms([first_ms + spacing_ms * k for k in range(n_echoes)])
-
-    @property
-    def n_echoes(self):
-        return len(self.times_s)
 
     def array(self):
         return np.asarray(self.times_s, dtype=float)

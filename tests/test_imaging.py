@@ -357,7 +357,7 @@ class TestCertifiedStepBatch:
         assert np.all(batch[zero] == batch.min())  # zero curvature takes the batch minimum
         # the fallback is the mask minimum, which is the step of the largest curvature
         on_mask = truth.mask.ravel()[mask]
-        steps, fallback = _descent_steps(OP, FlowConfig(certified=True, rho=0.5),
+        steps, fallback = _descent_steps(OP, FlowConfig(certified=True),
                                          xi[mask], s[mask], on_mask)
         assert np.array_equal(steps, batch)
         _, r1s = residual_pieces(OP, xi[mask][on_mask], s[mask][on_mask], 1)
@@ -369,7 +369,7 @@ class TestCertifiedStepBatch:
         s = np.zeros((5, 6), complex)
         with pytest.raises(DegenerateCurvature):
             certified_step(OP, xi, s, 0.5)
-        cfg = FlowConfig(certified=True, rho=0.5)
+        cfg = FlowConfig(certified=True)
         fixed = 0.9 * step_bound(0.5)
         assert _descent_steps(OP, cfg, xi, s, np.ones(5, bool)) == (fixed, fixed)
         assert _descent_steps(OP, cfg, xi, s, np.zeros(5, bool)) == (fixed, fixed)
@@ -379,7 +379,7 @@ class TestCertifiedStepBatch:
         xi = truth.xi0_map.ravel().copy()
         mask = truth.mask.ravel()
         xi[np.flatnonzero(mask)[3]] = 1j * 2e4 / MODEL.times[-1]
-        cfg = FlowConfig(certified=True, rho=0.5)
+        cfg = FlowConfig(certified=True)
         with pytest.raises(OverflowRisk):
             _descent_steps(OP, cfg, xi, truth.grid.signal.reshape(-1, 6), mask)
 

@@ -66,14 +66,6 @@ class TestRationalize:
         period = fieldmap_lattice(st).period_hz
         assert period == pytest.approx(brute_force_period([0.7e-3, 1.4e-3], step_hz=1 / 1.4))
 
-    def test_single_echo_support(self):
-        st = rationalize_echoes(EchoSpec.from_ms([1, 2, 3]), support=(2,))
-        assert fieldmap_lattice(st).period_hz == pytest.approx(1000.0 / 3.0)
-
-    def test_empty_support_rejected(self):
-        with pytest.raises(DimensionError):
-            rationalize_echoes(EchoSpec.from_ms([1, 2]), support=())
-
     def test_millisecond_family_all_echo_counts(self):
         # 1.3 + 1.05 k ms has gcd 0.05 ms, so the lattice sits at 20 kHz
         for n in (4, 6, 7, 8):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from csemri import experiments
+from csemri import cli, errors, experiments
 from csemri.cli import _limit_threads, cli_main
 from csemri.containers import read_csir, write_csir
 from csemri.errors import SpecError
@@ -27,6 +27,7 @@ from csemri.phantom import (
     default_phantom_spec,
     generate_phantom,
 )
+from csemri.solver import FlowConfig
 from csemri.species import EchoSpec, build_model, load_species, signal
 
 HZ_PER_PPM = 3.0 * 42.57747892
@@ -41,7 +42,7 @@ MODEL = build_model(SPECIES, EchoSpec.uniform_ms(1.238, 0.986, 6))
 class TestGeneratePhantom:
     def test_empty_spec_zero_signal(self):
         spec = PhantomSpec(
-            8, 8, (), FieldSpec("constant", {"value": 0.0}), FieldSpec("constant", {"value": 1.0})
+            8, 8, (), FieldSpec(0.0), FieldSpec(1.0)
         )
         truth = generate_phantom(spec, MODEL)
         assert np.all(truth.grid.signal == 0)
@@ -51,9 +52,9 @@ class TestGeneratePhantom:
         spec = PhantomSpec(
             6,
             6,
-            (Shape("rect", (2.5, 2.5), (100.0, 100.0), 0, 1.0),),
-            FieldSpec("constant", {"value": 12.0}),
-            FieldSpec("constant", {"value": 7.0}),
+            (Shape((2.5, 2.5), 100.0, 0, 1.0),),
+            FieldSpec(12.0),
+            FieldSpec(7.0),
         )
         truth = generate_phantom(spec, MODEL)
         assert truth.mask.all()
@@ -79,18 +80,18 @@ class TestGeneratePhantom:
 
     def test_bad_species_index(self):
         spec = PhantomSpec(
-            4, 4, (Shape("disk", (2, 2), 1.5, 7, 1.0),),
-            FieldSpec("constant", {"value": 0.0}),
-            FieldSpec("constant", {"value": 1.0}),
+            4, 4, (Shape((2, 2), 1.5, 7, 1.0),),
+            FieldSpec(0.0),
+            FieldSpec(1.0),
         )
         with pytest.raises(SpecError):
             generate_phantom(spec, MODEL)
 
     def test_negative_r2star_rejected(self):
         spec = PhantomSpec(
-            4, 4, (Shape("disk", (2, 2), 1.5, 0, 1.0),),
-            FieldSpec("constant", {"value": 0.0}),
-            FieldSpec("constant", {"value": -1.0}),
+            4, 4, (Shape((2, 2), 1.5, 0, 1.0),),
+            FieldSpec(0.0),
+            FieldSpec(-1.0),
         )
         with pytest.raises(SpecError):
             generate_phantom(spec, MODEL)
@@ -120,9 +121,9 @@ class TestCorrupt:
         sigma = 0.3
         rng_draws = 10_000
         spec = PhantomSpec(
-            1, 1, (Shape("disk", (0, 0), 1.0, 0, 1.0),),
-            FieldSpec("constant", {"value": 0.0}),
-            FieldSpec("constant", {"value": 5.0}),
+            1, 1, (Shape((0, 0), 1.0, 0, 1.0),),
+            FieldSpec(0.0),
+            FieldSpec(5.0),
         )
         tiny = generate_phantom(spec, MODEL)
         acc = 0.0
@@ -148,9 +149,9 @@ class TestCorrupt:
         truth = generate_phantom(
             PhantomSpec(
                 8, 8,
-                (Shape("rect", (3.5, 3.5), (100, 100), 0, 1.0),),
-                FieldSpec("constant", {"value": 10.0}),
-                FieldSpec("constant", {"value": 5.0}),
+                (Shape((3.5, 3.5), 100, 0, 1.0),),
+                FieldSpec(10.0),
+                FieldSpec(5.0),
             ),
             water_fat,
         )
@@ -391,6 +392,12 @@ class TestCli:
             ({"keep_trajectory": True}, "SpecError"),
             ({"certified": "false"}, "SpecError"),
             ({"step": 1000, "certified": True}, "DomainError"),
+            ({"rho": 0.5}, "SpecError"),
+            ({"max_iters": 10.5}, "SpecError"),
+            ({"max_iters": True}, "SpecError"),
+            ({"grad_tol": False}, "SpecError"),
+            ({"step": True}, "SpecError"),
+            ([], "SpecError"),
         ],
     )
     @pytest.mark.parametrize("command", ["reconstruct", "solve"])
@@ -415,6 +422,88 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and json.loads(err)["error"] == error
         assert not out.exists()
+
+    def test_empty_flow_config_takes_the_flow_config_defaults(self, tmp_path, monkeypatch):
+        ph, flow, seen = tmp_path / "ph.json", tmp_path / "flow.json", []
+
+        def stop(grid, model, constraint, cfg, xi_init):
+            seen.append(cfg)
+            raise errors.NonConvergence("stopped before solving")
+
+        assert cli_main(["phantom", "--out", str(ph), "--width", "4", "--height", "4"]) == 0
+        monkeypatch.setattr(cli, "reconstruct", stop)
+        for doc in ({}, {"certified": True}):
+            flow.write_text(json.dumps(doc))
+            assert cli_main(["reconstruct", "--input", str(ph), "--out", str(tmp_path / "r.npz"),
+                             "--flow", str(flow)]) == 3
+        assert seen == [FlowConfig(certified=True)] * 2
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"echo_times_ms": [True, 2.2, 3.2, 4.2, 5.2, 6.2]},
+            {"hz_per_ppm": True},
+            {"species": [{"name": "q", "peaks": [{"hz": True, "weight": 1}]}]},
+            {"species": [{"name": "q", "peaks": [{"ppm": True, "weight": 1}]}]},
+            {"species": [{"name": "q", "peaks": [{"hz": 0, "weight": True}]}]},
+        ],
+    )
+    @pytest.mark.parametrize("command", ["reconstruct", "solve"])
+    def test_boolean_in_acquisition_config_exits_2(self, tmp_path, capsys, command, config):
+        config = {"echo_times_ms": [1.2, 2.2, 3.2, 4.2, 5.2, 6.2], "species": ["water", "fat6"],
+                  "hz_per_ppm": HZ_PER_PPM, **config}
+        out = tmp_path / "out"
+        if command == "reconstruct":
+            ph, path = tmp_path / "ph.json", tmp_path / "acq.json"
+            assert cli_main(["phantom", "--out", str(ph), "--width", "4", "--height", "4"]) == 0
+            path.write_text(json.dumps(config))
+            argv = ["reconstruct", "--input", str(ph), "--out", str(out), "--config", str(path)]
+        else:
+            path = tmp_path / "solve.json"
+            path.write_text(json.dumps({"acquisition": config, "signal": [[1.0, 0.0]] * 6}))
+            argv = ["solve", "--input", str(path), "--out", str(out)]
+        capsys.readouterr()
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "species, flags",
+        [(["water"], []), (["water", "fat6"], ["--water-index", "2"]),
+         (["water", "fat6"], ["--fat-index", "-1"])],
+    )
+    def test_pdff_index_out_of_range_exits_2_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                            species, flags):
+        ph, acq, out = tmp_path / "ph.json", tmp_path / "acq.json", tmp_path / "r.npz"
+        assert cli_main(["phantom", "--out", str(ph), "--width", "4", "--height", "4"]) == 0
+        acq.write_text(json.dumps({**cli.DEFAULT_ACQUISITION, "species": species}))
+        monkeypatch.setattr(cli, "grid_from_csir", lambda *a, **k: pytest.fail("the image was read"))
+        capsys.readouterr()
+        argv = ["reconstruct", "--input", str(ph), "--out", str(out), "--config", str(acq)]
+        assert cli_main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "DimensionError"
+        assert not out.exists()
+
+    def test_every_error_has_one_exit_code(self, monkeypatch, capsys):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        bases = (errors.InputError, errors.NumericalError)
+        classes = set(subclasses(errors.CsemriError)) - set(bases)
+        assert len(classes) >= 11
+        for cls in classes:
+            assert [issubclass(cls, base) for base in bases].count(True) == 1, cls
+
+            def raise_it(args, cls=cls):
+                raise cls("raised on purpose")
+
+            monkeypatch.setattr(cli, "cmd_model_info", raise_it)
+            assert cli_main(["model-info"]) == (2 if issubclass(cls, errors.InputError) else 3), cls
+            assert json.loads(capsys.readouterr().err)["error"] == cls.__name__
 
     def test_max_iters_with_flow_exits_2(self, tmp_path, capsys):
         ph, flow, out = tmp_path / "ph.json", tmp_path / "flow.json", tmp_path / "r.npz"

@@ -452,8 +452,6 @@ class TestWirtingerFlow:
         with pytest.raises(DomainError):
             FlowConfig(step=-1.0)
         with pytest.raises(DomainError):
-            FlowConfig(step=1.0, rho=1.5)
-        with pytest.raises(DomainError):
             FlowConfig(step=1.0, max_iters=-1)
         with pytest.raises(DomainError):  # the certified step would drop it
             FlowConfig(step=1.0, certified=True)
