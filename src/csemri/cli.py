@@ -21,7 +21,6 @@ from . import errors
 from .containers import (
     flow_config_from_dict,
     grid_from_csir,
-    load_acquisition_config,
     model_from_config,
     read_csir,
     write_csir,
@@ -57,15 +56,21 @@ DEFAULT_ACQUISITION = {
 }
 
 
-def _load_acquisition(path):
+def _acquisition_config(path):
+    """The acquisition config object in the JSON file at ``path``; the default one without."""
     if path is None:
-        return model_from_config(DEFAULT_ACQUISITION)
-    return load_acquisition_config(path)
+        return DEFAULT_ACQUISITION
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _load_acquisition(path):
+    return model_from_config(_acquisition_config(path))
 
 
 def _require_positive(flag, value):
-    if not value > 0:
-        raise errors.SpecError(f"{flag} must be positive, got {value}")
+    if not 0 < value < np.inf:
+        raise errors.SpecError(f"{flag} must be positive and finite, got {value}")
 
 
 def _dump(obj, path=None):
@@ -106,8 +111,8 @@ def cmd_model_info(args):
 
 
 def cmd_analyze(args):
-    if not args.band[0] < args.band[1]:
-        raise errors.SpecError(f"--band needs its low end below its high end, got {args.band}")
+    if not (np.isfinite(args.band).all() and args.band[0] < args.band[1]):
+        raise errors.SpecError(f"--band needs finite ends, the low below the high, got {args.band}")
     _require_positive("--grid-step", args.grid_step)
     model = _load_acquisition(args.config)
     structure = rationalize_echoes(model.echoes)
@@ -166,7 +171,8 @@ def cmd_solve(args):
 
 
 def cmd_phantom(args):
-    model = _load_acquisition(args.config)
+    config = _acquisition_config(args.config)
+    model = model_from_config(config)
     spec = default_phantom_spec(
         width=args.width, height=args.height, fieldmap_amplitude_hz=args.fieldmap_amplitude
     )
@@ -175,7 +181,7 @@ def cmd_phantom(args):
         args.out,
         truth.grid.signal,
         [1e3 * t for t in model.echoes.times_s],
-        extra_header={"n_s": model.n_s},
+        extra_header={"n_s": model.n_s, "hz_per_ppm": config.get("hz_per_ppm")},
     )
     if args.truth:
         np.savez(
@@ -195,8 +201,7 @@ def cmd_corrupt(args):
     xi0 = None
     times = None
     if args.mismatch_species:
-        hz_per_ppm = header.get("hz_per_ppm", DEFAULT_ACQUISITION["hz_per_ppm"])
-        mismatch_species = load_species(args.mismatch_species, hz_per_ppm=hz_per_ppm)
+        mismatch_species = load_species(args.mismatch_species, hz_per_ppm=header.get("hz_per_ppm"))
         mismatch_c = complex(args.mismatch_concentration)
         if not args.truth:
             raise errors.SpecError("model mismatch needs --truth for the true xi map")

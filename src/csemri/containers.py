@@ -5,11 +5,12 @@ The CSIR image container is a pair of files: a JSON header
     {"width": W, "height": H, "n_e": E, "echo_times_ms": [...],
      "dtype": "f64",
      "layout": "row-major, per-voxel interleaved re/im, echo-major",
-     "payload": "<name>.bin", ...}
+     "payload": "<name>.bin", "hz_per_ppm": 127.73, ...}
 
-and a raw little-endian float64 payload of exactly W*H*E*2*8 bytes laid
-out voxel by voxel in row-major order, echoes in order within a voxel and
-(re, im) within an echo.
+with an optional ``hz_per_ppm`` (a number or null, the field strength that
+converts ppm species), and a raw little-endian float64 payload of exactly
+W*H*E*2*8 bytes laid out voxel by voxel in row-major order, echoes in order
+within a voxel and (re, im) within an echo.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .species import EchoSpec, build_model, load_species, species_from_dict, PRE
 
 __all__ = [
     "model_from_config",
-    "load_acquisition_config",
     "flow_config_from_dict",
     "write_csir",
     "read_csir",
@@ -87,12 +87,6 @@ def model_from_config(config):
     if not species:
         raise SpecError("acquisition config needs at least one species")
     return build_model(species, echoes)
-
-
-def load_acquisition_config(path):
-    """The acquisition model of the JSON config at ``path``."""
-    with open(path) as fh:
-        return model_from_config(json.load(fh))
 
 
 def flow_config_from_dict(doc):
@@ -164,7 +158,8 @@ def read_csir(header_path):
     """Read a CSIR pair; returns (signal array, header dict).
 
     Validates the header (integer sizes of at least 1, ``n_e`` finite echo
-    times) and the payload byte length against width*height*n_e*2*8.
+    times, a finite ``hz_per_ppm`` if any) and the payload byte length
+    against width*height*n_e*2*8.
     """
     header_path = Path(header_path)
     with open(header_path) as fh:
@@ -187,6 +182,9 @@ def read_csir(header_path):
         and all(map(_is_number, times))
     ):
         raise SpecError(f"CSIR echo_times_ms must be a list of {n_e} finite numbers, got {times!r}")
+    hz_per_ppm = header.get("hz_per_ppm")
+    if not (hz_per_ppm is None or _is_number(hz_per_ppm)):
+        raise SpecError(f"CSIR hz_per_ppm must be a finite number, got {hz_per_ppm!r}")
     payload_path = header_path.parent / header["payload"]
     expected = w * h * n_e * 2 * 8
     actual = payload_path.stat().st_size

@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DegenerateCurvature, DimensionError, NonConvergence
 from .residual import (
@@ -487,6 +486,8 @@ def separation_check(xi_map_a, xi_map_b, lattice, tol=1e-6, mask=None):
     offsets = np.where(mismatch, MISMATCH, k)
     if mask is None:
         mask = np.ones(diff.shape, dtype=bool)
+    from scipy import ndimage  # imported here: 0.1 s that only this function needs
+
     labels, n_regions = ndimage.label(mask)
     region_offsets = []
     constant = True

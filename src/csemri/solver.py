@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from math import exp, expm1, inf, log1p, sqrt
 
 import numpy as np
-from scipy.special import lambertw
 
 from .errors import DegenerateCurvature, DomainError, NonBracketed
 from .residual import EXP_GUARD, _check_square_guard, concentrations_ri, residual_pieces
@@ -79,6 +78,8 @@ def lambert_w0(x):
         raise DomainError(f"lambert_w0 requires x >= -1/e, got {x}")
     if x <= branch_point:
         return -1.0
+    from scipy.special import lambertw  # imported here: 0.3 s that only this function needs
+
     return float(lambertw(x).real)
 
 

@@ -121,6 +121,16 @@ class TestDeltaMatrix:
                    for eta in grid]
         np.testing.assert_allclose(sigma_min_profile(self.model, grid), per_eta, rtol=1e-13)
 
+    def test_profile_is_even_in_eta(self):
+        # Delta(-eta) = W(-eta) Delta(eta) P with W(-eta) unitary: the profile is even
+        grid = np.random.default_rng(43).uniform(0.0, 1100.0, 200)
+        profile = sigma_min_profile(self.model, grid)
+        assert np.array_equal(sigma_min_profile(self.model, -grid), profile)
+        sigma_ref = np.linalg.svd(delta_matrix(0.0, self.model), compute_uv=False)[0]
+        for eta, value in zip(np.concatenate([grid, -grid]), np.concatenate([profile, profile])):
+            per_eta = np.linalg.svd(delta_matrix(eta, self.model), compute_uv=False)[-1]
+            assert abs(value - per_eta) <= 1e-14 * sigma_ref
+
 
 class TestDeltaZeroSet:
     def test_rejects_too_few_echoes(self):

@@ -17,6 +17,7 @@ from csemri import cli, errors, experiments
 from csemri.cli import _limit_threads, cli_main
 from csemri.containers import read_csir, write_csir
 from csemri.errors import SpecError
+from csemri.imaging import ImageGrid
 from csemri.experiments import experiment_curvature, experiment_solution_set, write_matrix_csv
 from csemri.phantom import (
     CorruptionSpec,
@@ -593,6 +594,8 @@ class TestCli:
             ["phantom", "--height", "0"],
             ["experiment", "curvature", "--width", "0"],
             ["experiment", "curvature", "--width", "4", "--height", "4"],  # no masked voxel
+            ["analyze", "--band", "-100", "inf"],
+            ["analyze", "--grid-step", "inf", "--csv", "{tmp}/f.csv"],
         ],
     )
     def test_out_of_range_numbers_exit_2(self, tmp_path, capsys, argv):
@@ -760,6 +763,39 @@ class TestCli:
         assert data["c_map"].shape == (24, 24, 3)
         assert cli_main(["metrics", "--truth", str(truth), "--recon", str(recon), "--out",
                          str(tmp_path / "m2.json")]) == 0
+
+    def test_mismatch_species_takes_the_phantom_field_strength(self, tmp_path, capsys):
+        config = {"echo_times_ms": cli.DEFAULT_ACQUISITION["echo_times_ms"],
+                  "species": ["water", "fat6", "silicone"], "hz_per_ppm": 63.87}
+        acq, ph, truth, out = (tmp_path / n for n in ("acq.json", "ph.json", "t.npz", "c.json"))
+        acq.write_text(json.dumps(config))
+        assert cli_main(["phantom", "--config", str(acq), "--out", str(ph), "--truth", str(truth),
+                         "--width", "16", "--height", "16"]) == 0
+        assert cli_main(["corrupt", "--input", str(ph), "--out", str(out), "--truth", str(truth),
+                         "--mismatch-species", "silicone", "--mismatch-concentration", "0.25"]) == 0
+        signal, header = read_csir(ph)
+        expected, _ = corrupt(
+            ImageGrid.from_signal(signal),
+            CorruptionSpec(sigma=0.0, mismatch_species=load_species("silicone", hz_per_ppm=63.87),
+                           mismatch_concentration=0.25 + 0j),
+            seed=0, xi0_map=np.load(truth)["xi0_map"],
+            echo_times_s=[1e-3 * t for t in header["echo_times_ms"]],
+        )
+        assert np.array_equal(read_csir(out)[0], expected.signal)
+        assert header["hz_per_ppm"] == 63.87
+
+    @pytest.mark.parametrize("hz_per_ppm, error", [("x", "SpecError"), (None, "InvalidSpecies")])
+    def test_mismatch_species_without_a_field_strength_exits_2(self, tmp_path, capsys, hz_per_ppm,
+                                                               error):
+        ph, truth, out = tmp_path / "ph.json", tmp_path / "t.npz", tmp_path / "c.json"
+        assert cli_main(["phantom", "--out", str(ph), "--truth", str(truth),
+                         "--width", "8", "--height", "8"]) == 0
+        ph.write_text(json.dumps({**json.loads(ph.read_text()), "hz_per_ppm": hz_per_ppm}))
+        assert cli_main(["corrupt", "--input", str(ph), "--out", str(out), "--truth", str(truth),
+                         "--mismatch-species", "silicone", "--mismatch-concentration", "0.25"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == error
+        assert not out.exists()
 
     def test_default_reconstruct_converges(self, tmp_path):
         ph, met = tmp_path / "ph.json", tmp_path / "metrics.json"
