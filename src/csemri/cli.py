@@ -54,6 +54,7 @@ DEFAULT_ACQUISITION = {
     "species": ["water", "fat6", "silicone"],
     "hz_per_ppm": 3.0 * 42.57747892,
 }
+MAX_GRID_POINTS = 10**6  # guard on the rows of the analyze --csv profile
 
 
 def _acquisition_config(path):
@@ -84,8 +85,8 @@ def _dump(obj, path=None):
 
 def cmd_model_info(args):
     model = _load_acquisition(args.config)
-    sub = check_submatrices_nonsingular(model, tol=args.tol)
-    jr = check_J_full_rank(model, tol=args.tol)
+    sub = check_submatrices_nonsingular(model)
+    jr = check_J_full_rank(model)
     _dump(
         {
             "n_e": model.n_e,
@@ -114,6 +115,9 @@ def cmd_analyze(args):
     if not (np.isfinite(args.band).all() and args.band[0] < args.band[1]):
         raise errors.SpecError(f"--band needs finite ends, the low below the high, got {args.band}")
     _require_positive("--grid-step", args.grid_step)
+    points = (args.band[1] - args.band[0]) / args.grid_step + 1
+    if args.csv and points > MAX_GRID_POINTS:
+        raise errors.SpecError(f"--csv profile of {points:.3g} points exceeds {MAX_GRID_POINTS}")
     model = _load_acquisition(args.config)
     structure = rationalize_echoes(model.echoes)
     lattice = fieldmap_lattice(structure)
@@ -195,7 +199,7 @@ def cmd_phantom(args):
 
 def cmd_corrupt(args):
     signal, header = read_csir(args.input)
-    grid = ImageGrid.from_signal(signal)
+    grid = ImageGrid(signal)
     mismatch_species = None
     mismatch_c = None
     xi0 = None
@@ -221,7 +225,9 @@ def cmd_corrupt(args):
         xi0_map=xi0,
         echo_times_s=times,
     )
-    write_csir(args.out, noisy.signal, header["echo_times_ms"], extra_header={"sigma": sigma})
+    # the model's species count and field strength pass through for later commands
+    kept = {key: header[key] for key in ("n_s", "hz_per_ppm") if key in header}
+    write_csir(args.out, noisy.signal, header["echo_times_ms"], extra_header={**kept, "sigma": sigma})
     print(
         json.dumps(
             {
@@ -243,8 +249,10 @@ def cmd_reconstruct(args):
             f"species index out of range: --water-index {args.water_index}, "
             f"--fat-index {args.fat_index} for n_s={model.n_s}"
         )
-    grid, header = grid_from_csir(args.input, mask_threshold=args.mask_threshold)
-    constraint = FieldmapConstraint.from_mask(grid.mask, args.eps_on_mask, args.eps_off_mask)
+    grid, header = grid_from_csir(args.input)
+    # on the mask are the voxels with signal, the rule of the driver's support
+    mask = np.any(grid.signal != 0, axis=-1)
+    constraint = FieldmapConstraint.from_mask(mask, args.eps_on_mask, args.eps_off_mask)
     if args.flow is not None:
         with open(args.flow) as fh:
             cfg = flow_config_from_dict(json.load(fh))
@@ -262,7 +270,7 @@ def cmd_reconstruct(args):
         c_map=res.c_map,
         pdff=pdff_map(res.c_map, args.water_index, args.fat_index),
         objective_trace=np.asarray(res.objective_trace),
-        mask=grid.mask,
+        mask=mask,
         s_map=res.s_map,
     )
     summary = {
@@ -330,7 +338,6 @@ def build_parser():
 
     p = sub.add_parser("model-info", help="model matrix diagnostics")
     p.add_argument("--config")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_model_info)
 
@@ -378,7 +385,6 @@ def build_parser():
     p.add_argument("--delta", type=float, default=None, help="per-voxel noise ball radius")
     p.add_argument("--eps-on-mask", type=float, default=30.0)
     p.add_argument("--eps-off-mask", type=float, default=1000.0)
-    p.add_argument("--mask-threshold", type=float, default=0.0)
     p.add_argument("--max-iters", type=int, default=None, help="default 2000; not with --flow")
     p.add_argument("--init-re", type=float, default=1.0)
     p.add_argument("--init-im", type=float, default=0.0)

@@ -196,6 +196,7 @@ def read_csir(header_path):
     return signal.astype(complex, copy=False), header
 
 
-def grid_from_csir(header_path, mask_threshold=0.0):
+def grid_from_csir(header_path):
+    """Read a CSIR pair as an :class:`ImageGrid` of its signal; returns (grid, header dict)."""
     signal, header = read_csir(header_path)
-    return ImageGrid.from_signal(signal, mask_threshold=mask_threshold), header
+    return ImageGrid(signal), header

@@ -29,12 +29,13 @@ upper half-plane clamp. A noisy iteration takes one exponential per voxel:
 the signal gradient's adjoint ``R(xi)^H = R(conj xi)`` reuses the
 objective's ``W(xi)``, because ``W(conj xi) = 1 / conj W(xi)``.
 Noiseless reconstruction, :func:`reconstruct`, is ``delta = 0``, where the
-signals are held at the data. The objective is evaluated only on the
-signal support, the voxels whose noise ball excludes 0: ``||y(v)|| >
-delta(v)``, which for ``delta(v) = 0`` is any nonzero echo. Off the support
-``s = 0`` lies in the ball and gives ``R s = 0`` and zero gradients for
-every field (the zero branch), so the signal is set to 0 and the field
-moves only by projection.
+signals are held at the data. An :class:`ImageGrid` is its signal alone,
+and the objective is evaluated only on the signal support, the voxels
+whose noise ball excludes 0: ``||y(v)|| > delta(v)``, which for ``delta(v)
+= 0`` is any nonzero echo; the fallback step is the smallest over it. Off
+the support ``s = 0`` lies in the ball and gives ``R s = 0`` and zero
+gradients for every field (the zero branch), so the signal is set to 0 and
+the field moves only by projection.
 """
 
 from __future__ import annotations
@@ -80,18 +81,17 @@ PROJ_MAX_ITERS = 20_000  # cap on the dual iterations of one projection
 
 @dataclass(frozen=True)
 class ImageGrid:
-    """Per-voxel echo signals on a 2D grid with an acquisition mask; the size is the signal's."""
+    """Per-voxel echo signals on a 2D grid, converted to complex; the size
+    is the signal's, and the signal alone selects the voxels a
+    reconstruction reads (:func:`reconstruct_noisy`)."""
 
     signal: np.ndarray = field(repr=False)  # (height, width, n_e) complex
-    mask: np.ndarray = field(repr=False)  # (height, width) bool
 
     def __post_init__(self):
+        object.__setattr__(self, "signal", np.asarray(self.signal, dtype=complex))
         if self.signal.ndim != 3:
             raise DimensionError(f"signal must be (height, width, n_e), got {self.signal.shape}")
-        if self.mask.shape != self.signal.shape[:2]:
-            raise DimensionError(f"mask shape {self.mask.shape} mismatch")
-        # checked on every voxel: a NaN voxel fails the mask threshold and
-        # would otherwise reach the objective from off the mask
+        # checked on every voxel: a NaN voxel would reach the objective
         if not np.all(np.isfinite(self.signal)):
             raise DimensionError("signal has non-finite entries")
 
@@ -106,15 +106,6 @@ class ImageGrid:
     @property
     def n_e(self):
         return self.signal.shape[2]
-
-    @classmethod
-    def from_signal(cls, signal, mask=None, mask_threshold=0.0):
-        signal = np.asarray(signal, dtype=complex)
-        if mask is None:
-            if not np.all(np.isfinite(signal)):  # before the norm, which would warn
-                raise DimensionError("signal has non-finite entries")
-            mask = np.linalg.norm(signal, axis=-1) > mask_threshold  # the echo axis
-        return cls(signal, np.asarray(mask, bool))
 
 
 @dataclass(frozen=True)
@@ -277,9 +268,10 @@ class ReconResult:
     """A reconstruction and its run statistics.
 
     ``fallback_iterations`` counts the iterations whose per-voxel step left
-    C_phi and that took the smallest step over the mask with the projection
-    instead; ``step_spread`` is (min, median, max) of the per-voxel steps,
-    and ``None`` in certified mode when no support voxel has curvature.
+    C_phi and that took the smallest step over the support with the
+    projection instead; ``step_spread`` is (min, median, max) of the
+    per-voxel steps, and ``None`` in certified mode when no support voxel
+    has curvature.
     ``zero_branch_voxels`` counts the voxels with ``delta(v) > 0`` whose
     noise ball holds 0 and that therefore left the support.
     """
@@ -307,22 +299,21 @@ def _signal_support(y, delta):
     return np.flatnonzero(np.any(y != 0, axis=-1) & ~zero_branch), zero_branch
 
 
-def _descent_steps(op, cfg, xi, s, on_mask):
+def _descent_steps(op, cfg, xi, s):
     """Per-voxel steps of the voxels ``xi``, ``s`` and the fallback step.
 
     In certified mode each voxel's :func:`certified_step` at ``xi``, and the
-    fallback is their minimum over ``on_mask``. Both are ``0.9
-    step_bound(RHO)`` when no voxel has curvature, and so is the fallback
-    when ``on_mask`` selects no voxel. Otherwise both are ``cfg.step``.
+    fallback is the smallest of them; both are ``0.9 step_bound(RHO)`` when
+    no voxel has curvature. Otherwise both are ``cfg.step``.
     """
     if not cfg.certified:
         return cfg.step, cfg.step
-    fixed = 0.9 * step_bound(RHO)
     try:
         steps = certified_step(op, xi, s, RHO)
     except DegenerateCurvature:
+        fixed = 0.9 * step_bound(RHO)
         return fixed, fixed
-    return steps, float(np.min(steps[on_mask])) if np.any(on_mask) else fixed
+    return steps, float(np.min(steps))
 
 
 def reconstruct(grid, model, constraint, cfg, xi_init, proj_tol=1e-9):
@@ -337,7 +328,7 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
     ball excludes 0: ``||y(v)|| > delta(v)``, and any nonzero echo where
     ``delta(v) = 0``. In certified mode every voxel steps by its own
     certified step at ``xi_init``; an iteration whose step leaves C_phi
-    takes the smallest of those steps over the mask instead, followed by the
+    takes the smallest of those steps instead, followed by the
     exact projection onto C_phi (with ``cfg.step`` both steps are that
     step). The signals stay in their balls ``||s(v) - y(v)|| <= delta(v)``
     and are held at ``y`` when every ``delta`` is zero; each evaluation
@@ -346,9 +337,9 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
     there ``s_map = 0``, ``c_map = 0`` (so :func:`pdff_map` is NaN, below
     ``PDFF_MIN_CONTENT``), and the field moves only through the projection.
     ``zero_branch_voxels`` counts the voxels with ``delta > 0`` that leave
-    the support so. Voxels below the mask threshold that still carry signal
-    count in the objective. ``converged`` is reported only for a field
-    within ``10 proj_tol max(|Re xi|, 1)`` of the set.
+    the support so. The grid's signal is the only input that selects
+    voxels; the constraint's bounds select none. ``converged`` is reported
+    only for a field within ``10 proj_tol max(|Re xi|, 1)`` of the set.
     """
     if grid.n_e != model.n_e:
         raise DimensionError("grid echo count does not match the model")
@@ -364,7 +355,7 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
 
     support, zero_branch = _signal_support(y_flat, delta_flat)
     y, delta_s = y_flat[support], delta_flat[support]
-    steps, fallback = _descent_steps(op, cfg, xi.ravel()[support], y, grid.mask.ravel()[support])
+    steps, fallback = _descent_steps(op, cfg, xi.ravel()[support], y)
     # the gradient is tested against ||y||^2, the signal move against max(||y||, delta)
     grad_scale = np.maximum(np.sum(np.abs(y) ** 2, axis=1), 1e-300)
     s_scale = np.maximum(np.maximum(np.linalg.norm(y, axis=1), delta_s), 1e-300)

@@ -30,7 +30,7 @@ from math import gcd, inf, lcm
 
 import numpy as np
 
-from .errors import DimensionError, PolynomialDegreeLimit
+from .errors import DimensionError, PolynomialDegreeLimit, SpecError
 from .solver import golden_section
 from .species import weighting_diag
 
@@ -56,6 +56,7 @@ SWAP_RISK = "SwapRisk"
 
 # guards and merge radii of the zero-set search
 MAX_DEGREE = 10**4  # degree of the determinant polynomial in z
+MAX_PERIODIC_IMAGES = 10**5  # W periods that one search band may span
 # the companion eigenvalues of an m-fold root scatter like eps**(1/m) around it:
 # roots closer than this radius are one root, and the modulus filter sits well
 # above the scatter of a double root; the polish and sigma_min classification
@@ -70,12 +71,16 @@ RATIO_TOL = 1e-12  # echo ratios this close to their fractions are commensurable
 
 @dataclass(frozen=True)
 class RationalEchoStructure:
-    """Rationalization t_k/t_max = p_k/q_k of every echo time."""
+    """Rationalization t_k/t_max = p_k/q_k of every echo time.
+
+    ``denominator`` is ``lcm(q_k)``, the least denominator common to every
+    ratio, so ``W`` repeats with period ``denominator / t_max``; it is 0
+    when the echoes are incommensurable.
+    """
 
     t_max: float
     fractions: tuple[tuple[int, int], ...]
-    p: int
-    q: int
+    denominator: int
     commensurable: bool
 
 
@@ -113,16 +118,10 @@ def rationalize_echoes(echoes):
             commensurable = False
         fractions.append((frac.numerator, frac.denominator))
 
-    if commensurable:
-        p = lcm(*(pk for pk, _ in fractions))
-        q = lcm(*(p * qk // pk for pk, qk in fractions))
-    else:
-        p = q = 0
     return RationalEchoStructure(
         t_max=t_max,
         fractions=tuple(fractions),
-        p=p,
-        q=q,
+        denominator=lcm(*(qk for _, qk in fractions)) if commensurable else 0,
         commensurable=commensurable,
     )
 
@@ -131,7 +130,7 @@ def fieldmap_lattice(structure):
     """Lattice of shifts ``eta`` with ``exp(2*pi*i*eta*t_k) = 1`` at every echo."""
     if not structure.commensurable:
         return SolutionLattice(period_hz=inf)
-    return SolutionLattice(period_hz=(structure.q / structure.p) / structure.t_max)
+    return SolutionLattice(period_hz=structure.denominator / structure.t_max)
 
 
 def delta_matrix(eta, model):
@@ -326,7 +325,9 @@ def delta_zero_set(model, search_band_hz=(-1000.0, 1000.0), tol=1e-8):
 
     Requires ``n_e >= 2 n_s`` (below that the kernel is never empty and the
     zero set is the whole line). For incommensurable echoes the set is just
-    ``{0}``. Otherwise the pipeline runs in this order:
+    ``{0}``. A band that spans more than ``MAX_PERIODIC_IMAGES`` W periods
+    raises :class:`SpecError` before any search. Otherwise the pipeline runs
+    in this order:
 
     1. roots: the determinant polynomial in ``z`` of the first ``2 n_s``
        rows is solved by companion-matrix eigenvalues and its unit-circle
@@ -358,9 +359,11 @@ def delta_zero_set(model, search_band_hz=(-1000.0, 1000.0), tol=1e-8):
         zeros = (zero,) if (zero is not None and band_lo <= 0.0 <= band_hi) else ()
         return DeltaZeroSet(zeros=zeros, w_period_hz=inf, sigma_ref=sigma_ref)
 
-    q = lcm(*(qk for _, qk in structure.fractions))
+    q = structure.denominator
     exponents = [pk * q // qk for pk, qk in structure.fractions]
     w_period = q / structure.t_max  # W(eta + w_period) = W(eta) exactly
+    if (band_hi - band_lo) / w_period > MAX_PERIODIC_IMAGES:
+        raise SpecError(f"search band spans more than {MAX_PERIODIC_IMAGES} W periods")
 
     # every zero of Delta is a root of each minor, so the first one gives all
     # candidates; eta = 0 is always a zero but its m-fold root at z = 1 can

@@ -93,7 +93,7 @@ class PhantomTruth:
 
     c0_map: np.ndarray = field(repr=False)  # (h, w, n_s) complex
     xi0_map: np.ndarray = field(repr=False)  # (h, w) complex
-    mask: np.ndarray = field(repr=False)
+    mask: np.ndarray = field(repr=False)  # (h, w) bool: nonzero truth concentrations
     grid: ImageGrid
 
     @property
@@ -126,8 +126,7 @@ def generate_phantom(spec, model):
     xi0 = spec.fieldmap.evaluate(h, w) + 1j * r2
     mask = np.linalg.norm(c0, axis=2) > 0
     sig = weighting_diag(xi0, model.times) * (c0 @ model.phi.T)
-    grid = ImageGrid.from_signal(sig, mask=mask)
-    return PhantomTruth(c0_map=c0, xi0_map=xi0, mask=mask, grid=grid)
+    return PhantomTruth(c0_map=c0, xi0_map=xi0, mask=mask, grid=ImageGrid(sig))
 
 
 @dataclass(frozen=True)
@@ -160,7 +159,10 @@ class CorruptionReport:
 
 
 def corrupt(grid, corruption, seed, xi0_map=None, echo_times_s=None):
-    """Apply the corruption model; deterministic for a fixed seed."""
+    """Apply the corruption model; deterministic for a fixed seed.
+
+    Returns the corrupted :class:`ImageGrid` (its signal alone) and the report.
+    """
     y = grid.signal.copy()
     h, w, n_e = y.shape
     budget = np.zeros((h, w))
@@ -179,7 +181,7 @@ def corrupt(grid, corruption, seed, xi0_map=None, echo_times_s=None):
         y = y + corruption.sigma * noise / sqrt(2.0)
         budget += corruption.sigma * sqrt(n_e)
     report = CorruptionReport(budget=budget, empirical=np.linalg.norm(y - grid.signal, axis=2))
-    return ImageGrid(y, grid.mask.copy()), report
+    return ImageGrid(y), report
 
 
 def default_phantom_spec(width=64, height=64, fieldmap_amplitude_hz=20.0):

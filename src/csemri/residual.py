@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, OverflowRisk, RankDeficient
-from .species import weighting_diag
+from .species import RANK_TOL, weighting_diag
 
 __all__ = [
     "ResidualOperator",
@@ -74,7 +74,6 @@ __all__ = [
 ]
 
 EXP_GUARD = 700.0 / (2.0 * np.pi)
-RANK_TOL = 1e-10  # Phi counts as rank-deficient below this sigma_min / sigma_max
 
 
 @dataclass(frozen=True)

@@ -319,7 +319,7 @@ class FlowConfig:
     iterate (exactly one of the two is given): the voxel's
     :func:`certified_step` in the single-voxel flows, and each support
     voxel's own step in the image driver, which falls back to the smallest
-    step over the mask (and the projection) in an iteration whose steps
+    step over the support (and the projection) in an iteration whose steps
     leave C_phi. ``max_iters >= 0`` caps the steps.
     ``grad_tol`` bounds each voxel's real-chart field gradient over the
     scale its caller passes to :func:`csemri.imaging.projected_descent`: the

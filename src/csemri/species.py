@@ -41,6 +41,7 @@ __all__ = [
 
 WEIGHT_SUM_TOL = 1e-12
 MAX_SELECTIONS = 10**6  # guard on the row selections check_submatrices_nonsingular scans
+RANK_TOL = 1e-10  # relative singular value or determinant below which a matrix counts as singular
 
 # Bundled presets (see data/*.json). Peak positions are stored in ppm
 # relative to water and require a field-strength factor (Hz per ppm) to
@@ -249,13 +250,13 @@ class SubmatrixReport:
     ok: bool
 
 
-def check_submatrices_nonsingular(model, tol=1e-10):
+def check_submatrices_nonsingular(model):
     """Scan every ``n_s x n_s`` row selection of the model matrix.
 
     Returns the minimum absolute determinant, the selection attaining it,
-    and ``ok`` relative to ``tol`` times the Hadamard row-norm scale of the
-    worst selection. Exact singularity happens only for exceptional echo
-    choices, so the default tolerance sits at machine-precision scale.
+    and ``ok`` relative to ``RANK_TOL`` times the Hadamard row-norm scale of
+    the worst selection. Exact singularity happens only for exceptional echo
+    choices, so the tolerance sits at machine-precision scale.
     More than ``MAX_SELECTIONS`` selections raise :class:`CombinatorialLimit`.
     """
     n_e, n_s = model.n_e, model.n_s
@@ -275,7 +276,7 @@ def check_submatrices_nonsingular(model, tol=1e-10):
         min_abs_det=min_det,
         worst_selection=selections[worst],
         scale=scale,
-        ok=bool(min_det > tol * scale),
+        ok=bool(min_det > RANK_TOL * scale),
     )
 
 
@@ -287,12 +288,12 @@ class JRankReport:
     reason: str = ""
 
 
-def check_J_full_rank(model, tol=1e-10):
+def check_J_full_rank(model):
     """Smallest singular value of ``[T*Phi, Phi]``.
 
     Full rank of this ``n_e x 2n_s`` matrix is the echo-time condition for
     every parameter pair to be locally identifiable; it can only hold when
-    ``n_e >= 2 n_s``.
+    ``n_e >= 2 n_s``, and ``ok`` asks ``sigma_min > RANK_TOL sigma_max``.
     """
     j = np.hstack([model.times[:, None] * model.phi, model.phi])
     svals = np.linalg.svd(j, compute_uv=False)
@@ -300,4 +301,4 @@ def check_J_full_rank(model, tol=1e-10):
     sigma_min = float(svals[-1])
     if model.n_e < 2 * model.n_s:
         return JRankReport(sigma_min, sigma_max, ok=False, reason="rank deficient by dimension")
-    return JRankReport(sigma_min, sigma_max, ok=bool(sigma_min > tol * sigma_max))
+    return JRankReport(sigma_min, sigma_max, ok=bool(sigma_min > RANK_TOL * sigma_max))

@@ -302,39 +302,27 @@ class TestProjectionFastPath:
 class TestImageGrid:
     def test_validation(self):
         with pytest.raises(DimensionError):
-            ImageGrid(np.zeros((2, 3, 4)), np.zeros((3, 3), bool))
-        sig = np.zeros((3, 3, 4), complex)
-        sig[0, 0, 0] = np.nan
-        mask = np.zeros((3, 3), bool)
-        mask[0, 0] = True
-        with pytest.raises(DimensionError):
-            ImageGrid(sig, mask)
-        with pytest.raises(DimensionError):  # off the mask too
-            ImageGrid(sig, ~mask)
-        with pytest.raises(DimensionError):  # a NaN norm fails the threshold
-            ImageGrid.from_signal(sig)
+            ImageGrid(np.zeros((2, 3, 4, 1)))
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            sig = np.zeros((3, 3, 4), complex)
+            sig[0, 0, 0] = bad
+            with pytest.raises(DimensionError):
+                ImageGrid(sig)
 
     def test_size_is_read_from_the_signal(self):
         with pytest.raises(DimensionError):  # no echo axis
-            ImageGrid(np.zeros((3, 5), complex), np.zeros((3, 5), bool))
-        with pytest.raises(DimensionError):
-            ImageGrid.from_signal(np.ones((3, 5)))
-        grid = ImageGrid(np.zeros((3, 5, 2), complex), np.zeros((3, 5), bool))
+            ImageGrid(np.zeros((3, 5), complex))
+        grid = ImageGrid(np.ones((3, 5, 2)))
         assert (grid.height, grid.width, grid.n_e) == (3, 5, 2)
+        assert grid.signal.dtype == complex
 
-    def test_infinite_signal_raises_before_the_mask_norm(self):
+    def test_infinite_signal_raises_without_a_warning(self):
         sig = np.zeros((3, 3, 4), complex)
         sig[1, 2, 3] = np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DimensionError):
-                ImageGrid.from_signal(sig)
-
-    def test_mask_from_threshold(self):
-        sig = np.zeros((2, 2, 3), complex)
-        sig[0, 1] = 1.0
-        grid = ImageGrid.from_signal(sig)
-        assert grid.mask.tolist() == [[False, True], [False, False]]
+                ImageGrid(sig)
 
 
 class TestCertifiedStepBatch:
@@ -355,12 +343,10 @@ class TestCertifiedStepBatch:
                 zero.append(k)
         assert zero
         assert np.all(batch[zero] == batch.min())  # zero curvature takes the batch minimum
-        # the fallback is the mask minimum, which is the step of the largest curvature
-        on_mask = truth.mask.ravel()[mask]
-        steps, fallback = _descent_steps(OP, FlowConfig(certified=True),
-                                         xi[mask], s[mask], on_mask)
+        # the fallback is the batch minimum, which is the step of the largest curvature
+        steps, fallback = _descent_steps(OP, FlowConfig(certified=True), xi[mask], s[mask])
         assert np.array_equal(steps, batch)
-        _, r1s = residual_pieces(OP, xi[mask][on_mask], s[mask][on_mask], 1)
+        _, r1s = residual_pieces(OP, xi[mask], s[mask], 1)
         largest = np.max(np.sum(np.abs(r1s) ** 2, axis=1))
         assert fallback == 0.9 * step_bound(0.5) / (2.5 * largest)
 
@@ -371,8 +357,8 @@ class TestCertifiedStepBatch:
             certified_step(OP, xi, s, 0.5)
         cfg = FlowConfig(certified=True)
         fixed = 0.9 * step_bound(0.5)
-        assert _descent_steps(OP, cfg, xi, s, np.ones(5, bool)) == (fixed, fixed)
-        assert _descent_steps(OP, cfg, xi, s, np.zeros(5, bool)) == (fixed, fixed)
+        assert _descent_steps(OP, cfg, xi, s) == (fixed, fixed)
+        assert _descent_steps(OP, cfg, xi[:0], s[:0]) == (fixed, fixed)  # no voxel at all
 
     def test_overflow_is_raised_not_dropped(self):
         truth = small_phantom()
@@ -381,7 +367,7 @@ class TestCertifiedStepBatch:
         xi[np.flatnonzero(mask)[3]] = 1j * 2e4 / MODEL.times[-1]
         cfg = FlowConfig(certified=True)
         with pytest.raises(OverflowRisk):
-            _descent_steps(OP, cfg, xi, truth.grid.signal.reshape(-1, 6), mask)
+            _descent_steps(OP, cfg, xi, truth.grid.signal.reshape(-1, 6))
 
 
 class TestReconstruct:
@@ -469,7 +455,7 @@ class TestReconstructNoisy:
         delta = delta_rel * float(np.linalg.norm(y))
         cfg = FlowConfig(certified=True, max_iters=20, grad_tol=1e-300)
         voxel = constrained_flow(OP, y, delta, xi_init, cfg)
-        grid = ImageGrid.from_signal(y[None, None, :])
+        grid = ImageGrid(y[None, None, :])
         unbounded = FieldmapConstraint.uniform(1, 1, np.inf)
         image = reconstruct_noisy(grid, MODEL, unbounded, delta, cfg, np.full((1, 1), xi_init))
         # a ball that holds 0 (delta_rel = 2) is the zero branch: no iteration
@@ -552,7 +538,7 @@ class TestReconstructNoisy:
 
 class TestPerVoxelSteps:
     """Each voxel steps by its own certified step; a step that leaves C_phi
-    takes the smallest step over the mask and the projection instead."""
+    takes the smallest step over the support and the projection instead."""
 
     def test_binding_constraint_falls_back_to_a_stationary_point(self):
         truth = small_phantom(side=10)
@@ -566,9 +552,7 @@ class TestPerVoxelSteps:
         assert res.constraint_violation <= 10.0 * 1e-11 * max(np.max(np.abs(x.real)), 1.0)
         y = truth.grid.signal.reshape(-1, 6)
         support = np.flatnonzero(np.any(y != 0, axis=1))
-        _, fallback = _descent_steps(
-            OP, cfg, init.ravel()[support], y[support], truth.mask.ravel()[support]
-        )
+        _, fallback = _descent_steps(OP, cfg, init.ravel()[support], y[support])
         assert fallback == res.step_spread[0]
         _, d_xi = imaging.voxelwise_value_and_gradient(OP, x.ravel()[support], y[support])
         grad = 2.0 * np.conj(d_xi) / np.sum(np.abs(y[support]) ** 2, axis=1)
@@ -582,14 +566,13 @@ class TestPerVoxelSteps:
 
     @pytest.mark.parametrize("delta", [0.0, 0.02])
     def test_noise_voxels_never_iterate_the_projection(self, delta):
-        # the CLI's defaults on a noisy image: every voxel is on the mask, so
-        # pure-noise voxels get steps of order 1 / sigma^2
+        # the CLI's defaults on a noisy image: every voxel has signal and is
+        # on the mask, so pure-noise voxels get steps of order 1 / sigma^2
         truth = generate_phantom(default_phantom_spec(width=32, height=32), MODEL)
         sigma = 0.01 * np.abs(truth.grid.signal).max()
-        noisy, _ = corrupt(truth.grid, CorruptionSpec(sigma=sigma), seed=1)
-        grid = ImageGrid.from_signal(noisy.signal)
-        assert grid.mask.all()
-        con = FieldmapConstraint.from_mask(grid.mask, 30.0, 1000.0)
+        grid, _ = corrupt(truth.grid, CorruptionSpec(sigma=sigma), seed=1)
+        assert np.all(grid.signal != 0)
+        con = FieldmapConstraint.uniform(32, 32, 30.0)
         cfg = FlowConfig(certified=True, max_iters=100)
         with mock.patch.object(
             imaging, "_dual_projection", side_effect=imaging._dual_projection
@@ -614,7 +597,7 @@ class TestSupportRule:
         signal[np.nonzero(mask)[0][::40], np.nonzero(mask)[1][::40]] = 0.0
         init = truth.xi0_map + 2.0 + 0.5j
         small = reconstruct(
-            ImageGrid(signal, mask), MODEL, FieldmapConstraint.from_mask(mask, 30.0, np.inf),
+            ImageGrid(signal), MODEL, FieldmapConstraint.from_mask(mask, 30.0, np.inf),
             FlowConfig(certified=True, max_iters=1000, grad_tol=1e-6), init,
         )
         # the bounded constraints reach no voxel outside the embedded image,
@@ -627,7 +610,7 @@ class TestSupportRule:
         big_init = np.full((40, 44), 1.0 + 0.5j)
         big_init[4:36, 6:38] = init
         big = reconstruct(
-            ImageGrid(big_signal, big_mask), MODEL,
+            ImageGrid(big_signal), MODEL,
             FieldmapConstraint.from_mask(big_mask, 30.0, np.inf),
             FlowConfig(certified=True, max_iters=1000, grad_tol=1e-6), big_init,
         )
@@ -638,14 +621,13 @@ class TestSupportRule:
         assert np.max(np.abs(region - small.xi_map)) <= 1e-12 * np.max(np.abs(small.xi_map))
         assert np.allclose(big.objective_trace, small.objective_trace, rtol=1e-12, atol=0.0)
 
-    def test_signal_below_the_mask_threshold_still_moves(self):
+    def test_faint_signal_off_the_mask_still_moves(self):
         truth = small_phantom(side=32)
         signal = truth.grid.signal.copy()
         i, j = (a[0] for a in np.nonzero(truth.mask))
-        signal[0, 0] = 1e-3 * signal[i, j]  # far from the mask, under the threshold
-        grid = ImageGrid.from_signal(signal, mask_threshold=1e-2 * np.linalg.norm(signal[i, j]))
-        assert np.array_equal(grid.mask, truth.mask)
-        con = FieldmapConstraint.from_mask(grid.mask, 30.0, np.inf)
+        signal[0, 0] = 1e-3 * signal[i, j]  # far from the phantom, and faint
+        grid = ImageGrid(signal)
+        con = FieldmapConstraint.from_mask(truth.mask, 30.0, np.inf)
         cfg = FlowConfig(step=3e3, max_iters=40, grad_tol=1e-300)
         res = reconstruct(grid, MODEL, con, cfg, np.full((32, 32), 1.0 + 0j))
         voxel = wirtinger_flow(OP, signal[0, 0], 1.0 + 0j, cfg)
@@ -687,7 +669,7 @@ class TestZeroBranch:
         init = truth.xi0_map + 2.0 + 0.5j
         cfg = FlowConfig(certified=True, max_iters=60, grad_tol=1e-300)
         small = reconstruct_noisy(
-            ImageGrid(signal, mask), MODEL,
+            ImageGrid(signal), MODEL,
             FieldmapConstraint.from_mask(mask, 30.0, np.inf), delta, cfg, init,
         )
         # a frame of pure noise inside the ball, part of it on the mask
@@ -703,7 +685,7 @@ class TestZeroBranch:
         big_init = np.full((40, 44), 1.0 + 0.5j)
         big_init[4:36, 6:38] = init
         big = reconstruct_noisy(
-            ImageGrid(big_signal, big_mask), MODEL,
+            ImageGrid(big_signal), MODEL,
             FieldmapConstraint.from_mask(big_mask, 30.0, np.inf), delta, cfg, big_init,
         )
         frame = np.ones((40, 44), bool)
@@ -728,7 +710,7 @@ class TestZeroBranch:
         y = MODEL.phi @ (rng.standard_normal(3) + 1j * rng.standard_normal(3))
         y = y * np.exp(2j * np.pi * xi0 * MODEL.times)
         cfg = FlowConfig(certified=True, max_iters=20, grad_tol=1e-300)
-        grid = ImageGrid.from_signal(y[None, None, :])
+        grid = ImageGrid(y[None, None, :])
         unbounded = FieldmapConstraint.uniform(1, 1, np.inf)
         norm = float(np.linalg.norm(y))
         below = np.nextafter(norm, 0.0)
@@ -746,9 +728,8 @@ class TestZeroBranch:
         # 15 iterations; the adjoint divides by conj W(xi)
         truth = generate_phantom(default_phantom_spec(width=128, height=128), MODEL)
         sigma = 0.01 * np.abs(truth.grid.signal).max()
-        noisy, _ = corrupt(truth.grid, CorruptionSpec(sigma=sigma), seed=1)
-        grid = ImageGrid.from_signal(noisy.signal)
-        con = FieldmapConstraint.from_mask(grid.mask, 30.0, 1000.0)
+        grid, _ = corrupt(truth.grid, CorruptionSpec(sigma=sigma), seed=1)
+        con = FieldmapConstraint.from_mask(np.any(grid.signal != 0, axis=2), 30.0, 1000.0)
         cfg = FlowConfig(certified=True, max_iters=15)
         with np.errstate(all="raise"):
             res = reconstruct_noisy(grid, MODEL, con, 0.02, cfg, np.full((128, 128), 1.0 + 0j))

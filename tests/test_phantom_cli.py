@@ -15,9 +15,9 @@ from hypothesis.extra import numpy as hnp
 
 from csemri import cli, errors, experiments
 from csemri.cli import _limit_threads, cli_main
-from csemri.containers import read_csir, write_csir
+from csemri.containers import model_from_config, read_csir, write_csir
 from csemri.errors import SpecError
-from csemri.imaging import ImageGrid
+from csemri.imaging import FieldmapConstraint, ImageGrid, reconstruct_noisy
 from csemri.experiments import experiment_curvature, experiment_solution_set, write_matrix_csv
 from csemri.phantom import (
     CorruptionSpec,
@@ -596,6 +596,8 @@ class TestCli:
             ["experiment", "curvature", "--width", "4", "--height", "4"],  # no masked voxel
             ["analyze", "--band", "-100", "inf"],
             ["analyze", "--grid-step", "inf", "--csv", "{tmp}/f.csv"],
+            ["analyze", "--grid-step", "1e-300", "--csv", "{tmp}/f.csv"],  # 1e303 rows
+            ["analyze", "--band", "0", "1e300"],  # 1e295 periodic images
         ],
     )
     def test_out_of_range_numbers_exit_2(self, tmp_path, capsys, argv):
@@ -775,7 +777,7 @@ class TestCli:
                          "--mismatch-species", "silicone", "--mismatch-concentration", "0.25"]) == 0
         signal, header = read_csir(ph)
         expected, _ = corrupt(
-            ImageGrid.from_signal(signal),
+            ImageGrid(signal),
             CorruptionSpec(sigma=0.0, mismatch_species=load_species("silicone", hz_per_ppm=63.87),
                            mismatch_concentration=0.25 + 0j),
             seed=0, xi0_map=np.load(truth)["xi0_map"],
@@ -783,6 +785,35 @@ class TestCli:
         )
         assert np.array_equal(read_csir(out)[0], expected.signal)
         assert header["hz_per_ppm"] == 63.87
+
+    def test_corrupt_keeps_the_field_strength(self, tmp_path, capsys):
+        # a second corrupt reads the species count and field strength the first one kept
+        config = {"echo_times_ms": cli.DEFAULT_ACQUISITION["echo_times_ms"],
+                  "species": ["water", "fat6", "silicone"], "hz_per_ppm": 63.87}
+        acq, ph, truth, noisy, out = (
+            tmp_path / n for n in ("acq.json", "ph.json", "t.npz", "n.json", "c.json")
+        )
+        acq.write_text(json.dumps(config))
+        assert cli_main(["phantom", "--config", str(acq), "--out", str(ph), "--truth", str(truth),
+                         "--width", "16", "--height", "16"]) == 0
+        assert cli_main(["corrupt", "--input", str(ph), "--out", str(noisy),
+                         "--sigma", "0.01", "--relative"]) == 0
+        assert cli_main(["corrupt", "--input", str(noisy), "--out", str(out), "--truth", str(truth),
+                         "--mismatch-species", "silicone", "--mismatch-concentration", "0.25"]) == 0
+        header = json.loads(noisy.read_text())
+        assert (header["n_s"], header["hz_per_ppm"]) == (3, 63.87)
+        model = model_from_config(config)
+        phantom = generate_phantom(default_phantom_spec(width=16, height=16), model)
+        sigma = 0.01 * float(np.max(np.abs(phantom.grid.signal)))
+        first, _ = corrupt(phantom.grid, CorruptionSpec(sigma=sigma), seed=0)
+        expected, _ = corrupt(
+            first,
+            CorruptionSpec(sigma=0.0, mismatch_species=load_species("silicone", hz_per_ppm=63.87),
+                           mismatch_concentration=0.25 + 0j),
+            seed=0, xi0_map=phantom.xi0_map,
+            echo_times_s=[1e-3 * t for t in header["echo_times_ms"]],
+        )
+        assert np.array_equal(read_csir(out)[0], expected.signal)
 
     @pytest.mark.parametrize("hz_per_ppm, error", [("x", "SpecError"), (None, "InvalidSpecies")])
     def test_mismatch_species_without_a_field_strength_exits_2(self, tmp_path, capsys, hz_per_ppm,
@@ -796,6 +827,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and json.loads(err)["error"] == error
         assert not out.exists()
+
+    def test_cli_and_library_reconstruct_a_noisy_image_alike(self, tmp_path, capsys):
+        ph, noisy, recon = tmp_path / "ph.json", tmp_path / "noisy.json", tmp_path / "r.npz"
+        assert cli_main(["phantom", "--out", str(ph)]) == 0
+        assert cli_main(["corrupt", "--input", str(ph), "--out", str(noisy),
+                         "--sigma", "0.01", "--relative", "--seed", "7"]) == 0
+        assert cli_main(["reconstruct", "--input", str(noisy), "--out", str(recon),
+                         "--delta", "0.02", "--max-iters", "30"]) == 0
+        signal = read_csir(noisy)[0]
+        mask = np.any(signal != 0, axis=2)  # the voxels with signal carry the on-mask bound
+        res = reconstruct_noisy(
+            ImageGrid(signal), model_from_config(cli.DEFAULT_ACQUISITION),
+            FieldmapConstraint.from_mask(mask, 30.0, 1000.0), 0.02,
+            FlowConfig(certified=True, max_iters=30), np.full(mask.shape, 1.0 + 0j),
+        )
+        data = np.load(recon)
+        assert np.array_equal(data["mask"], mask)
+        for name in ("xi_map", "c_map", "s_map"):
+            assert data[name].shape == getattr(res, name).shape
+            assert np.array_equal(data[name].view(np.uint64), getattr(res, name).view(np.uint64))
 
     def test_default_reconstruct_converges(self, tmp_path):
         ph, met = tmp_path / "ph.json", tmp_path / "metrics.json"
