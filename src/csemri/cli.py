@@ -243,13 +243,15 @@ def cmd_corrupt(args):
 def cmd_reconstruct(args):
     if args.flow is not None and args.max_iters is not None:
         raise errors.SpecError("--max-iters conflicts with --flow; set max_iters in the flow config")
-    model = _load_acquisition(args.config)
+    config = _acquisition_config(args.config)
+    model = model_from_config(config)
     if not (0 <= args.water_index < model.n_s and 0 <= args.fat_index < model.n_s):
         raise errors.DimensionError(
             f"species index out of range: --water-index {args.water_index}, "
             f"--fat-index {args.fat_index} for n_s={model.n_s}"
         )
     grid, header = grid_from_csir(args.input)
+    _check_scan(header, model, config.get("hz_per_ppm"))
     # on the mask are the voxels with signal, the rule of the driver's support
     mask = np.any(grid.signal != 0, axis=-1)
     constraint = FieldmapConstraint.from_mask(mask, args.eps_on_mask, args.eps_off_mask)
@@ -259,7 +261,7 @@ def cmd_reconstruct(args):
     else:
         max_iters = 2000 if args.max_iters is None else args.max_iters
         cfg = FlowConfig(certified=True, max_iters=max_iters)
-    xi_init = np.full((grid.height, grid.width), complex(args.init_re, args.init_im))
+    xi_init = np.full((grid.height, grid.width), 1.0 + 0j)
     if args.delta is not None:
         res = reconstruct_noisy(grid, model, constraint, args.delta, cfg, xi_init)
     else:
@@ -287,6 +289,21 @@ def cmd_reconstruct(args):
         summary["metrics"] = _metrics_on_mask(np.load(args.truth), names, res.c_map, res.xi_map)
     _dump(summary, args.metrics_out)
     return 0
+
+
+def _check_scan(header, model, hz_per_ppm):
+    """Refuse an image whose echo times are not the model's (to 1e-12 relative, the
+    rounding of the ms -> s -> ms round trip) or whose recorded field strength, if any,
+    is not ``hz_per_ppm``; the fitted species set is the user's choice and goes unchecked."""
+    times_ms = np.asarray(header["echo_times_ms"], dtype=float)
+    model_ms = 1e3 * model.echoes.array()
+    if times_ms.shape != model_ms.shape or not np.allclose(times_ms, model_ms, rtol=1e-12, atol=0):
+        raise errors.SpecError(
+            f"image echo times {times_ms.tolist()} ms are not the model's {model_ms.tolist()} ms"
+        )
+    scan_hz = header.get("hz_per_ppm")
+    if scan_hz is not None and scan_hz != hz_per_ppm:
+        raise errors.SpecError(f"image hz_per_ppm {scan_hz} is not the model's {hz_per_ppm}")
 
 
 def _metrics_on_mask(truth, names, c_map, xi_map):
@@ -386,8 +403,6 @@ def build_parser():
     p.add_argument("--eps-on-mask", type=float, default=30.0)
     p.add_argument("--eps-off-mask", type=float, default=1000.0)
     p.add_argument("--max-iters", type=int, default=None, help="default 2000; not with --flow")
-    p.add_argument("--init-re", type=float, default=1.0)
-    p.add_argument("--init-im", type=float, default=0.0)
     p.add_argument("--water-index", type=int, default=0)
     p.add_argument("--fat-index", type=int, default=1)
     p.set_defaults(fn=cmd_reconstruct)

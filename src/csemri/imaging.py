@@ -22,12 +22,13 @@ a field that leaves C_phi is iterated.
 
 One projected-descent loop, :func:`projected_descent`, moves a field and
 its per-voxel signals (kept in their noise balls ``||s(v) - y(v)|| <=
-delta(v)``) together. The image driver, :func:`reconstruct_noisy`, runs it
-with per-voxel certified steps and the projection onto C_phi, and the
-single-voxel flows of :mod:`csemri.solver` on a batch of one with the
-upper half-plane clamp. A noisy iteration takes one exponential per voxel:
-the signal gradient's adjoint ``R(xi)^H = R(conj xi)`` reuses the
-objective's ``W(xi)``, because ``W(conj xi) = 1 / conj W(xi)``.
+delta(v)``) together and finds the support, the steps and the signal
+scale itself. The image driver, :func:`reconstruct_noisy`, runs it on the
+grid with the projection onto C_phi, and the single-voxel flows of
+:mod:`csemri.solver` on a batch of one with the upper half-plane clamp. A
+noisy iteration takes one exponential per voxel: the signal gradient's
+adjoint ``R(xi)^H = R(conj xi)`` reuses the objective's ``W(xi)``,
+because ``W(conj xi) = 1 / conj W(xi)``.
 Noiseless reconstruction, :func:`reconstruct`, is ``delta = 0``, where the
 signals are held at the data. An :class:`ImageGrid` is its signal alone,
 and the objective is evaluated only on the signal support, the voxels
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateCurvature, DimensionError, NonConvergence
+from .errors import DimensionError, NonConvergence
 from .residual import (
     make_residual_operator,
     voxelwise_concentrations,
@@ -52,7 +53,7 @@ from .residual import (
     voxelwise_signal_gradient,  # noqa: F401  (the benchmark trace looks it up here)
     voxelwise_value_and_gradient,
 )
-from .solver import RHO, certified_step, projected_signal_step, step_bound
+from .solver import RHO, certified_step, projected_signal_step
 
 __all__ = [
     "ImageGrid",
@@ -270,8 +271,8 @@ class ReconResult:
     ``fallback_iterations`` counts the iterations whose per-voxel step left
     C_phi and that took the smallest step over the support with the
     projection instead; ``step_spread`` is (min, median, max) of the
-    per-voxel steps, and ``None`` in certified mode when no support voxel
-    has curvature.
+    steps (all three ``cfg.step`` with a fixed step), and ``None`` when
+    there are none: in certified mode with an empty support.
     ``zero_branch_voxels`` counts the voxels with ``delta(v) > 0`` whose
     noise ball holds 0 and that therefore left the support.
     """
@@ -288,34 +289,6 @@ class ReconResult:
     zero_branch_voxels: int
 
 
-def _signal_support(y, delta):
-    """Flat indices of the voxels whose noise ball excludes 0, and the zero branch.
-
-    The zero branch holds the voxels with ``delta > 0`` whose ball ``||s -
-    y|| <= delta`` contains ``s = 0``; where ``delta = 0`` the support is
-    the voxels with any nonzero echo.
-    """
-    zero_branch = (delta > 0) & (np.linalg.norm(y, axis=-1) <= delta)
-    return np.flatnonzero(np.any(y != 0, axis=-1) & ~zero_branch), zero_branch
-
-
-def _descent_steps(op, cfg, xi, s):
-    """Per-voxel steps of the voxels ``xi``, ``s`` and the fallback step.
-
-    In certified mode each voxel's :func:`certified_step` at ``xi``, and the
-    fallback is the smallest of them; both are ``0.9 step_bound(RHO)`` when
-    no voxel has curvature. Otherwise both are ``cfg.step``.
-    """
-    if not cfg.certified:
-        return cfg.step, cfg.step
-    try:
-        steps = certified_step(op, xi, s, RHO)
-    except DegenerateCurvature:
-        fixed = 0.9 * step_bound(RHO)
-        return fixed, fixed
-    return steps, float(np.min(steps))
-
-
 def reconstruct(grid, model, constraint, cfg, xi_init, proj_tol=1e-9):
     """Noiseless reconstruction: :func:`reconstruct_noisy` with ``delta = 0``."""
     return reconstruct_noisy(grid, model, constraint, 0.0, cfg, xi_init, proj_tol=proj_tol)
@@ -324,55 +297,41 @@ def reconstruct(grid, model, constraint, cfg, xi_init, proj_tol=1e-9):
 def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-9):
     """Joint projected Wirtinger descent on the field and the per-voxel signals.
 
-    :func:`projected_descent` on the signal support, the voxels whose noise
-    ball excludes 0: ``||y(v)|| > delta(v)``, and any nonzero echo where
-    ``delta(v) = 0``. In certified mode every voxel steps by its own
-    certified step at ``xi_init``; an iteration whose step leaves C_phi
-    takes the smallest of those steps instead, followed by the
-    exact projection onto C_phi (with ``cfg.step`` both steps are that
-    step). The signals stay in their balls ``||s(v) - y(v)|| <= delta(v)``
-    and are held at ``y`` when every ``delta`` is zero; each evaluation
-    takes one exponential per voxel (``W(conj xi) = 1 / conj W(xi)`` gives
-    the adjoint). Off the support ``s = 0`` gives ``f = 0`` for every field:
-    there ``s_map = 0``, ``c_map = 0`` (so :func:`pdff_map` is NaN, below
+    :func:`projected_descent` on every voxel of the grid under C_phi, with
+    the support, the steps and the signals' balls ``||s(v) - y(v)|| <=
+    delta(v)`` as it describes. The gradient is tested against
+    ``cfg.grad_tol ||y(v)||^2`` (``grad_tol`` default ``1e-12``) and the
+    signal move against ``1e-10 max(||y(v)||, delta(v))``. Off the support
+    ``s = 0`` gives ``f = 0`` for every field: there
+    ``s_map = 0``, ``c_map = 0`` (so :func:`pdff_map` is NaN, below
     ``PDFF_MIN_CONTENT``), and the field moves only through the projection.
-    ``zero_branch_voxels`` counts the voxels with ``delta > 0`` that leave
-    the support so. The grid's signal is the only input that selects
-    voxels; the constraint's bounds select none. ``converged`` is reported
-    only for a field within ``10 proj_tol max(|Re xi|, 1)`` of the set.
+    The grid's signal is the only input that selects voxels; the
+    constraint's bounds select none. ``converged`` is reported only for a
+    field within ``10 proj_tol max(|Re xi|, 1)`` of the set.
     """
     if grid.n_e != model.n_e:
         raise DimensionError("grid echo count does not match the model")
     op = make_residual_operator(model)
     h, w = grid.height, grid.width
-    y_flat = grid.signal.reshape(-1, grid.n_e)
-    delta_flat = np.broadcast_to(np.asarray(delta, dtype=float), (h, w)).ravel()
-    if not np.all(delta_flat >= 0):  # NaN fails too
+    y = grid.signal.reshape(-1, grid.n_e)
+    delta = np.broadcast_to(np.asarray(delta, dtype=float), (h, w)).ravel()
+    if not np.all(delta >= 0):  # NaN fails too
         raise DimensionError("delta must be nonnegative")
     xi = np.asarray(xi_init, dtype=complex).copy()
     if xi.shape != (h, w):
         raise DimensionError(f"xi_init shape {xi.shape} does not match grid")
 
-    support, zero_branch = _signal_support(y_flat, delta_flat)
-    y, delta_s = y_flat[support], delta_flat[support]
-    steps, fallback = _descent_steps(op, cfg, xi.ravel()[support], y)
-    # the gradient is tested against ||y||^2, the signal move against max(||y||, delta)
-    grad_scale = np.maximum(np.sum(np.abs(y) ** 2, axis=1), 1e-300)
-    s_scale = np.maximum(np.maximum(np.linalg.norm(y, axis=1), delta_s), 1e-300)
-    xi, s, iterations, converged, _, trace, _, fallbacks = projected_descent(
-        op, xi, support, y, delta_s, steps, constraint,
-        (grad_scale, cfg.grad_tol if cfg.grad_tol is not None else 1e-12, s_scale, 1e-10),
-        cfg.max_iters, fallback_step=fallback, proj_tol=proj_tol,
+    tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12
+    grad_tol = tol * np.maximum(np.sum(np.abs(y) ** 2, axis=1), 1e-300)  # relative to ||y||^2
+    xi, s, iterations, converged, _, trace, _, fallbacks, steps, zero_branch = projected_descent(
+        op, xi, y, delta, cfg, constraint, grad_tol, 1e-10, proj_tol=proj_tol
     )
-    s_map = np.zeros_like(y_flat)
-    s_map[support] = s
-    c_map = voxelwise_concentrations(op, xi.ravel(), s_map).reshape(h, w, model.n_s)
+    c_map = voxelwise_concentrations(op, xi.ravel(), s).reshape(h, w, model.n_s)
     # the start is never projected, so a stationary start may be infeasible;
     # convergence needs the bound that project_onto_C_phi enforces
     violation = constraint_violation(xi, constraint)
     feasible = violation <= 10.0 * proj_tol * max(float(np.max(np.abs(xi.real))), 1.0)
-    # certified steps come one per voxel; a scalar there is the dimensionless fallback
-    spread = None if cfg.certified and np.ndim(steps) == 0 else np.atleast_1d(steps)
+    steps = np.atleast_1d(steps)
     return ReconResult(
         xi_map=xi,
         c_map=c_map,
@@ -380,59 +339,69 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
         constraint_violation=violation,
         iterations=iterations,
         converged=converged and feasible,
-        s_map=s_map.reshape(h, w, grid.n_e),
+        s_map=s.reshape(h, w, grid.n_e),
         fallback_iterations=fallbacks,
-        step_spread=None if spread is None
-        else (float(spread.min()), float(np.median(spread)), float(spread.max())),
+        step_spread=None if steps.size == 0
+        else (float(steps.min()), float(np.median(steps)), float(steps.max())),
         zero_branch_voxels=int(np.count_nonzero(zero_branch)),
     )
 
 
-def projected_descent(op, xi, support, y, delta, alpha, constraint, tests, max_iters,
-                      epsilon=0.0, record=False, fallback_step=None, proj_tol=1e-9):
+def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, s_tol, epsilon=0.0,
+                      record=False, proj_tol=1e-9):
     """Projected joint descent of f(xi, s) (+ epsilon ||s||^2), the loop of every flow.
 
-    Each iteration evaluates f and both gradients once, with one
-    exponential per voxel, at the flat entries ``support`` of the field
-    ``xi`` with data ``y`` and ball radii ``delta``; the callers leave out
-    the voxels whose ball holds 0, where ``s = 0`` gives ``f = 0``. The
-    field steps by ``alpha``, one step per support voxel or one for all.
-    The candidate is clamped to the upper half-plane when
+    ``y`` (n, n_e) holds the data of the n voxels of ``xi`` in flat order,
+    and ``delta`` their ball radii, one for all or one per voxel. Each
+    iteration evaluates f and both gradients once, with one exponential per
+    voxel, on the support: the voxels whose ball excludes 0, ``||y|| >
+    delta``, or with a nonzero echo where ``delta = 0``. Off it ``s = 0``
+    gives ``f = 0``, so the signal is 0 there. The field steps by
+    ``cfg.step``, or in certified mode by each voxel's :func:`certified_step`
+    at the start. The candidate is clamped to the upper half-plane when
     ``constraint`` is None (the single-voxel flows) or when it lies in
-    C_phi, where that clamp is its projection; otherwise the iteration steps
-    by ``fallback_step`` instead and maps the field back with
+    C_phi, where that clamp is its projection; otherwise the iteration takes
+    the smallest step instead and maps the field back with
     :func:`project_onto_C_phi`. The signals take :func:`projected_signal_step`
-    (held at ``y`` if every ``delta`` is 0). It stops once ``|grad| /
-    grad_scale <= grad_tol`` and ``||s move|| / s_scale <= s_tol``
-    everywhere (``tests`` holds these four) or after ``max_iters`` steps.
-    Returns the field, signals, iterations, convergence, last gradient,
-    objective per iterate, with ``record`` a copy of every iterate, and the
-    number of iterations that fell back.
+    (held at ``y`` if no support voxel has ``delta > 0``). It stops once
+    ``|grad| <= grad_tol`` (one bound for all or one per voxel) and every
+    signal moves by at most ``s_tol max(||y||, delta)``, or after
+    ``cfg.max_iters`` steps. Returns the field, signals, iterations,
+    convergence, last gradient, objective per iterate, with ``record`` a
+    copy of every iterate, the number of iterations that fell back, the
+    steps and the zero branch (``delta > 0`` and the ball holds 0).
     """
-    grad_scale, grad_tol, s_scale, s_tol = tests
-    hold_signal = not np.any(delta > 0)
-    s = y.copy()
+    n = len(y)
+    delta = np.broadcast_to(np.asarray(delta, dtype=float), (n,))
+    y_norm = np.linalg.norm(y, axis=1)
+    zero_branch = (delta > 0) & (y_norm <= delta)
+    support = np.flatnonzero(np.any(y != 0, axis=1) & ~zero_branch)
+    y_s, delta_s = y[support], delta[support]
+    grad_tol = np.broadcast_to(grad_tol, (n,))[support]
+    steps = certified_step(op, xi.ravel()[support], y_s, RHO) if cfg.certified else cfg.step
+    fallback_step = np.min(steps, initial=np.inf)  # an empty support never steps
+    s_scale = np.maximum(np.maximum(y_norm[support], delta_s), 1e-300)
+    hold_signal = not np.any(delta_s > 0)
+    s = y_s.copy()
     trace = []
     trajectory = [xi.copy()] if record else None
     fallbacks = 0
-    for iterations in range(max_iters + 1):
+    for iterations in range(cfg.max_iters + 1):
         xi_s = xi.ravel()[support]
         s_new, s_move = s, 0.0
         if hold_signal:
             f, d_xi = voxelwise_value_and_gradient(op, xi_s, s)
         else:
             f, d_xi, d_s = voxelwise_full_residual(op, xi_s, s)
-            s_new = projected_signal_step(op, xi_s, s, d_s, y, delta, epsilon)
+            s_new = projected_signal_step(op, xi_s, s, d_s, y_s, delta_s, epsilon)
             s_move = float(np.max(np.linalg.norm(s_new - s, axis=1) / s_scale, initial=0.0))
         trace.append(float(f.sum()))
         grad = 2.0 * np.conj(d_xi)
-        converged = (
-            float((np.abs(grad) / grad_scale).max(initial=0.0)) <= grad_tol and s_move <= s_tol
-        )
-        if converged or iterations == max_iters:
+        converged = bool((np.abs(grad) <= grad_tol).all()) and s_move <= s_tol
+        if converged or iterations == cfg.max_iters:
             break
         moved = xi.copy()
-        moved.ravel()[support] = xi_s - alpha * grad  # the gradient is zero off the support
+        moved.ravel()[support] = xi_s - steps * grad  # the gradient is zero off the support
         if constraint is None or _in_C_phi(moved, constraint):
             xi = clamp_upper_half_plane(moved)
         else:
@@ -442,7 +411,10 @@ def projected_descent(op, xi, support, y, delta, alpha, constraint, tests, max_i
         s = s_new
         if record:
             trajectory.append(xi.copy())
-    return xi, s, iterations, converged, grad, trace, trajectory, fallbacks
+    signals = np.zeros_like(y)
+    signals[support] = s
+    return (xi, signals, iterations, converged, grad, trace, trajectory, fallbacks, steps,
+            zero_branch)
 
 
 MISMATCH = np.iinfo(np.int64).min  # sentinel for offsets that are no lattice multiple

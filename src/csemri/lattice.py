@@ -220,7 +220,7 @@ def _polish_zero(model, etas_hz, half_width_hz):
     """Golden-section refinement of the local minimum of sigma_min(Delta) around each
     entry of ``etas_hz``, all of them in one lockstep search."""
     a, b, _ = golden_section(
-        lambda eta: _sigma_min(model, eta),
+        lambda eta: sigma_min_profile(model, eta),
         etas_hz - half_width_hz, etas_hz + half_width_hz, 90,
     )
     return (a + b) / 2.0
@@ -438,14 +438,9 @@ def local_identifiability_certificate(xi0, c0, model, tol=1e-8):
     )
 
 
-def _sigma_min(model, eta):
-    """sigma_min(Delta(eta)) for each entry of ``eta``: one batched SVD of the
-    :func:`delta_matrix` stack."""
-    return np.linalg.svd(delta_matrix(eta, model), compute_uv=False)[..., -1]
-
-
 def sigma_min_profile(model, eta_hz_grid):
-    """sigma_min(Delta(eta)) over a real grid, each ``|eta|`` computed once.
+    """sigma_min(Delta(eta)) over a real grid, each ``|eta|`` computed once, by one
+    batched SVD of the :func:`delta_matrix` stack.
 
     ``Delta(-eta) = W(-eta) Delta(eta) P``, where ``P`` swaps the two column
     blocks and ``W(-eta)`` is unitary for real ``eta``, so ``Delta(-eta)`` and
@@ -453,7 +448,8 @@ def sigma_min_profile(model, eta_hz_grid):
     """
     eta = np.asarray(eta_hz_grid, dtype=float)
     magnitudes, index = np.unique(np.abs(eta), return_inverse=True)
-    return _sigma_min(model, magnitudes)[index].reshape(eta.shape)
+    sigma = np.linalg.svd(delta_matrix(magnitudes, model), compute_uv=False)[..., -1]
+    return sigma[index].reshape(eta.shape)
 
 
 def weighting_error_profile(phi_hz_grid, s_tilde, times_s):

@@ -297,15 +297,16 @@ def certified_step(op, xi_ref, s_ref, rho):
     ``||R'(xi0) s0||^2`` multiplies the objective; the Lipschitz estimate
     converts it into an absolute step. A batch of voxels (``xi_ref`` of
     shape (n,), ``s_ref`` of shape (n, n_e)) gets one step per voxel, in
-    the shape of ``xi_ref``; a voxel with zero curvature has no step of its
-    own and takes the batch's smallest, and only an all-zero batch raises
+    the shape of ``xi_ref``, and an empty batch none; a voxel with zero
+    curvature has no step of its own and takes the batch's smallest, and
+    only a nonempty batch without curvature raises
     :class:`DegenerateCurvature`.
     """
     _check_square_guard(op, xi_ref)
     _, r1s = residual_pieces(op, xi_ref, s_ref, 1)
     curvature = np.sum(np.abs(r1s) ** 2, axis=1).reshape(np.shape(xi_ref))
     largest = float(np.max(curvature, initial=0.0))
-    if largest == 0.0:
+    if largest == 0.0 and curvature.size:
         raise DegenerateCurvature("cannot scale the certified step: zero curvature")
     return 0.9 * step_bound(rho) / ((2.0 + rho) * np.where(curvature > 0.0, curvature, largest))
 
@@ -316,18 +317,16 @@ class FlowConfig:
 
     ``step`` is the absolute step size; leave it None and set
     ``certified=True`` to derive it from the curvature at the initial
-    iterate (exactly one of the two is given): the voxel's
-    :func:`certified_step` in the single-voxel flows, and each support
-    voxel's own step in the image driver, which falls back to the smallest
-    step over the support (and the projection) in an iteration whose steps
-    leave C_phi. ``max_iters >= 0`` caps the steps.
-    ``grad_tol`` bounds each voxel's real-chart field gradient over the
-    scale its caller passes to :func:`csemri.imaging.projected_descent`: the
-    single-voxel flows pass 1 (an absolute bound, default ``1e-12 ||y||^2``,
-    as the gradient scales with the squared signal), the image driver
-    ``||y(v)||^2`` (a relative bound, default ``1e-12``). ``keep_trajectory``
-    records every iterate of the single-voxel flows. The certified step
-    takes the curvature margin ``RHO``.
+    iterate (exactly one of the two is given): each support voxel's
+    :func:`certified_step`, the voxel's own in the single-voxel flows, and
+    in the image driver the smallest step over the support (and the
+    projection) in an iteration whose steps leave C_phi. ``max_iters >= 0``
+    caps the steps. ``grad_tol >= 0`` bounds each voxel's real-chart field
+    gradient: in the single-voxel flows absolutely (default ``1e-12
+    ||y||^2``, as the gradient scales with the squared signal), in the image
+    driver relative to ``||y(v)||^2`` (default ``1e-12``).
+    ``keep_trajectory`` records every iterate of the single-voxel flows. The
+    certified step takes the curvature margin ``RHO``.
     """
 
     step: float | None = None
@@ -341,6 +340,8 @@ class FlowConfig:
             raise DomainError(f"step must be positive, got {self.step}")
         if self.max_iters < 0:
             raise DomainError(f"max_iters must be nonnegative, got {self.max_iters}")
+        if self.grad_tol is not None and not self.grad_tol >= 0.0:  # NaN fails too
+            raise DomainError(f"grad_tol must be nonnegative, got {self.grad_tol}")
         if (self.step is None) != bool(self.certified):
             raise DomainError("give exactly one of an absolute step and certified mode")
 
@@ -381,18 +382,19 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
     """Projected joint descent of f(xi, s) (+ epsilon ||s||^2) over the ball
     ||y - s|| <= delta.
 
-    Simultaneous gradient steps in both Wirtinger blocks, followed by the
-    closed-form radial projection of ``s`` and the clamp of ``xi`` to the
-    closed upper half-plane; each iteration takes one exponential
-    (``W(conj xi) = 1 / conj W(xi)`` gives the signal gradient's adjoint).
-    With ``delta = 0`` the ball is the point ``y``: the signal is held
+    :func:`csemri.imaging.projected_descent` on a batch of one, until the
+    field gradient is at most ``cfg.grad_tol`` and the signal moves by at
+    most ``1e-12 max(||y||, delta)``: simultaneous steps in both Wirtinger
+    blocks, the radial projection of ``s`` and the clamp of ``xi`` to the
+    closed upper half-plane, with one exponential per iteration. With
+    ``delta = 0`` the ball is the point ``y``: the signal is held
     there, its gradient is never formed, and the loop is plain Wirtinger
     flow on ``f0``. A voxel whose ball holds 0 (``0 < ||y|| <= delta``, or
     ``y = 0``) is off the support, as in the image driver: ``s = 0`` gives
     ``f = 0`` for every field, so the flow returns ``s_hat = 0`` and
     ``xi_init`` after 0 iterations on the zero branch.
     """
-    from .imaging import _signal_support, projected_descent  # imaging imports solver
+    from .imaging import projected_descent  # imaging imports solver
 
     if not delta >= 0:  # NaN fails too
         raise DomainError(f"delta must be nonnegative, got {delta}")
@@ -401,14 +403,11 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
     y = np.asarray(y, dtype=complex)
     y_norm = max(float(np.linalg.norm(y)), 1e-300)
     grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12 * y_norm**2
-    support, _ = _signal_support(y[None], delta)
-    alpha = certified_step(op, xi_init, y, RHO) if cfg.certified and len(support) else cfg.step
-    xi, s, iterations, converged, grad, _, trajectory, _ = projected_descent(
-        op, np.array([complex(xi_init)]), support, y[None][support], delta, alpha, None,
-        (1.0, grad_tol, max(y_norm, float(delta)), 1e-12),
-        cfg.max_iters, epsilon, cfg.keep_trajectory,
+    xi, s, iterations, converged, grad, _, trajectory, _, _, _ = projected_descent(
+        op, np.array([complex(xi_init)]), y[None], delta, cfg, None, grad_tol, 1e-12,
+        epsilon, cfg.keep_trajectory,
     )
-    xi, s = complex(xi[0]), (s[0] if len(s) else np.zeros_like(y))
+    xi, s = complex(xi[0]), s[0]
     s_norm = float(np.linalg.norm(s))
     boundary_gap = abs(float(np.linalg.norm(y - s)) - delta)
     return RecoveryResult(

@@ -12,7 +12,6 @@ from hypothesis.extra import numpy as hnp
 from csemri import imaging
 from csemri.errors import DegenerateCurvature, DimensionError, OverflowRisk
 from csemri.imaging import (
-    _descent_steps,
     FieldmapConstraint,
     ImageGrid,
     constraint_violation,
@@ -343,31 +342,28 @@ class TestCertifiedStepBatch:
                 zero.append(k)
         assert zero
         assert np.all(batch[zero] == batch.min())  # zero curvature takes the batch minimum
-        # the fallback is the batch minimum, which is the step of the largest curvature
-        steps, fallback = _descent_steps(OP, FlowConfig(certified=True), xi[mask], s[mask])
-        assert np.array_equal(steps, batch)
+        # the batch minimum, the driver's fallback, is the step of the largest curvature
         _, r1s = residual_pieces(OP, xi[mask], s[mask], 1)
         largest = np.max(np.sum(np.abs(r1s) ** 2, axis=1))
-        assert fallback == 0.9 * step_bound(0.5) / (2.5 * largest)
+        assert batch.min() == 0.9 * step_bound(0.5) / (2.5 * largest)
 
-    def test_all_zero_batch_falls_back(self):
+    def test_all_zero_batch_raises_and_an_empty_batch_has_no_steps(self):
         xi = np.full(5, 10.0 + 3j)
         s = np.zeros((5, 6), complex)
         with pytest.raises(DegenerateCurvature):
             certified_step(OP, xi, s, 0.5)
-        cfg = FlowConfig(certified=True)
-        fixed = 0.9 * step_bound(0.5)
-        assert _descent_steps(OP, cfg, xi, s) == (fixed, fixed)
-        assert _descent_steps(OP, cfg, xi[:0], s[:0]) == (fixed, fixed)  # no voxel at all
+        empty = certified_step(OP, xi[:0], s[:0], 0.5)  # no voxel at all
+        assert empty.shape == (0,)
 
     def test_overflow_is_raised_not_dropped(self):
         truth = small_phantom()
-        xi = truth.xi0_map.ravel().copy()
-        mask = truth.mask.ravel()
-        xi[np.flatnonzero(mask)[3]] = 1j * 2e4 / MODEL.times[-1]
-        cfg = FlowConfig(certified=True)
+        xi = truth.xi0_map.copy()
+        xi[np.nonzero(truth.mask)[0][3], np.nonzero(truth.mask)[1][3]] = 1j * 2e4 / MODEL.times[-1]
+        con = FieldmapConstraint(eps_g=np.full(xi.shape, np.inf))
         with pytest.raises(OverflowRisk):
-            _descent_steps(OP, cfg, xi, truth.grid.signal.reshape(-1, 6))
+            certified_step(OP, xi.ravel(), truth.grid.signal.reshape(-1, 6), 0.5)
+        with pytest.raises(OverflowRisk):
+            reconstruct(truth.grid, MODEL, con, FlowConfig(certified=True), xi)
 
 
 class TestReconstruct:
@@ -552,7 +548,7 @@ class TestPerVoxelSteps:
         assert res.constraint_violation <= 10.0 * 1e-11 * max(np.max(np.abs(x.real)), 1.0)
         y = truth.grid.signal.reshape(-1, 6)
         support = np.flatnonzero(np.any(y != 0, axis=1))
-        _, fallback = _descent_steps(OP, cfg, init.ravel()[support], y[support])
+        fallback = certified_step(OP, init.ravel()[support], y[support], 0.5).min()
         assert fallback == res.step_spread[0]
         _, d_xi = imaging.voxelwise_value_and_gradient(OP, x.ravel()[support], y[support])
         grad = 2.0 * np.conj(d_xi) / np.sum(np.abs(y[support]) ** 2, axis=1)

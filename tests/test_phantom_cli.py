@@ -399,6 +399,7 @@ class TestCli:
             ({"grad_tol": False}, "SpecError"),
             ({"step": True}, "SpecError"),
             ([], "SpecError"),
+            ({"grad_tol": -1}, "DomainError"),
         ],
     )
     @pytest.mark.parametrize("command", ["reconstruct", "solve"])
@@ -814,6 +815,27 @@ class TestCli:
             echo_times_s=[1e-3 * t for t in header["echo_times_ms"]],
         )
         assert np.array_equal(read_csir(out)[0], expected.signal)
+
+    @pytest.mark.parametrize(
+        "config", [{"hz_per_ppm": 63.87}, {"echo_times_ms": [1.3 + 1.05 * k for k in range(6)]}]
+    )
+    def test_reconstruct_refuses_an_image_of_another_scan(self, tmp_path, capsys, config):
+        acq, ph, out = tmp_path / "acq.json", tmp_path / "ph.json", tmp_path / "r.npz"
+        acq.write_text(json.dumps({**cli.DEFAULT_ACQUISITION, **config}))
+        assert cli_main(["phantom", "--config", str(acq), "--out", str(ph),
+                         "--width", "16", "--height", "16"]) == 0
+        capsys.readouterr()
+        argv = ["reconstruct", "--input", str(ph), "--out", str(out), "--max-iters", "50"]
+        assert cli_main(argv) == 2  # the default model is another scan's
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
+        assert not out.exists()
+        # the scan's own model passes, also with the echo times as the config gives them,
+        # whose ms -> s -> ms round trip is inexact
+        times_ms = json.loads(acq.read_text())["echo_times_ms"]
+        assert any(t != 1e3 * (1e-3 * t) for t in times_ms)
+        ph.write_text(json.dumps({**json.loads(ph.read_text()), "echo_times_ms": times_ms}))
+        assert cli_main(argv + ["--config", str(acq)]) == 0
 
     @pytest.mark.parametrize("hz_per_ppm, error", [("x", "SpecError"), (None, "InvalidSpecies")])
     def test_mismatch_species_without_a_field_strength_exits_2(self, tmp_path, capsys, hz_per_ppm,

@@ -455,6 +455,11 @@ class TestWirtingerFlow:
             FlowConfig(step=1.0, max_iters=-1)
         with pytest.raises(DomainError):  # the certified step would drop it
             FlowConfig(step=1.0, certified=True)
+        for grad_tol in (-1e-12, np.nan):
+            with pytest.raises(DomainError):
+                FlowConfig(certified=True, grad_tol=grad_tol)
+        for grad_tol in (0.0, np.inf):
+            assert FlowConfig(certified=True, grad_tol=grad_tol).grad_tol == grad_tol
 
     def test_zero_iterations_evaluate_the_start(self):
         xi0, c0, s0 = random_voxel()
