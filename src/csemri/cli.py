@@ -165,7 +165,7 @@ def cmd_solve(args):
         },
         args.out,
     )
-    if args.trajectory and res.trajectory is not None:
+    if args.trajectory:
         write_matrix_csv(
             args.trajectory,
             [(k, z.real, z.imag) for k, z in enumerate(res.trajectory)],

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, NonConvergence
+from .errors import DimensionError, DomainError, NonConvergence
 from .residual import (
     make_residual_operator,
     voxelwise_concentrations,
@@ -59,6 +59,7 @@ __all__ = [
     "ImageGrid",
     "FieldmapConstraint",
     "ReconResult",
+    "Descent",
     "SeparationReport",
     "forward_gradient",
     "gradient_adjoint",
@@ -298,81 +299,105 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
     """Joint projected Wirtinger descent on the field and the per-voxel signals.
 
     :func:`projected_descent` on every voxel of the grid under C_phi, with
-    the support, the steps and the signals' balls ``||s(v) - y(v)|| <=
-    delta(v)`` as it describes. The gradient is tested against
-    ``cfg.grad_tol ||y(v)||^2`` (``grad_tol`` default ``1e-12``) and the
-    signal move against ``1e-10 max(||y(v)||, delta(v))``. Off the support
-    ``s = 0`` gives ``f = 0`` for every field: there
-    ``s_map = 0``, ``c_map = 0`` (so :func:`pdff_map` is NaN, below
+    the support, the steps, the signals' balls ``||s(v) - y(v)|| <=
+    delta(v)``, the input check and the verdict as it describes; ``delta``
+    is one radius for all voxels or a (height, width) map. The gradient is
+    tested against ``cfg.grad_tol ||y(v)||^2`` (``grad_tol`` default
+    ``1e-12``) and the signal move against ``1e-10 max(||y(v)||,
+    delta(v))``. Off the support ``s = 0`` gives ``f = 0`` for every field:
+    there ``s_map = 0``, ``c_map = 0`` (so :func:`pdff_map` is NaN, below
     ``PDFF_MIN_CONTENT``), and the field moves only through the projection.
     The grid's signal is the only input that selects voxels; the
-    constraint's bounds select none. ``converged`` is reported only for a
-    field within ``10 proj_tol max(|Re xi|, 1)`` of the set.
+    constraint's bounds select none. ``cfg.keep_trajectory`` records the
+    single-voxel flows only and raises :class:`DomainError` here.
     """
     if grid.n_e != model.n_e:
         raise DimensionError("grid echo count does not match the model")
+    if cfg.keep_trajectory:
+        raise DomainError("keep_trajectory records the single-voxel flows only")
     op = make_residual_operator(model)
     h, w = grid.height, grid.width
     y = grid.signal.reshape(-1, grid.n_e)
-    delta = np.broadcast_to(np.asarray(delta, dtype=float), (h, w)).ravel()
-    if not np.all(delta >= 0):  # NaN fails too
-        raise DimensionError("delta must be nonnegative")
-    xi = np.asarray(xi_init, dtype=complex).copy()
+    xi = np.asarray(xi_init, dtype=complex).copy()  # the result never shares the caller's array
     if xi.shape != (h, w):
         raise DimensionError(f"xi_init shape {xi.shape} does not match grid")
 
     tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12
     grad_tol = tol * np.maximum(np.sum(np.abs(y) ** 2, axis=1), 1e-300)  # relative to ||y||^2
-    xi, s, iterations, converged, _, trace, _, fallbacks, steps, zero_branch = projected_descent(
-        op, xi, y, delta, cfg, constraint, grad_tol, 1e-10, proj_tol=proj_tol
-    )
-    c_map = voxelwise_concentrations(op, xi.ravel(), s).reshape(h, w, model.n_s)
-    # the start is never projected, so a stationary start may be infeasible;
-    # convergence needs the bound that project_onto_C_phi enforces
-    violation = constraint_violation(xi, constraint)
-    feasible = violation <= 10.0 * proj_tol * max(float(np.max(np.abs(xi.real))), 1.0)
-    steps = np.atleast_1d(steps)
+    run = projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, 1e-10, proj_tol=proj_tol)
+    steps = np.atleast_1d(run.steps)
     return ReconResult(
-        xi_map=xi,
-        c_map=c_map,
-        objective_trace=tuple(trace),
-        constraint_violation=violation,
-        iterations=iterations,
-        converged=converged and feasible,
-        s_map=s.reshape(h, w, grid.n_e),
-        fallback_iterations=fallbacks,
+        xi_map=run.xi,
+        c_map=run.c.reshape(h, w, model.n_s),
+        objective_trace=run.trace,
+        constraint_violation=run.violation,
+        iterations=run.iterations,
+        converged=run.converged,
+        s_map=run.signals.reshape(h, w, grid.n_e),
+        fallback_iterations=run.fallbacks,
         step_spread=None if steps.size == 0
         else (float(steps.min()), float(np.median(steps)), float(steps.max())),
-        zero_branch_voxels=int(np.count_nonzero(zero_branch)),
+        zero_branch_voxels=int(np.count_nonzero(run.zero_branch)),
     )
+
+
+@dataclass(frozen=True)
+class Descent:
+    """What one :func:`projected_descent` run returns.
+
+    ``xi`` is the final field in the start's shape; ``signals`` (n, n_e)
+    and their concentration estimate ``c`` (n, n_s) are in flat voxel
+    order, 0 off the support. ``converged`` holds for a stationary field
+    whose ``violation`` of the constraint (0.0 without one) is at most
+    ``10 proj_tol max(|Re xi|, 1)``. ``trajectory`` holds every iterate
+    when ``cfg.keep_trajectory`` is set, else None; ``steps`` are one per
+    support voxel in certified mode, else ``cfg.step``.
+    """
+
+    xi: np.ndarray = field(repr=False)
+    signals: np.ndarray = field(repr=False)
+    c: np.ndarray = field(repr=False)
+    iterations: int
+    converged: bool
+    violation: float
+    grad: np.ndarray = field(repr=False)
+    trace: tuple[float, ...] = field(repr=False)
+    trajectory: tuple[np.ndarray, ...] | None = field(repr=False)
+    fallbacks: int
+    steps: np.ndarray | float = field(repr=False)
+    zero_branch: np.ndarray = field(repr=False)
 
 
 def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, s_tol, epsilon=0.0,
-                      record=False, proj_tol=1e-9):
+                      proj_tol=1e-9):
     """Projected joint descent of f(xi, s) (+ epsilon ||s||^2), the loop of every flow.
 
     ``y`` (n, n_e) holds the data of the n voxels of ``xi`` in flat order,
-    and ``delta`` their ball radii, one for all or one per voxel. Each
-    iteration evaluates f and both gradients once, with one exponential per
-    voxel, on the support: the voxels whose ball excludes 0, ``||y|| >
-    delta``, or with a nonzero echo where ``delta = 0``. Off it ``s = 0``
-    gives ``f = 0``, so the signal is 0 there. The field steps by
-    ``cfg.step``, or in certified mode by each voxel's :func:`certified_step`
-    at the start. The candidate is clamped to the upper half-plane when
-    ``constraint`` is None (the single-voxel flows) or when it lies in
-    C_phi, where that clamp is its projection; otherwise the iteration takes
-    the smallest step instead and maps the field back with
-    :func:`project_onto_C_phi`. The signals take :func:`projected_signal_step`
-    (held at ``y`` if no support voxel has ``delta > 0``). It stops once
-    ``|grad| <= grad_tol`` (one bound for all or one per voxel) and every
-    signal moves by at most ``s_tol max(||y||, delta)``, or after
-    ``cfg.max_iters`` steps. Returns the field, signals, iterations,
-    convergence, last gradient, objective per iterate, with ``record`` a
-    copy of every iterate, the number of iterations that fell back, the
-    steps and the zero branch (``delta > 0`` and the ball holds 0).
+    and ``delta`` their ball radii, one for all or one per voxel in the
+    shape of ``xi``. A negative or NaN ``delta`` or ``epsilon``, and a
+    non-finite start or datum, raise :class:`DomainError`. Each iteration
+    evaluates f and both gradients once, with one exponential per voxel, on
+    the support: the voxels whose ball excludes 0, ``||y|| > delta``, or
+    with a nonzero echo where ``delta = 0``. Off it ``s = 0`` gives ``f =
+    0``, so the signal is 0 there. The field steps by ``cfg.step``, or in
+    certified mode by each voxel's :func:`certified_step` at the start. The
+    candidate is clamped to the upper half-plane when ``constraint`` is
+    None (the single-voxel flows) or when it lies in C_phi, where that clamp
+    is its projection; otherwise the iteration takes the smallest step
+    instead and maps the field back with :func:`project_onto_C_phi`. The
+    signals take :func:`projected_signal_step` (held at ``y`` if no support
+    voxel has ``delta > 0``). It stops once ``|grad| <= grad_tol`` (one
+    bound for all or one per voxel) and every signal moves by at most
+    ``s_tol max(||y||, delta)``, or after ``cfg.max_iters`` steps. Returns
+    the :class:`Descent` record, with its verdict and concentration
+    estimate.
     """
     n = len(y)
-    delta = np.broadcast_to(np.asarray(delta, dtype=float), (n,))
+    delta = np.broadcast_to(np.asarray(delta, dtype=float), np.shape(xi)).ravel()
+    if not (np.all(delta >= 0) and epsilon >= 0):  # NaN fails too
+        raise DomainError("delta and epsilon must be nonnegative")
+    if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(y))):
+        raise DomainError("the start and the data must be finite")
     y_norm = np.linalg.norm(y, axis=1)
     zero_branch = (delta > 0) & (y_norm <= delta)
     support = np.flatnonzero(np.any(y != 0, axis=1) & ~zero_branch)
@@ -384,8 +409,9 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, s_tol, epsilo
     hold_signal = not np.any(delta_s > 0)
     s = y_s.copy()
     trace = []
-    trajectory = [xi.copy()] if record else None
+    trajectory = [xi.copy()] if cfg.keep_trajectory else None
     fallbacks = 0
+    d_s = moved = None  # bound on every path for the release after the loop
     for iterations in range(cfg.max_iters + 1):
         xi_s = xi.ravel()[support]
         s_new, s_move = s, 0.0
@@ -397,8 +423,8 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, s_tol, epsilo
             s_move = float(np.max(np.linalg.norm(s_new - s, axis=1) / s_scale, initial=0.0))
         trace.append(float(f.sum()))
         grad = 2.0 * np.conj(d_xi)
-        converged = bool((np.abs(grad) <= grad_tol).all()) and s_move <= s_tol
-        if converged or iterations == cfg.max_iters:
+        stationary = bool((np.abs(grad) <= grad_tol).all()) and s_move <= s_tol
+        if stationary or iterations == cfg.max_iters:
             break
         moved = xi.copy()
         moved.ravel()[support] = xi_s - steps * grad  # the gradient is zero off the support
@@ -409,12 +435,31 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, s_tol, epsilo
             moved.ravel()[support] = xi_s - fallback_step * grad
             xi = project_onto_C_phi(moved, constraint, proj_tol=proj_tol)
         s = s_new
-        if record:
+        if trajectory is not None:
             trajectory.append(xi.copy())
     signals = np.zeros_like(y)
     signals[support] = s
-    return (xi, signals, iterations, converged, grad, trace, trajectory, fallbacks, steps,
-            zero_branch)
+    # the loop's arrays go first, so that the verdict and the estimate reuse their memory
+    # instead of growing the process (1.6 MiB of peak RSS on a noisy 128^2 image)
+    del s, s_new, y_s, d_s, moved, f, d_xi, s_scale
+    # the start is never projected, so a stationary start may be infeasible;
+    # convergence needs the bound that project_onto_C_phi enforces
+    violation = 0.0 if constraint is None else constraint_violation(xi, constraint)
+    feasible = violation <= 10.0 * proj_tol * max(float(np.max(np.abs(xi.real))), 1.0)
+    return Descent(
+        xi=xi,
+        signals=signals,
+        c=voxelwise_concentrations(op, xi.ravel(), signals),
+        iterations=iterations,
+        converged=stationary and feasible,
+        violation=violation,
+        grad=grad,
+        trace=tuple(trace),
+        trajectory=None if trajectory is None else tuple(trajectory),
+        fallbacks=fallbacks,
+        steps=steps,
+        zero_branch=zero_branch,
+    )
 
 
 MISMATCH = np.iinfo(np.int64).min  # sentinel for offsets that are no lattice multiple

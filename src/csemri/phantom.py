@@ -134,7 +134,8 @@ class CorruptionSpec:
     """Additive complex Gaussian noise plus optional model mismatch.
 
     ``sigma`` is the standard deviation of a unit-variance circularly
-    symmetric complex Gaussian per echo (so E||noise||^2 = sigma^2 n_e).
+    symmetric complex Gaussian per echo (so E||noise||^2 = sigma^2 n_e),
+    finite and nonnegative.
     The mismatch term adds ``W(xi0) phi_M(t) c_M`` per voxel for a species
     absent from the reconstruction model.
     """
@@ -144,8 +145,8 @@ class CorruptionSpec:
     mismatch_concentration: np.ndarray | complex | None = None
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise SpecError("noise level sigma must be nonnegative")
+        if not 0.0 <= self.sigma < inf:  # NaN fails too
+            raise SpecError(f"noise level sigma must be nonnegative and finite, got {self.sigma}")
         if (self.mismatch_species is None) != (self.mismatch_concentration is None):
             raise SpecError("mismatch needs both a species and a concentration field")
 

@@ -32,11 +32,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import exp, expm1, inf, log1p, sqrt
+from numbers import Integral
 
 import numpy as np
 
 from .errors import DegenerateCurvature, DomainError, NonBracketed
-from .residual import EXP_GUARD, _check_square_guard, concentrations_ri, residual_pieces
+from .residual import EXP_GUARD, _check_square_guard, residual_pieces
 from .residual import wirtinger_gradient_f0  # noqa: F401  (the benchmark trace looks it up here)
 
 __all__ = [
@@ -325,8 +326,11 @@ class FlowConfig:
     gradient: in the single-voxel flows absolutely (default ``1e-12
     ||y||^2``, as the gradient scales with the squared signal), in the image
     driver relative to ``||y(v)||^2`` (default ``1e-12``).
-    ``keep_trajectory`` records every iterate of the single-voxel flows. The
-    certified step takes the curvature margin ``RHO``.
+    ``keep_trajectory`` records every iterate of the single-voxel flows;
+    the image driver refuses it. The certified step takes the curvature
+    margin ``RHO``. A step that is not positive and finite, and a
+    ``max_iters`` that is not a nonnegative integer, raise
+    :class:`DomainError`.
     """
 
     step: float | None = None
@@ -336,10 +340,10 @@ class FlowConfig:
     keep_trajectory: bool = False
 
     def __post_init__(self):
-        if self.step is not None and self.step <= 0.0:
-            raise DomainError(f"step must be positive, got {self.step}")
-        if self.max_iters < 0:
-            raise DomainError(f"max_iters must be nonnegative, got {self.max_iters}")
+        if self.step is not None and not 0.0 < self.step < inf:  # NaN fails too
+            raise DomainError(f"step must be positive and finite, got {self.step}")
+        if not (isinstance(self.max_iters, Integral) and self.max_iters >= 0):
+            raise DomainError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
         if self.grad_tol is not None and not self.grad_tol >= 0.0:  # NaN fails too
             raise DomainError(f"grad_tol must be nonnegative, got {self.grad_tol}")
         if (self.step is None) != bool(self.certified):
@@ -392,31 +396,28 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
     flow on ``f0``. A voxel whose ball holds 0 (``0 < ||y|| <= delta``, or
     ``y = 0``) is off the support, as in the image driver: ``s = 0`` gives
     ``f = 0`` for every field, so the flow returns ``s_hat = 0`` and
-    ``xi_init`` after 0 iterations on the zero branch.
+    ``xi_init`` after 0 iterations on the zero branch. A negative or NaN
+    ``delta`` or ``epsilon`` and a non-finite start or signal raise
+    :class:`DomainError`.
     """
     from .imaging import projected_descent  # imaging imports solver
 
-    if not delta >= 0:  # NaN fails too
-        raise DomainError(f"delta must be nonnegative, got {delta}")
-    if not epsilon >= 0:
-        raise DomainError(f"epsilon must be nonnegative, got {epsilon}")
     y = np.asarray(y, dtype=complex)
     y_norm = max(float(np.linalg.norm(y)), 1e-300)
     grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12 * y_norm**2
-    xi, s, iterations, converged, grad, _, trajectory, _, _, _ = projected_descent(
-        op, np.array([complex(xi_init)]), y[None], delta, cfg, None, grad_tol, 1e-12,
-        epsilon, cfg.keep_trajectory,
+    run = projected_descent(
+        op, np.array([complex(xi_init)]), y[None], delta, cfg, None, grad_tol, 1e-12, epsilon
     )
-    xi, s = complex(xi[0]), s[0]
+    xi, s = complex(run.xi[0]), run.signals[0]
     s_norm = float(np.linalg.norm(s))
     boundary_gap = abs(float(np.linalg.norm(y - s)) - delta)
     return RecoveryResult(
         xi_hat=xi,
-        c_hat=concentrations_ri(op, xi, s),
-        iterations=iterations,
-        final_grad_norm=float(np.abs(grad).max(initial=0.0)),
-        converged=converged,
-        trajectory=tuple(complex(x[0]) for x in trajectory) if trajectory is not None else None,
+        c_hat=run.c[0],
+        iterations=run.iterations,
+        final_grad_norm=float(np.abs(run.grad).max(initial=0.0)),
+        converged=run.converged,
+        trajectory=None if run.trajectory is None else tuple(complex(x[0]) for x in run.trajectory),
         s_hat=s,
         branch="zero" if s_norm <= boundary_gap else "boundary",
     )

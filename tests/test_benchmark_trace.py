@@ -25,5 +25,6 @@ def test_every_trace_target_resolves():
 def test_the_descent_loop_looks_up_the_traced_names():
     # the trace replaces module attributes, so the loop must call these through imaging's globals
     names = imaging.projected_descent.__code__.co_names
-    for name in ("voxelwise_value_and_gradient", "certified_step", "project_onto_C_phi"):
+    for name in ("voxelwise_value_and_gradient", "certified_step", "project_onto_C_phi",
+                 "voxelwise_concentrations"):
         assert name in names, name

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from csemri import imaging
-from csemri.errors import DegenerateCurvature, DimensionError, OverflowRisk
+from csemri.errors import DegenerateCurvature, DimensionError, DomainError, OverflowRisk
 from csemri.imaging import (
     FieldmapConstraint,
     ImageGrid,
@@ -489,8 +489,26 @@ class TestReconstructNoisy:
         truth = small_phantom(side=8, n_shapes=1)
         con = FieldmapConstraint.uniform(8, 8, 30.0)
         cfg = FlowConfig(certified=True, max_iters=5)
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError):
             reconstruct_noisy(truth.grid, MODEL, con, np.nan, cfg, np.full((8, 8), 1.0 + 0j))
+
+    def test_non_finite_start_rejected(self):
+        truth = small_phantom(side=8, n_shapes=1)
+        con = FieldmapConstraint.uniform(8, 8, 30.0)
+        cfg = FlowConfig(certified=True, max_iters=5)
+        xi = np.full((8, 8), 1.0 + 0j)
+        xi[3, 4] = np.nan
+        for delta in (0.0, 0.05):
+            with pytest.raises(DomainError):
+                reconstruct_noisy(truth.grid, MODEL, con, delta, cfg, xi)
+
+    def test_trajectory_is_refused(self):
+        # keep_trajectory records the single-voxel flows only
+        truth = small_phantom(side=8, n_shapes=1)
+        con = FieldmapConstraint.uniform(8, 8, 30.0)
+        cfg = FlowConfig(certified=True, max_iters=5, keep_trajectory=True)
+        with pytest.raises(DomainError):
+            reconstruct_noisy(truth.grid, MODEL, con, 0.0, cfg, np.full((8, 8), 1.0 + 0j))
 
     def test_delta_zero_matches_noiseless_path(self):
         truth = small_phantom()

@@ -566,6 +566,27 @@ class TestCli:
         assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
 
     @pytest.mark.parametrize(
+        "field, value",
+        [("init", [float("nan"), 0.0]), ("signal", [[1.0, 0.0]] * 5 + [[float("nan"), 0.0]])],
+    )
+    def test_non_finite_solve_input_exits_2(self, tmp_path, capsys, field, value):
+        doc = {
+            "acquisition": {
+                "echo_times_ms": [1.238 + 0.986 * k for k in range(6)],
+                "species": ["water", "fat6"],
+                "hz_per_ppm": HZ_PER_PPM,
+            },
+            "signal": [[1.0, 0.0]] * 6,
+            field: value,
+        }
+        inp, out = tmp_path / "solve.json", tmp_path / "result.json"
+        inp.write_text(json.dumps(doc))
+        assert cli_main(["solve", "--input", str(inp), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "DomainError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, flag, doc",
         [
             ("model-info", "--config", [1, 2]),
@@ -599,12 +620,21 @@ class TestCli:
             ["analyze", "--grid-step", "inf", "--csv", "{tmp}/f.csv"],
             ["analyze", "--grid-step", "1e-300", "--csv", "{tmp}/f.csv"],  # 1e303 rows
             ["analyze", "--band", "0", "1e300"],  # 1e295 periodic images
+            ["corrupt", "--sigma", "nan"],
+            ["corrupt", "--sigma", "inf"],
+            ["corrupt", "--sigma", "nan", "--relative"],
+            ["corrupt", "--sigma", "inf", "--relative"],
         ],
     )
-    def test_out_of_range_numbers_exit_2(self, tmp_path, capsys, argv):
+    def test_out_of_range_numbers_exit_2(self, tmp_path, tmp_path_factory, capsys, argv):
         argv = [a.format(tmp=tmp_path) for a in argv]
-        if argv[0] in ("experiment", "phantom"):
+        if argv[0] in ("experiment", "phantom", "corrupt"):
             argv += ["--out", str(tmp_path / "exp")]
+        if argv[0] == "corrupt":  # the input lives elsewhere: nothing may appear in tmp_path
+            ph = tmp_path_factory.mktemp("input") / "ph.json"
+            assert cli_main(["phantom", "--out", str(ph), "--width", "4", "--height", "4"]) == 0
+            argv += ["--input", str(ph)]
+            capsys.readouterr()
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
@@ -690,7 +720,8 @@ class TestCli:
         argv = ["reconstruct", "--input", str(header), "--out", str(out), flag, "nan"]
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and json.loads(err)["error"] == "DimensionError"
+        expected = "DomainError" if flag == "--delta" else "DimensionError"
+        assert err.count("\n") == 1 and json.loads(err)["error"] == expected
         assert not out.exists()
 
     def test_metrics_are_on_mask(self, tmp_path):

@@ -460,6 +460,13 @@ class TestWirtingerFlow:
                 FlowConfig(certified=True, grad_tol=grad_tol)
         for grad_tol in (0.0, np.inf):
             assert FlowConfig(certified=True, grad_tol=grad_tol).grad_tol == grad_tol
+        for step in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                FlowConfig(step=step)
+        for max_iters in (2.5, 2.0, "3"):
+            with pytest.raises(DomainError):
+                FlowConfig(certified=True, max_iters=max_iters)
+        assert FlowConfig(certified=True, max_iters=np.int64(3)).max_iters == 3
 
     def test_zero_iterations_evaluate_the_start(self):
         xi0, c0, s0 = random_voxel()
@@ -517,6 +524,16 @@ class TestConstrainedFlow:
             constrained_flow(OP, s0, np.nan, xi0, cfg)
         with pytest.raises(DomainError):
             constrained_flow(OP, s0, 0.02, xi0, cfg, epsilon=np.nan)
+
+    def test_non_finite_start_or_signal_rejected(self):
+        xi0, c0, s0 = random_voxel(np.random.default_rng(12))
+        cfg = FlowConfig(certified=True, max_iters=10)
+        bad = s0.copy()
+        bad[2] = np.nan
+        for y, xi_init in ((s0, complex(np.nan, 0.0)), (s0, complex(0.0, np.inf)), (bad, xi0)):
+            for delta in (0.0, 0.02):
+                with pytest.raises(DomainError):
+                    constrained_flow(OP, y, delta, xi_init, cfg)
 
     def test_noiseless_feasible_reaches_zero_objective(self):
         xi0, c0, s0 = random_voxel()
