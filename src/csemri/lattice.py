@@ -31,7 +31,6 @@ from math import gcd, inf, lcm
 import numpy as np
 
 from .errors import DimensionError, PolynomialDegreeLimit, SpecError
-from .solver import golden_section
 from .species import weighting_diag
 
 __all__ = [
@@ -214,6 +213,24 @@ def _unit_circle_roots(coeffs):
         return roots_w
     kth = np.exp(2j * np.pi * np.arange(g) / g)
     return (roots_w[:, None] ** (1.0 / g) * kth[None, :]).ravel()
+
+
+def golden_section(f, a, b, iters):
+    """Golden-section search for a minimum of ``f`` on each interval ``[a[k], b[k]]`` in ``iters``
+    lockstep steps, each one call of ``f`` on an array of points; returns the final ``a, b`` and
+    the smaller value at their interior points."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        left = fc <= fd  # keep [a, d] and move d to c, else keep [c, b] and move c to d
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fx = f(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    return a, b, np.minimum(fc, fd)
 
 
 def _polish_zero(model, etas_hz, half_width_hz):

@@ -23,7 +23,10 @@ truth yields the tight radius, from batched circle searches over a
 geometric ladder of radii, then over evenly spaced radii inside its
 bracket and a cluster around the bracket's regula-falsi estimate. Each
 successive bound relaxes the previous inequality, so the three radii are
-always ordered.
+always ordered. A circle search takes 11 calls of the batched kernel for
+any number of radii: one for an angular grid on every circle, then ten
+rounds of safeguarded parabolic interpolation around each circle's best
+grid angle, in lockstep over the circles.
 
 The recovery flows run :func:`csemri.imaging.projected_descent` on one voxel.
 """
@@ -158,33 +161,30 @@ def radius_loose(op, xi0, s0, rho=0.5):
     return tau_r / op.tau_s
 
 
-def golden_section(f, a, b, iters):
-    """Golden-section search for a minimum of ``f`` on each interval ``[a[k], b[k]]`` in ``iters``
-    lockstep steps, each one call of ``f`` on an array of points; returns the final ``a, b`` and
-    the smaller value at their interior points."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        left = fc <= fd  # keep [a, d] and move d to c, else keep [c, b] and move c to d
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        x = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
-        fx = f(x)
-        c, d = np.where(left, x, d), np.where(left, c, x)
-        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    return a, b, np.minimum(fc, fd)
-
-
 def _circle_eval(op, xi0, s0, radii, angular_samples, fn):
     """Minimize fn([Rs, R's, R''s]) over each circle |xi - xi0| = r in H+.
 
     ``fn`` reduces the kernel's pieces, shape (3, n, n_e), to one value per
-    point; an angular grid on every circle is refined by golden sections
-    around its best arc. One kernel call covers the grid of all radii and
-    one each golden step. Returns the refined minimum per radius.
+    point. An angular grid on every circle is refined around its best angle
+    ``x`` by ten rounds of safeguarded parabolic interpolation (Brent 1973),
+    in lockstep over the radii: each round evaluates ``x - h, x, x + h``
+    inside the bracket of the grid's neighbouring angles; when the middle
+    point is the lowest of the three, ``x`` moves to the vertex of the
+    parabola through them and ``h`` becomes ``max(h / 8, 2 |move|)``,
+    otherwise ``x`` moves to the lowest point and ``h`` stays, or shrinks
+    8-fold when that point is ``x`` itself (at an end of the bracket, where
+    ``x - h`` or ``x + h`` is clipped onto ``x``). One kernel call covers
+    the grid of all radii and one each round, 11 in all. Returns the
+    smallest value seen per radius, never above the grid's. An
+    ``angular_samples`` below 1 and a radius that is negative or not finite
+    raise :class:`DomainError`.
     """
+    if not (isinstance(angular_samples, Integral) and angular_samples >= 1):
+        raise DomainError(f"angular_samples must be a positive integer, got {angular_samples!r}")
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    circle = np.isfinite(radii) & (radii >= 0.0)
+    if not circle.all():
+        raise DomainError(f"circle radii must be finite and nonnegative, got {radii[~circle]}")
     im0 = float(np.imag(xi0))
     closed = radii <= im0
     # sin(theta) >= -im0/r keeps xi inside the closed half-plane
@@ -204,11 +204,27 @@ def _circle_eval(op, xi0, s0, radii, angular_samples, fn):
     )
     vals = values(thetas)
     span = (hi - lo) / max(angular_samples - 1, 1)
-    best = thetas[np.arange(len(radii)), np.argmin(vals, axis=1)]
-    _, _, refined = golden_section(
-        values, np.maximum(lo, best - span), np.minimum(hi, best + span), 40
-    )
-    return np.minimum(vals.min(axis=1), refined)
+    x = thetas[np.arange(len(radii)), np.argmin(vals, axis=1)]
+    a, b = np.maximum(lo, x - span), np.minimum(hi, x + span)
+    h, low = span / 2.0, vals.min(axis=1)
+    for _ in range(10):
+        pts = np.clip(x[:, None] + h[:, None] * np.array([-1.0, 0.0, 1.0]), a[:, None], b[:, None])
+        f = values(pts)
+        low = np.minimum(low, f.min(axis=1))
+        # the vertex's offset from the middle point, in differences to it (both >= 0 when
+        # it is the lowest), which keeps the offset within half the larger spacing
+        d0, d2 = pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 1]
+        g0, g2 = f[:, 0] - f[:, 1], f[:, 2] - f[:, 1]
+        den = 2.0 * (g0 * d2 + g2 * d0)
+        convex = (g0 >= 0.0) & (g2 >= 0.0) & (den > 0.0)
+        vertex = x + (g0 * d2 * d2 - g2 * d0 * d0) / np.where(convex, den, 1.0)
+        lowest = pts[np.arange(len(radii)), np.argmin(f, axis=1)]
+        x_new = np.where(convex, np.clip(vertex, a, b), lowest)
+        # h stays only while x walks to a lower neighbour; an x at the end of its bracket
+        # with no vertex to go to would otherwise never move again
+        h = np.where(convex | (x_new == x), np.maximum(h / 8.0, 2.0 * np.abs(x_new - x)), h)
+        x = x_new
+    return low
 
 
 def _minorant_fn(pieces):
@@ -441,8 +457,11 @@ def curvature_profile(op, xi0, s0, radii, angular_samples=64):
         (||R'(xi) s0||^2 - |<s0, R(xi*) R''(xi) s0>|) / ||R'(xi0) s0||^2,
 
     minimized over the circle intersected with the upper half-plane (an
-    angular grid refined by golden sections around the best arc). Q(0) is
-    one by construction and recovery degrades as Q falls toward zero.
+    angular grid refined by parabolic interpolation around the best angle:
+    12 kernel calls for any number of radii, one of them at ``xi0``). Q(0)
+    is one by construction and recovery degrades as Q falls toward zero.
+    ``angular_samples`` below 1 and a negative or non-finite radius raise
+    :class:`DomainError`.
     """
     s0 = np.asarray(s0, dtype=complex)
     _, r1s0 = residual_pieces(op, xi0, s0, 1)

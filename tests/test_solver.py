@@ -12,7 +12,7 @@ from scipy.integrate import quad
 import csemri
 from csemri import solver
 from csemri.errors import DegenerateCurvature, DomainError, NonBracketed, OverflowRisk
-from csemri.lattice import fieldmap_lattice, rationalize_echoes
+from csemri.lattice import fieldmap_lattice, golden_section, rationalize_echoes
 from csemri.phantom import default_phantom_spec, generate_phantom
 from csemri.residual import EXP_GUARD, make_residual_operator, residual_pieces, residual_value
 from csemri.solver import (
@@ -306,6 +306,101 @@ class TestRadii:
         _, _, s0 = random_voxel()
         with pytest.raises(DomainError):
             radius_lambert(OP, 10.0 - 5.0j, s0, 0.5)
+
+
+def kernel_calls(monkeypatch):
+    """The points of every ``residual_pieces`` call made from ``solver``, in call order."""
+    calls = []
+    pieces = solver.residual_pieces
+
+    def counted(op, xi, s, order):
+        calls.append(np.array(xi, dtype=complex))
+        return pieces(op, xi, s, order)
+
+    monkeypatch.setattr(solver, "residual_pieces", counted)
+    return calls
+
+
+def golden_circle_min(op, xi0, s0, radii, angular_samples, fn):
+    """Oracle: the same angular grid and bracket, refined by 40 lockstep golden-section steps.
+
+    Returns the grid values, one row per radius, and the refined minimum per radius."""
+    im0 = xi0.imag
+    closed = radii <= im0
+    t0 = np.arcsin(-im0 / np.where(closed, np.inf, radii))
+    lo = np.where(closed, 0.0, t0)
+    hi = np.where(closed, 2.0 * np.pi, np.pi - t0)
+
+    def values(thetas):
+        r = radii[:, None] if thetas.ndim == 2 else radii
+        xi = xi0 + r * np.exp(1j * thetas)
+        return fn(residual_pieces(op, xi.ravel(), s0, 2)).reshape(thetas.shape)
+
+    thetas = np.where(
+        closed[:, None],
+        np.linspace(lo, hi, angular_samples, endpoint=False, axis=-1),
+        np.linspace(lo, hi, angular_samples, axis=-1),
+    )
+    grid = values(thetas)
+    span = (hi - lo) / max(angular_samples - 1, 1)
+    best = thetas[np.arange(len(radii)), np.argmin(grid, axis=1)]
+    _, _, refined = golden_section(values, np.maximum(lo, best - span), np.minimum(hi, best + span), 40)
+    return grid, np.minimum(grid.min(axis=1), refined)
+
+
+class TestCircleSearch:
+    def test_a_search_makes_eleven_kernel_calls(self, monkeypatch):
+        # one call for the angular grid of every radius, one per parabolic round
+        calls = kernel_calls(monkeypatch)
+        xi0, _, s0 = random_voxel(np.random.default_rng(6))
+        solver._circle_eval(OP, xi0, s0, np.geomspace(1.0, 200.0, 36), 48, solver._minorant_fn)
+        assert len(calls) == 11
+        # a certify voxel, at the benchmark's radii and angles
+        model = build_model([WATER, FAT6, SILICONE], EchoSpec.uniform_ms(1.238, 0.986, 6))
+        truth = generate_phantom(default_phantom_spec(width=32, height=32), model)
+        i, j = np.argwhere(truth.mask)[0]
+        calls.clear()
+        curvature_profile(
+            make_residual_operator(model), truth.xi0_map[i, j], truth.grid.signal[i, j],
+            np.geomspace(0.5, 120.0, 18), angular_samples=16,
+        )
+        assert len(calls) == 12  # and one for the curvature at the truth
+
+    @pytest.mark.parametrize("fn", [solver._minorant_fn, solver._min_eig_fn], ids=["minorant", "min_eig"])
+    def test_agrees_with_golden_sections_and_stays_in_the_half_plane(self, monkeypatch, fn):
+        calls = kernel_calls(monkeypatch)
+        rng = np.random.default_rng(2024)
+        radii = np.geomspace(0.5, 300.0, 12)
+        crossing = 0
+        for _ in range(20):
+            xi0, _, s0 = random_voxel(rng)
+            for angular_samples in (16, 24, 48):
+                calls.clear()
+                found = solver._circle_eval(OP, xi0, s0, radii, angular_samples, fn)
+                grid, oracle = golden_circle_min(OP, xi0, s0, radii, angular_samples, fn)
+                assert np.all(found <= grid.min(axis=1))
+                scale = np.abs(grid).max(axis=1)
+                assert np.all(np.abs(found - oracle) <= 1e-10 * scale)
+                for xi in calls:  # every point on a circle that crosses the real axis stays above it
+                    im = xi.reshape(len(radii), -1).imag
+                    cross = radii > xi0.imag
+                    assert np.all(im[cross] >= -1e-12 * radii[cross, None])
+                crossing += int(np.count_nonzero(radii > xi0.imag))
+        assert crossing > 0
+
+    @pytest.mark.parametrize("angular_samples", [0, -3, 2.5])
+    def test_angular_samples_below_one_rejected(self, angular_samples):
+        xi0, _, s0 = random_voxel(np.random.default_rng(9))
+        with pytest.raises(DomainError):
+            curvature_profile(OP, xi0, s0, [10.0], angular_samples=angular_samples)
+        with pytest.raises(DomainError):
+            radius_tight(OP, xi0, s0, 0.5, angular_samples=angular_samples)
+
+    @pytest.mark.parametrize("radius", [np.nan, -5.0, np.inf])
+    def test_a_radius_that_is_no_circle_rejected(self, radius):
+        xi0, _, s0 = random_voxel(np.random.default_rng(9))
+        with pytest.raises(DomainError):
+            curvature_profile(OP, xi0, s0, [10.0, radius], angular_samples=16)
 
 
 class TestCurvatureProfile:
