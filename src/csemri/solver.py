@@ -20,13 +20,16 @@ Lambert-W radius; evaluating ``beta`` exactly in the worst (imaginary)
 direction yields the loose radius, also in closed form (``log1p``);
 evaluating ``||R(xi) s0||`` and its derivatives on circles around the
 truth yields the tight radius, from batched circle searches over a
-geometric ladder of radii, then over evenly spaced radii inside its
-bracket and a cluster around the bracket's regula-falsi estimate. Each
-successive bound relaxes the previous inequality, so the three radii are
-always ordered. A circle search takes 11 calls of the batched kernel for
-any number of radii: one for an angular grid on every circle, then ten
-rounds of safeguarded parabolic interpolation around each circle's best
-grid angle, in lockstep over the circles.
+geometric ladder of radii, up to its first failing rung, then over evenly
+spaced radii inside its bracket and a cluster around the bracket's
+regula-falsi estimate. Each successive bound relaxes the previous
+inequality, so the three radii are always ordered. A circle search takes
+11 calls of the batched kernel for any number of radii: one for an angular
+grid on every circle, then ten rounds of safeguarded parabolic
+interpolation around each circle's best grid angle, in lockstep over the
+circles. The ladder's search evaluates its grid in chunks of rungs and
+stops after the first chunk with a failing rung, so it takes a few more,
+smaller calls and searches no circle past that rung.
 
 The recovery flows run :func:`csemri.imaging.projected_descent` on one voxel.
 """
@@ -67,6 +70,7 @@ __all__ = [
 RHO = 0.5  # curvature margin of the certified step in the flows and the image driver
 RADIUS_CAP = 600.0  # radii are certified up to tau_s r = 600; beta overflows past exp(700)
 TIGHT_GROWTH = 1.12  # ratio of neighbouring radii on the tight radius's ladder
+LADDER_CHUNK = 16  # ladder radii per angular-grid call until a rung fails
 TIGHT_SPLIT = 16  # sub-intervals of the tight radius's bracket per refinement round
 
 
@@ -161,7 +165,7 @@ def radius_loose(op, xi0, s0, rho=0.5):
     return tau_r / op.tau_s
 
 
-def _circle_eval(op, xi0, s0, radii, angular_samples, fn):
+def _circle_eval(op, xi0, s0, radii, angular_samples, fn, *, stop_below=None):
     """Minimize fn([Rs, R's, R''s]) over each circle |xi - xi0| = r in H+.
 
     ``fn`` reduces the kernel's pieces, shape (3, n, n_e), to one value per
@@ -178,6 +182,14 @@ def _circle_eval(op, xi0, s0, radii, angular_samples, fn):
     smallest value seen per radius, never above the grid's. An
     ``angular_samples`` below 1 and a radius that is negative or not finite
     raise :class:`DomainError`.
+
+    With ``stop_below``, the radii are a ladder in ascending order that
+    matters only up to its first circle below that value: the grid runs in
+    chunks of ``LADDER_CHUNK`` radii and stops after the first chunk with a
+    grid minimum below it, and the rounds run on the radii up to and
+    including the first such one, whose values alone are returned. That
+    circle is below for certain, since refinement only lowers a minimum. If
+    no grid minimum is below, every radius is searched and returned.
     """
     if not (isinstance(angular_samples, Integral) and angular_samples >= 1):
         raise DomainError(f"angular_samples must be a positive integer, got {angular_samples!r}")
@@ -192,9 +204,8 @@ def _circle_eval(op, xi0, s0, radii, angular_samples, fn):
     lo = np.where(closed, 0.0, t0)
     hi = np.where(closed, 2.0 * np.pi, np.pi - t0)
 
-    def values(thetas):  # a row of angles per radius, or one angle per radius
-        r = radii[:, None] if thetas.ndim == 2 else radii
-        xi = complex(xi0) + r * np.exp(1j * thetas)
+    def values(thetas, r):  # a row of angles per radius, or one angle per radius
+        xi = complex(xi0) + (r[:, None] if thetas.ndim == 2 else r) * np.exp(1j * thetas)
         return fn(residual_pieces(op, xi.ravel(), s0, 2)).reshape(thetas.shape)
 
     thetas = np.where(
@@ -202,14 +213,26 @@ def _circle_eval(op, xi0, s0, radii, angular_samples, fn):
         np.linspace(lo, hi, angular_samples, endpoint=False, axis=-1),
         np.linspace(lo, hi, angular_samples, axis=-1),
     )
-    vals = values(thetas)
+    if stop_below is None:
+        vals = values(thetas, radii)
+    else:  # a ladder, searched up to its first circle below stop_below
+        chunks = []
+        for start in range(0, len(radii), LADDER_CHUNK):
+            rows = slice(start, start + LADDER_CHUNK)
+            chunks.append(values(thetas[rows], radii[rows]))
+            below = np.flatnonzero(chunks[-1].min(axis=1) < stop_below)
+            if len(below):
+                keep = slice(start + below[0] + 1)
+                radii, thetas, lo, hi = radii[keep], thetas[keep], lo[keep], hi[keep]
+                break
+        vals = np.concatenate(chunks)[: len(radii)]
     span = (hi - lo) / max(angular_samples - 1, 1)
     x = thetas[np.arange(len(radii)), np.argmin(vals, axis=1)]
     a, b = np.maximum(lo, x - span), np.minimum(hi, x + span)
     h, low = span / 2.0, vals.min(axis=1)
     for _ in range(10):
         pts = np.clip(x[:, None] + h[:, None] * np.array([-1.0, 0.0, 1.0]), a[:, None], b[:, None])
-        f = values(pts)
+        f = values(pts, radii)
         low = np.minimum(low, f.min(axis=1))
         # the vertex's offset from the middle point, in differences to it (both >= 0 when
         # it is the lowest), which keeps the offset within half the larger spacing
@@ -251,9 +274,13 @@ def radius_tight(op, xi0, s0, rho=0.5, angular_samples=48):
     for the largest radius. A ladder of radii grows geometrically (by
     ``TIGHT_GROWTH`` per rung) from the loose radius, inside which the
     inequality is certified analytically, up to ``RADIUS_CAP / tau_s`` or
-    the largest circle the residual kernel can evaluate; one batched circle
-    search covers the whole ladder. Each further search refines the bracket
-    at the first failing rung. It evaluates the interior points that split
+    the largest circle the residual kernel can evaluate. One circle search
+    covers the ladder up to its first failing rung: its angular grid runs in
+    chunks of ``LADDER_CHUNK`` rungs and stops after the first chunk with a
+    rung that the grid already fails, and the refinement rounds run on the
+    rungs up to that one; the rungs it skips come after a failure and cannot
+    change the radius. Each further search refines the bracket at the first
+    failing rung. It evaluates the interior points that split
     the bracket into ``TIGHT_SPLIT`` equal parts, and with them the
     regula-falsi estimate ``est`` from the endpoints' margins and ``est +-
     width TIGHT_SPLIT^-k`` for k = 1..7, all inside the open bracket; it
@@ -276,7 +303,10 @@ def radius_tight(op, xi0, s0, rho=0.5, angular_samples=48):
     ladder = [radius_loose(op, xi0, s0, rho)]
     while ladder[-1] < cap_hz:
         ladder.append(min(TIGHT_GROWTH * ladder[-1], cap_hz))
-    radii, margins = np.array(ladder), margin(ladder)
+    # the ladder's search stops at its first failing rung; no later rung can change the radius
+    margins = _circle_eval(op, xi0, s0, ladder, angular_samples, _minorant_fn, stop_below=target)
+    margins -= target
+    radii = np.array(ladder[: len(margins)])
     fails = np.flatnonzero(margins < 0.0)
     if len(fails) == 0:
         raise NonBracketed(f"condition holds up to the search cap {cap_hz:.3e} Hz")

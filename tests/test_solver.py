@@ -1,5 +1,6 @@
 """Lambert W, beta envelope, certified radii, and the recovery flows."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -203,9 +204,9 @@ class TestRadii:
         calls = []
         circle_eval = solver._circle_eval
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             calls.append(args[3])
-            return circle_eval(*args)
+            return circle_eval(*args, **kwargs)
 
         monkeypatch.setattr(solver, "_circle_eval", counted)
         rt = radius_tight(make_residual_operator(model), truth.xi0_map[i, j], truth.grid.signal[i, j])
@@ -225,7 +226,7 @@ class TestRadii:
         root = 3.7 * radius_loose(OP, xi0, s0, 0.5)
         calls = []
 
-        def synthetic(op, xi0, s0, radii, angular_samples, fn):
+        def synthetic(op, xi0, s0, radii, angular_samples, fn, *, stop_below=None):
             radii = np.atleast_1d(np.asarray(radii, dtype=float))
             calls.append(radii)
             return target + drop(radii / root)
@@ -257,6 +258,48 @@ class TestRadii:
                 lo, hi = (mid, hi) if passes(mid) else (lo, mid)
             rt = radius_tight(OP, xi0, s0, rho, angular_samples=24)
             assert rt == pytest.approx(lo, rel=1e-11)
+
+    @pytest.mark.parametrize("angular_samples", [24, 48])
+    def test_tight_equals_the_whole_ladder_search(self, monkeypatch, angular_samples):
+        # oracle: the same radius with every ladder rung searched (the ladder search's
+        # stop_below dropped), bit for bit
+        rng = np.random.default_rng(23)
+        cases = [(OP, *random_voxel(rng)[::2]) for _ in range(20)] + certify_voxels()
+        stopped = [radius_tight(op, xi0, s0, 0.5, angular_samples) for op, xi0, s0 in cases]
+        circle_eval = solver._circle_eval
+        monkeypatch.setattr(solver, "_circle_eval", lambda *args, stop_below=None: circle_eval(*args))
+        whole = [radius_tight(op, xi0, s0, 0.5, angular_samples) for op, xi0, s0 in cases]
+        assert stopped == whole
+
+    def test_the_ladder_stops_at_its_first_failing_rung(self, monkeypatch):
+        # a certify voxel: the grid runs in chunks up to the chunk of the first rung it
+        # fails, and only the rungs up to that one get parabolic rounds
+        op, xi0, s0 = certify_voxels()[0]
+        calls = kernel_calls(monkeypatch)
+        ladders = []
+        circle_eval = solver._circle_eval
+
+        def spy(*args, stop_below=None):
+            start = len(calls)
+            found = circle_eval(*args, stop_below=stop_below)
+            if stop_below is not None:
+                ladders.append((np.asarray(args[3]), stop_below, calls[start:], found))
+            return found
+
+        monkeypatch.setattr(solver, "_circle_eval", spy)
+        radius_tight(op, xi0, s0, 0.5, angular_samples=48)
+        [(ladder, target, made, found)] = ladders
+        grid, _ = golden_circle_min(op, xi0, s0, ladder, 48, solver._minorant_fn)
+        first = int(np.argmax(grid.min(axis=1) < target))
+        assert grid[first].min() < target and first + 1 < len(ladder)
+        chunk = solver.LADDER_CHUNK
+        n_chunks = first // chunk + 1
+        assert len(made) == n_chunks + 10 and len(found) == first + 1
+        for k, points in enumerate(made[:n_chunks]):
+            rungs = ladder[k * chunk : (k + 1) * chunk]
+            assert np.allclose(np.abs(points.reshape(len(rungs), 48) - xi0), rungs[:, None])
+        for points in made[n_chunks:]:
+            assert np.allclose(np.abs(points.reshape(first + 1, 3) - xi0), ladder[: first + 1, None])
 
     def test_tight_vs_lambert_gap_is_large(self):
         # the closed-form bound is known to underestimate severely; the
@@ -306,6 +349,19 @@ class TestRadii:
         _, _, s0 = random_voxel()
         with pytest.raises(DomainError):
             radius_lambert(OP, 10.0 - 5.0j, s0, 0.5)
+
+
+@functools.lru_cache(maxsize=1)
+def _certify_phantom():
+    model = build_model([WATER, FAT6, SILICONE], EchoSpec.uniform_ms(1.238, 0.986, 6))
+    return make_residual_operator(model), generate_phantom(default_phantom_spec(width=32, height=32), model)
+
+
+def certify_voxels():
+    """The benchmark's certify voxels: every 40th voxel of the 32^2 phantom's mask, as (op, xi0, s0)."""
+    op, truth = _certify_phantom()
+    voxels = np.argwhere(truth.mask)[::40][:8]
+    return [(op, complex(truth.xi0_map[i, j]), truth.grid.signal[i, j]) for i, j in voxels]
 
 
 def kernel_calls(monkeypatch):
