@@ -429,7 +429,8 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, s_tol, epsilo
         moved = xi.copy()
         moved.ravel()[support] = xi_s - steps * grad  # the gradient is zero off the support
         if constraint is None or _in_C_phi(moved, constraint):
-            xi = clamp_upper_half_plane(moved)
+            np.maximum(moved.imag, 0.0, out=moved.imag)  # clamp_upper_half_plane, in place
+            xi = moved
         else:
             fallbacks += 1
             moved.ravel()[support] = xi_s - fallback_step * grad

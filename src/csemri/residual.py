@@ -89,6 +89,8 @@ class ResidualOperator:
     phi_pinv: np.ndarray = field(repr=False)
     tau_s: float
     tau_ne: float
+    n_e: int
+    t_max: float  # the last echo time, which sets the exp overflow guard
     # stacked[n] = [P_R^(0) | ... | P_R^(n)]^T for n = 0, 1, 2, with the
     # derivative kernels P_R^(m) = (2 pi i (t_k - t_j))^m * P_R
     stacked: tuple = field(repr=False)
@@ -97,10 +99,6 @@ class ResidualOperator:
     @property
     def times(self):
         return self.model.times
-
-    @property
-    def n_e(self):
-        return self.model.n_e
 
     @property
     def n_s(self):
@@ -127,31 +125,28 @@ def make_residual_operator(model):
         phi_pinv=phi_pinv,
         tau_s=float(4 * np.pi * (t[-1] - t[0])),
         tau_ne=float(4 * np.pi * t[-1]),
+        n_e=model.n_e,
+        t_max=float(t[-1]),
         stacked=tuple(np.hstack([k.T for k in kernels[: n + 1]]) for n in range(3)),
         omega=2j * np.pi * t,
     )
 
 
-def _check_guard(op, xi):
-    worst = np.abs(xi.imag).max(initial=0.0)
-    if worst * op.times[-1] > EXP_GUARD:
-        raise OverflowRisk(
-            f"|Im xi| = {worst:.3e} Hz would overflow exp at t = {op.times[-1]:.3e} s"
-        )
-
-
-def _check_square_guard(op, xi):
-    """Guard for the squared residual and for ``R(xi)^H R(xi) s``.
+def _check_guard(op, xi, square=False):
+    """Guard for ``W(xi)`` and, with ``square``, for ``||R(xi) s||^2`` and ``R(xi)^H R(xi) s``.
 
     ``||R(xi)^H R(xi)|| <= exp(tau_s |Im xi|)`` overflows long before any
     single exponential does, so the objective, its derivatives and the
-    signal gradient stop where ``tau_s |Im xi| > 700``.
+    signal gradient stop where ``tau_s |Im xi| > 700``. Both tests read one
+    reduction of ``|Im xi|``.
     """
     worst = float(np.abs(np.imag(xi)).max(initial=0.0))
-    if op.tau_s * worst > 700.0:
+    if square and op.tau_s * worst > 700.0:
         raise OverflowRisk(
             f"|Im xi| = {worst:.3e} Hz would overflow R^H R: tau_s |Im xi| > 700"
         )
+    if worst * op.t_max > EXP_GUARD:
+        raise OverflowRisk(f"|Im xi| = {worst:.3e} Hz would overflow exp at t = {op.t_max:.3e} s")
 
 
 def residual_matrix(op, xi):
@@ -172,12 +167,11 @@ def residual_derivative(op, xi, n):
 
 
 def _demodulate(op, xi, s):
-    """(W(xi), W(-xi) s) as (n, n_e) arrays for a batch of voxels."""
+    """(W(xi), W(-xi) s) as (n, n_e) arrays for a batch of voxels; its callers check the guard."""
     xi = np.asarray(xi, dtype=complex).reshape(-1)
     s = np.asarray(s, dtype=complex)
     if s.size not in (op.n_e, xi.size * op.n_e):
         raise DimensionError(f"signal has shape {s.shape}, expected ({xi.size}, {op.n_e})")
-    _check_guard(op, xi)
     w = np.exp(xi[:, None] * op.omega)
     return w, s.reshape(-1, op.n_e) / w
 
@@ -197,12 +191,13 @@ def residual_pieces(op, xi, s, order):
     batch of one. Returns an array of shape (order + 1, n, n_e); ``order``
     is 0, 1 or 2.
     """
+    _check_guard(op, xi)
     return _modulated_pieces(op, *_demodulate(op, xi, s), order)
 
 
 def _value_gradient_residual(op, xi, s):
     """f0, d_xi f0, ``R(xi) s`` and ``W(xi)`` for a batch from one order-1 kernel call."""
-    _check_square_guard(op, xi)
+    _check_guard(op, xi, square=True)
     w, u = _demodulate(op, xi, s)
     pieces = _modulated_pieces(op, w, u, 1)
     f, d_xi = 0.5 * np.einsum("kne,ne->kn", pieces, pieces[0].conj())
@@ -237,12 +232,13 @@ def voxelwise_signal_gradient(op, xi, s):
 
 def voxelwise_concentrations(op, xi, s):
     """Phi^+ W(-xi) s for a batch of voxels."""
+    _check_guard(op, xi)
     return _demodulate(op, xi, s)[1] @ op.phi_pinv.T
 
 
 def residual_value(op, xi, s):
     """f0(xi) = 0.5 * ||R(xi) s||^2."""
-    _check_square_guard(op, xi)
+    _check_guard(op, xi, square=True)
     rs = residual_pieces(op, xi, s, 0)[0]
     return 0.5 * float(np.vdot(rs, rs).real)
 
@@ -275,7 +271,7 @@ def wirtinger_hessian_f0(op, xi, s):
     ``d_xixiconj = 0.5 ||R'(xi) s||^2``; together they assemble the
     curvature form ``|eta|^2 ||R' s||^2 + Re(eta^2 <s, R(xi*) R'' s>)``.
     """
-    _check_square_guard(op, xi)
+    _check_guard(op, xi, square=True)
     rs, r1s, r2s = residual_pieces(op, xi, s, 2)
     return WirtingerHessian(
         d_xixi=0.5 * np.vdot(rs, r2s),
@@ -300,6 +296,7 @@ def concentrations_mp(op, xi, s):
     Coincides with :func:`concentrations_ri` for real ``xi`` (unitary
     weighting); differs once decay makes ``W`` non-unitary.
     """
+    _check_guard(op, xi)
     w, _ = _demodulate(op, xi, s)
     m = w[0][:, None] * op.model.phi
     return np.linalg.lstsq(m, np.asarray(s, dtype=complex), rcond=None)[0]

@@ -43,7 +43,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import DegenerateCurvature, DomainError, NonBracketed
-from .residual import EXP_GUARD, _check_square_guard, residual_pieces
+from .residual import EXP_GUARD, _check_guard, residual_pieces
 from .residual import wirtinger_gradient_f0  # noqa: F401  (the benchmark trace looks it up here)
 
 __all__ = [
@@ -106,7 +106,7 @@ def beta_integral(a, b):
 
 
 def _curvature_numbers(op, xi0, s0):
-    _check_square_guard(op, xi0)
+    _check_guard(op, xi0, square=True)
     _, r1s, r2s = residual_pieces(op, xi0, s0, 2)
     return (
         float(np.linalg.norm(r1s)),
@@ -294,7 +294,7 @@ def radius_tight(op, xi0, s0, rho=0.5, angular_samples=48):
     target = rho * r1**2
     # a circle's highest point, Im xi0 + r, stays inside the kernel's exponent guard with
     # room for the rounding of the points on it
-    reach_hz = (1.0 - 1e-9) * EXP_GUARD / op.times[-1] - float(np.imag(xi0))
+    reach_hz = (1.0 - 1e-9) * EXP_GUARD / op.t_max - float(np.imag(xi0))
     cap_hz = min(RADIUS_CAP / op.tau_s, reach_hz)
 
     def margin(radii):
@@ -349,7 +349,7 @@ def certified_step(op, xi_ref, s_ref, rho):
     only a nonempty batch without curvature raises
     :class:`DegenerateCurvature`.
     """
-    _check_square_guard(op, xi_ref)
+    _check_guard(op, xi_ref, square=True)
     _, r1s = residual_pieces(op, xi_ref, s_ref, 1)
     curvature = np.sum(np.abs(r1s) ** 2, axis=1).reshape(np.shape(xi_ref))
     largest = float(np.max(curvature, initial=0.0))

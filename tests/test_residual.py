@@ -19,6 +19,7 @@ from csemri.residual import (
     residual_pieces,
     residual_value,
     voxelwise_concentrations,
+    voxelwise_full_residual,
     voxelwise_signal_gradient,
     voxelwise_value_and_gradient,
     wirtinger_gradient_f0,
@@ -462,3 +463,27 @@ class TestKernelAgainstDenseReferences:
             hess = wirtinger_hessian_f0(OP, just_inside, sig)
             f, d_batch = voxelwise_value_and_gradient(OP, np.array([just_inside]), sig[None])
         assert np.all(np.isfinite([value, d_xi, hess.d_xixi, hess.d_xixiconj, f[0], d_batch[0]]))
+
+    def test_exp_guard_binds_first_on_a_late_first_echo(self):
+        # with t_ne < 2 t_1 a single exponential overflows before ||R s||^2 does, so the
+        # one |Im xi| reduction of each kernel entry point must test the exp guard too
+        op = make_residual_operator(build_model([WATER, FAT6], EchoSpec.uniform_ms(4.6, 1.1, 3)))
+        assert (op.n_e, op.t_max) == (3, op.times[-1])
+        exp_limit = EXP_GUARD / op.t_max
+        assert exp_limit < 700.0 / op.tau_s
+        sig = random_complex((2, 3), np.random.default_rng(19))
+        entry_points = (
+            lambda xi: residual_pieces(op, xi, sig, 2),
+            lambda xi: voxelwise_value_and_gradient(op, xi, sig),
+            lambda xi: voxelwise_full_residual(op, xi, sig),
+            lambda xi: voxelwise_concentrations(op, xi, sig),
+            lambda xi: residual_value(op, xi[1], sig[1]),
+            lambda xi: concentrations_mp(op, xi[1], sig[1]),
+        )
+        for fn in entry_points:
+            with pytest.raises(OverflowRisk, match="overflow exp"):
+                fn(np.array([1.0 + 0j, 40.0 + 1.01j * exp_limit]))
+            with np.errstate(all="raise"):
+                out = fn(np.array([1.0 + 0j, 40.0 + 0.99j * exp_limit]))
+            parts = out if isinstance(out, tuple) else (out,)
+            assert all(np.all(np.isfinite(part)) for part in parts)
