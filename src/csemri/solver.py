@@ -172,7 +172,8 @@ def _circle_eval(op, xi0, s0, radii, angular_samples, fn, *, stop_below=None):
     point. An angular grid on every circle is refined around its best angle
     ``x`` by ten rounds of safeguarded parabolic interpolation (Brent 1973),
     in lockstep over the radii: each round evaluates ``x - h, x, x + h``
-    inside the bracket of the grid's neighbouring angles; when the middle
+    inside the bracket of the grid's neighbouring angles (which wraps past
+    angle 0 on a circle that does not cross the real axis); when the middle
     point is the lowest of the three, ``x`` moves to the vertex of the
     parabola through them and ``h`` becomes ``max(h / 8, 2 |move|)``,
     otherwise ``x`` moves to the lowest point and ``h`` stays, or shrinks
@@ -224,11 +225,14 @@ def _circle_eval(op, xi0, s0, radii, angular_samples, fn, *, stop_below=None):
             if len(below):
                 keep = slice(start + below[0] + 1)
                 radii, thetas, lo, hi = radii[keep], thetas[keep], lo[keep], hi[keep]
+                closed = closed[keep]
                 break
         vals = np.concatenate(chunks)[: len(radii)]
     span = (hi - lo) / max(angular_samples - 1, 1)
     x = thetas[np.arange(len(radii)), np.argmin(vals, axis=1)]
-    a, b = np.maximum(lo, x - span), np.minimum(hi, x + span)
+    # a closed circle continues past 0 and 2 pi, so its bracket wraps there
+    a = np.where(closed, x - span, np.maximum(lo, x - span))
+    b = np.where(closed, x + span, np.minimum(hi, x + span))
     h, low = span / 2.0, vals.min(axis=1)
     for _ in range(10):
         pts = np.clip(x[:, None] + h[:, None] * np.array([-1.0, 0.0, 1.0]), a[:, None], b[:, None])

@@ -400,7 +400,9 @@ def golden_circle_min(op, xi0, s0, radii, angular_samples, fn):
     grid = values(thetas)
     span = (hi - lo) / max(angular_samples - 1, 1)
     best = thetas[np.arange(len(radii)), np.argmin(grid, axis=1)]
-    _, _, refined = golden_section(values, np.maximum(lo, best - span), np.minimum(hi, best + span), 40)
+    a = np.where(closed, best - span, np.maximum(lo, best - span))  # a closed circle wraps
+    b = np.where(closed, best + span, np.minimum(hi, best + span))
+    _, _, refined = golden_section(values, a, b, 40)
     return grid, np.minimum(grid.min(axis=1), refined)
 
 
@@ -443,6 +445,28 @@ class TestCircleSearch:
                     assert np.all(im[cross] >= -1e-12 * radii[cross, None])
                 crossing += int(np.count_nonzero(radii > xi0.imag))
         assert crossing > 0
+
+    def test_closed_circles_wrap_past_angle_zero(self):
+        # a closed circle (r <= Im xi0) continues below angle 0: on phantom voxel (11, 19)
+        # at 33 Hz the minimum lies at angle 6.19 and the best grid angle is 0, and a
+        # bracket clipped at 0 read Q = +0.0048 where a dense scan finds -0.00079
+        op, truth = _certify_phantom()
+        voxels = [(op, complex(truth.xi0_map[11, 19]), truth.grid.signal[11, 19])] + certify_voxels()
+        radii = np.geomspace(0.5, 120.0, 18)  # experiment curvature's radii and angles
+        fn = solver._min_eig_fn
+        for k, (op, xi0, s0) in enumerate(voxels):
+            _, r1s = residual_pieces(op, xi0, s0, 1)
+            curv0 = np.vdot(r1s, r1s).real
+            q = solver._circle_eval(op, xi0, s0, radii, 16, fn) / curv0
+            for r, qr in zip(radii, q):
+                closed = r <= xi0.imag
+                t0 = 0.0 if closed else np.arcsin(-xi0.imag / r)
+                end = 2.0 * np.pi if closed else np.pi - t0
+                thetas = np.linspace(t0, end, 20000, endpoint=not closed)
+                dense = fn(residual_pieces(op, xi0 + r * np.exp(1j * thetas), s0, 2)).min() / curv0
+                assert qr <= dense + 1e-6
+                if k == 0 and abs(r - 33.0) < 0.1:
+                    assert closed and qr < 0.0
 
     @pytest.mark.parametrize("angular_samples", [0, -3, 2.5])
     def test_angular_samples_below_one_rejected(self, angular_samples):
