@@ -224,8 +224,7 @@ def _circle_eval(op, xi0, s0, radii, angular_samples, fn, *, stop_below=None):
             below = np.flatnonzero(chunks[-1].min(axis=1) < stop_below)
             if len(below):
                 keep = slice(start + below[0] + 1)
-                radii, thetas, lo, hi = radii[keep], thetas[keep], lo[keep], hi[keep]
-                closed = closed[keep]
+                radii, thetas, lo, hi, closed = (v[keep] for v in (radii, thetas, lo, hi, closed))
                 break
         vals = np.concatenate(chunks)[: len(radii)]
     span = (hi - lo) / max(angular_samples - 1, 1)
