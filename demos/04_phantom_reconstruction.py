@@ -52,7 +52,7 @@ for r in range(1, n_regions + 1):
     if np.mean(np.nonzero(region)[1]) < truth.mask.shape[1] / 2:
         shift[region] = lattice.period_hz
 
-constraint = FieldmapConstraint.from_mask(truth.mask, 30.0, np.inf)
+constraint = FieldmapConstraint.from_mask(truth.mask, 30.0)
 res = reconstruct(
     truth.grid, model, constraint,
     FlowConfig(certified=True, max_iters=100),

@@ -71,7 +71,7 @@ print(f"\ngrid corruption: sigma = {sigma:.4f}; mean deviation "
       f"{report.empirical[truth.mask].mean():.4f} vs budget "
       f"{report.budget[truth.mask].mean():.4f}")
 
-constraint = FieldmapConstraint.from_mask(truth.mask, 30.0, 1000.0)
+constraint = FieldmapConstraint.from_mask(truth.mask, 30.0)
 res = reconstruct_noisy(
     noisy, model3, constraint, sigma * np.sqrt(6),
     FlowConfig(certified=True, max_iters=250, grad_tol=1e-9),

@@ -254,7 +254,7 @@ def cmd_reconstruct(args):
     _check_scan(header, model, config.get("hz_per_ppm"))
     # on the mask are the voxels with signal, the rule of the driver's support
     mask = np.any(grid.signal != 0, axis=-1)
-    constraint = FieldmapConstraint.from_mask(mask, args.eps_on_mask, args.eps_off_mask)
+    constraint = FieldmapConstraint.from_mask(mask, args.eps_on_mask)
     if args.flow is not None:
         with open(args.flow) as fh:
             cfg = flow_config_from_dict(json.load(fh))
@@ -400,8 +400,10 @@ def build_parser():
     p.add_argument("--truth")
     p.add_argument("--flow")
     p.add_argument("--delta", type=float, default=None, help="per-voxel noise ball radius")
-    p.add_argument("--eps-on-mask", type=float, default=30.0)
-    p.add_argument("--eps-off-mask", type=float, default=1000.0)
+    p.add_argument(
+        "--eps-on-mask", type=float, default=30.0,
+        help="gradient bound on the voxels with signal; the others are unbounded and uncoupled",
+    )
     p.add_argument("--max-iters", type=int, default=None, help="default 2000; not with --flow")
     p.add_argument("--water-index", type=int, default=0)
     p.add_argument("--fat-index", type=int, default=1)

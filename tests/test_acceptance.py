@@ -315,7 +315,7 @@ def test_criterion_6_concentration_identifiability():
             shifted_regions.append(r)
     assert shifted_regions and len(shifted_regions) < n_regions
 
-    constraint = FieldmapConstraint.from_mask(truth.mask, 30.0, np.inf)
+    constraint = FieldmapConstraint.from_mask(truth.mask, 30.0)
     res = reconstruct(
         truth.grid,
         PHANTOM_MODEL,
@@ -397,7 +397,7 @@ def test_criterion_7_projection_correctness():
 
     # feasibility of reconstruction results
     truth = generate_phantom(default_phantom_spec(width=24, height=24), PHANTOM_MODEL)
-    constraint = FieldmapConstraint.from_mask(truth.mask, 20.0, 500.0)
+    constraint = FieldmapConstraint.from_mask(truth.mask, 20.0)
     proj_tol = 1e-9
     res = reconstruct(
         truth.grid, PHANTOM_MODEL, constraint,
@@ -416,7 +416,7 @@ def test_criterion_8_noise_robustness():
     mask = truth.mask
     sigma = 0.01 * float(np.max(np.abs(truth.grid.signal)))
     delta = sigma * np.sqrt(PHANTOM_MODEL.n_e)
-    constraint = FieldmapConstraint.from_mask(mask, 30.0, 1000.0)
+    constraint = FieldmapConstraint.from_mask(mask, 30.0)
     ratios = []
     last_report = None
     for seed in range(20):

@@ -226,7 +226,64 @@ class TestProjection:
         with pytest.raises(DimensionError):
             FieldmapConstraint(eps_g=eps)
         with pytest.raises(DimensionError):
-            FieldmapConstraint.from_mask(np.ones((3, 3), bool), np.nan, 10.0)
+            FieldmapConstraint.from_mask(np.ones((3, 3), bool), np.nan)
+
+    @pytest.mark.parametrize("shape", [(1, 3), (3, 1)])
+    def test_a_difference_into_an_unbounded_voxel_is_not_bounded(self, shape):
+        con = FieldmapConstraint(eps_g=np.array([1.0, 1.0, np.inf]).reshape(shape))
+        into_unbounded = np.array([0.0, 0.0, 100.0]).reshape(shape).astype(complex)
+        assert constraint_violation(into_unbounded, con) == 0.0
+        with mock.patch.object(imaging, "_dual_projection", _no_iteration):
+            assert np.array_equal(project_onto_C_phi(into_unbounded, con), into_unbounded)
+        # the same jump between the two bounded voxels: the bounded pair meets halfway
+        between_bounded = np.array([0.0, 100.0, 100.0]).reshape(shape).astype(complex)
+        assert constraint_violation(between_bounded, con) == pytest.approx(99.0)
+        out = project_onto_C_phi(between_bounded, con, proj_tol=1e-12)
+        assert np.allclose(out.real.ravel(), [49.5, 50.5, 100.0], rtol=0.0, atol=1e-9)
+        assert constraint_violation(out, con) <= 1e-9
+
+    def test_demo_start_is_in_the_set(self, monkeypatch):
+        # the 64^2 phantom with its left vials shifted by the lattice period: every jump
+        # lies between a vial and the unbounded background, so no dual iteration runs
+        from scipy import ndimage
+
+        truth = generate_phantom(default_phantom_spec(), MODEL)
+        period = fieldmap_lattice(rationalize_echoes(MODEL.echoes)).period_hz
+        labels, n_regions = ndimage.label(truth.mask)
+        shift = np.zeros(truth.mask.shape)
+        for r in range(1, n_regions + 1):
+            region = labels == r
+            if np.mean(np.nonzero(region)[1]) < truth.mask.shape[1] / 2:
+                shift[region] = period
+        start = truth.xi0_map + shift
+        con = FieldmapConstraint.from_mask(truth.mask, 30.0)
+        calls = []
+        adjoint = imaging.gradient_adjoint
+
+        def counted_adjoint(psi):
+            calls.append(psi.shape)
+            return adjoint(psi)
+
+        monkeypatch.setattr(imaging, "gradient_adjoint", counted_adjoint)
+        assert np.any(shift) and constraint_violation(start, con) == 0.0
+        assert np.array_equal(project_onto_C_phi(start, con), start)
+        assert calls == []
+
+    @pytest.mark.parametrize("shape", [(1, 1), (16,), (16, 16, 1)])
+    def test_bound_of_another_shape_is_refused_on_entry(self, shape):
+        truth = small_phantom(side=16)
+        xi = np.full((16, 16), 1.0 + 0j)
+        with pytest.raises(DimensionError):
+            con = FieldmapConstraint(eps_g=np.full(shape, 30.0))
+            constraint_violation(xi, con)
+        with pytest.raises(DimensionError):
+            project_onto_C_phi(xi, FieldmapConstraint(eps_g=np.full(shape, 30.0)))
+        # before any step: with no iteration allowed, and at a stationary start
+        for cfg, start in ((FlowConfig(certified=True, max_iters=0), xi),
+                           (FlowConfig(certified=True, max_iters=50), truth.xi0_map)):
+            with pytest.raises(DimensionError):
+                reconstruct(truth.grid, MODEL, FieldmapConstraint(eps_g=np.full(shape, 30.0)),
+                            cfg, start)
 
 
 FIELD_SHAPES = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)
@@ -378,7 +435,7 @@ class TestReconstruct:
 
     def test_init_at_truth_is_exact(self):
         truth = small_phantom()
-        con = FieldmapConstraint.from_mask(truth.mask, 30.0, 1000.0)
+        con = FieldmapConstraint.from_mask(truth.mask, 30.0)
         cfg = FlowConfig(certified=True, max_iters=50)
         res = reconstruct(truth.grid, MODEL, con, cfg, truth.xi0_map.copy())
         assert res.iterations == 0
@@ -391,12 +448,17 @@ class TestReconstruct:
 
         truth = small_phantom()
         period = fieldmap_lattice(rationalize_echoes(MODEL.echoes)).period_hz
-        labels, _ = ndimage.label(truth.mask)
-        shift = np.where(labels % 2 == 1, period, 0.0)
-        con = FieldmapConstraint.from_mask(truth.mask, 30.0, 1000.0)
+        labels, n_regions = ndimage.label(truth.mask)
+        cols = np.arange(truth.mask.shape[1])
+        shift = np.zeros(truth.mask.shape)
+        for r in range(1, n_regions + 1, 2):
+            region = labels == r
+            left = cols[None, :] < np.mean(np.nonzero(region)[1])
+            shift[region & left] = period
+        con = FieldmapConstraint.from_mask(truth.mask, 30.0)
         cfg = FlowConfig(certified=True, max_iters=40)
         # every voxel is stationary at the shifted start, which jumps by a
-        # lattice period across the region edges and so violates C_phi
+        # lattice period inside the odd regions and so violates C_phi
         res = reconstruct(truth.grid, MODEL, con, cfg, truth.xi0_map + shift)
         assert res.iterations == 0
         assert res.constraint_violation > 1e5
@@ -406,7 +468,7 @@ class TestReconstruct:
 
     def test_objective_monotone_and_feasible(self):
         truth = small_phantom()
-        con = FieldmapConstraint.from_mask(truth.mask, 30.0, 1000.0)
+        con = FieldmapConstraint.from_mask(truth.mask, 30.0)
         cfg = FlowConfig(step=2e3, max_iters=60)
         init = truth.xi0_map + 3.0 * np.exp(1j * RNG.uniform(0, np.pi, truth.xi0_map.shape))
         init = np.real(init) + 1j * np.maximum(np.imag(init), 0.0)
@@ -422,7 +484,7 @@ class TestReconstruct:
         period = fieldmap_lattice(rationalize_echoes(MODEL.echoes)).period_hz
         labels, _ = ndimage.label(truth.mask)
         shift = np.where(labels % 2 == 1, period, 0.0)  # shift alternating regions
-        con = FieldmapConstraint.from_mask(truth.mask, 30.0, np.inf)
+        con = FieldmapConstraint.from_mask(truth.mask, 30.0)
         res = reconstruct(
             truth.grid, MODEL, con, FlowConfig(certified=True, max_iters=40),
             truth.xi0_map + shift,
@@ -477,7 +539,7 @@ class TestReconstructNoisy:
         monkeypatch.setattr(imaging, "voxelwise_full_residual", counted_full)
         monkeypatch.setattr(residual, "_demodulate", counted_demodulate)
         truth = small_phantom()
-        con = FieldmapConstraint.from_mask(truth.mask, 30.0, 1000.0)
+        con = FieldmapConstraint.from_mask(truth.mask, 30.0)
         cfg = FlowConfig(step=2e3, max_iters=7, grad_tol=1e-300)
         res = reconstruct_noisy(truth.grid, MODEL, con, 0.05, cfg, np.full((24, 24), 1.0 + 0j))
         assert res.iterations == 7
@@ -512,7 +574,7 @@ class TestReconstructNoisy:
 
     def test_delta_zero_matches_noiseless_path(self):
         truth = small_phantom()
-        con = FieldmapConstraint.from_mask(truth.mask, 30.0, 1000.0)
+        con = FieldmapConstraint.from_mask(truth.mask, 30.0)
         cfg = FlowConfig(step=2e3, max_iters=30, grad_tol=1e-300)
         a = reconstruct(truth.grid, MODEL, con, cfg, np.full((24, 24), 1.0 + 0j))
         b = reconstruct_noisy(truth.grid, MODEL, con, 0.0, cfg, np.full((24, 24), 1.0 + 0j))
@@ -520,7 +582,7 @@ class TestReconstructNoisy:
 
     def test_noiseless_objective_reaches_zero(self):
         truth = small_phantom()
-        con = FieldmapConstraint.from_mask(truth.mask, 30.0, 1000.0)
+        con = FieldmapConstraint.from_mask(truth.mask, 30.0)
         sig_scale = np.linalg.norm(truth.grid.signal) ** 2
         res = reconstruct_noisy(
             truth.grid, MODEL, con, 0.05, FlowConfig(certified=True, max_iters=600),
@@ -531,7 +593,7 @@ class TestReconstructNoisy:
     def test_noise_error_within_oracle_band(self):
         truth = small_phantom(side=32, n_shapes=8)
         sigma = 0.01 * np.abs(truth.grid.signal).max()
-        con = FieldmapConstraint.from_mask(truth.mask, 30.0, 1000.0)
+        con = FieldmapConstraint.from_mask(truth.mask, 30.0)
         mask = truth.mask
         ratios = []
         for seed in range(3):
@@ -557,7 +619,7 @@ class TestPerVoxelSteps:
     def test_binding_constraint_falls_back_to_a_stationary_point(self):
         truth = small_phantom(side=10)
         # bounds far below the truth's own gradients: the set binds at the solution
-        con = FieldmapConstraint.from_mask(truth.mask, 0.05, 1000.0)
+        con = FieldmapConstraint.from_mask(truth.mask, 0.05)
         cfg = FlowConfig(certified=True, max_iters=200, grad_tol=1e-8)
         init = np.full((10, 10), 1.0 + 0j)
         res = reconstruct(truth.grid, MODEL, con, cfg, init, proj_tol=1e-11)
@@ -611,7 +673,7 @@ class TestSupportRule:
         signal[np.nonzero(mask)[0][::40], np.nonzero(mask)[1][::40]] = 0.0
         init = truth.xi0_map + 2.0 + 0.5j
         small = reconstruct(
-            ImageGrid(signal), MODEL, FieldmapConstraint.from_mask(mask, 30.0, np.inf),
+            ImageGrid(signal), MODEL, FieldmapConstraint.from_mask(mask, 30.0),
             FlowConfig(certified=True, max_iters=1000, grad_tol=1e-6), init,
         )
         # the bounded constraints reach no voxel outside the embedded image,
@@ -625,7 +687,7 @@ class TestSupportRule:
         big_init[4:36, 6:38] = init
         big = reconstruct(
             ImageGrid(big_signal), MODEL,
-            FieldmapConstraint.from_mask(big_mask, 30.0, np.inf),
+            FieldmapConstraint.from_mask(big_mask, 30.0),
             FlowConfig(certified=True, max_iters=1000, grad_tol=1e-6), big_init,
         )
         assert 0 < small.iterations < 1000 and small.converged
@@ -641,7 +703,7 @@ class TestSupportRule:
         i, j = (a[0] for a in np.nonzero(truth.mask))
         signal[0, 0] = 1e-3 * signal[i, j]  # far from the phantom, and faint
         grid = ImageGrid(signal)
-        con = FieldmapConstraint.from_mask(truth.mask, 30.0, np.inf)
+        con = FieldmapConstraint.from_mask(truth.mask, 30.0)
         cfg = FlowConfig(step=3e3, max_iters=40, grad_tol=1e-300)
         res = reconstruct(grid, MODEL, con, cfg, np.full((32, 32), 1.0 + 0j))
         voxel = wirtinger_flow(OP, signal[0, 0], 1.0 + 0j, cfg)
@@ -655,19 +717,19 @@ class TestSupportRule:
         init[~support] = 1.0 + 0.5j
         cfg = FlowConfig(certified=True, max_iters=10)
         free = reconstruct_noisy(
-            truth.grid, MODEL, FieldmapConstraint.from_mask(truth.mask, 30.0, np.inf),
+            truth.grid, MODEL, FieldmapConstraint.from_mask(truth.mask, 30.0),
             0.05, cfg, init,
         )
         # no bound reaches them: they stay at the start, their signal at 0
         assert np.array_equal(free.xi_map[~support], init[~support])
         assert not np.any(free.s_map[~support])
         assert np.any(free.s_map[support] != truth.grid.signal[support])
-        # a spike the off-mask bound forbids is pulled in by the projection alone
+        # off the mask no difference is bounded: a spike there is no violation and never moves
         init[0, 0] = 5000.0
-        con = FieldmapConstraint.from_mask(truth.mask, 30.0, 1000.0)
+        con = FieldmapConstraint.from_mask(truth.mask, 30.0)
         bound = reconstruct_noisy(truth.grid, MODEL, con, 0.05, cfg, init)
         assert bound.iterations > 0
-        assert abs(bound.xi_map[0, 0] - 5000.0) > 1000.0
+        assert bound.xi_map[0, 0] == 5000.0
         assert bound.constraint_violation <= 1e-8 * 5000.0
         assert not np.any(bound.s_map[~support])
 
@@ -684,7 +746,7 @@ class TestZeroBranch:
         cfg = FlowConfig(certified=True, max_iters=60, grad_tol=1e-300)
         small = reconstruct_noisy(
             ImageGrid(signal), MODEL,
-            FieldmapConstraint.from_mask(mask, 30.0, np.inf), delta, cfg, init,
+            FieldmapConstraint.from_mask(mask, 30.0), delta, cfg, init,
         )
         # a frame of pure noise inside the ball, part of it on the mask
         rng = np.random.default_rng(21)
@@ -700,7 +762,7 @@ class TestZeroBranch:
         big_init[4:36, 6:38] = init
         big = reconstruct_noisy(
             ImageGrid(big_signal), MODEL,
-            FieldmapConstraint.from_mask(big_mask, 30.0, np.inf), delta, cfg, big_init,
+            FieldmapConstraint.from_mask(big_mask, 30.0), delta, cfg, big_init,
         )
         frame = np.ones((40, 44), bool)
         frame[4:36, 6:38] = False
@@ -743,7 +805,7 @@ class TestZeroBranch:
         truth = generate_phantom(default_phantom_spec(width=128, height=128), MODEL)
         sigma = 0.01 * np.abs(truth.grid.signal).max()
         grid, _ = corrupt(truth.grid, CorruptionSpec(sigma=sigma), seed=1)
-        con = FieldmapConstraint.from_mask(np.any(grid.signal != 0, axis=2), 30.0, 1000.0)
+        con = FieldmapConstraint.from_mask(np.any(grid.signal != 0, axis=2), 30.0)
         cfg = FlowConfig(certified=True, max_iters=15)
         with np.errstate(all="raise"):
             res = reconstruct_noisy(grid, MODEL, con, 0.02, cfg, np.full((128, 128), 1.0 + 0j))

@@ -710,7 +710,7 @@ class TestCli:
         assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
         assert not out.exists() and not out.with_suffix(".bin").exists()
 
-    @pytest.mark.parametrize("flag", ["--eps-on-mask", "--eps-off-mask", "--delta"])
+    @pytest.mark.parametrize("flag", ["--eps-on-mask", "--delta"])
     def test_nan_bound_exits_2(self, tmp_path, capsys, flag):
         header = tmp_path / "img.json"
         signal = np.ones((2, 3, 6), dtype=complex)
@@ -892,7 +892,7 @@ class TestCli:
         mask = np.any(signal != 0, axis=2)  # the voxels with signal carry the on-mask bound
         res = reconstruct_noisy(
             ImageGrid(signal), model_from_config(cli.DEFAULT_ACQUISITION),
-            FieldmapConstraint.from_mask(mask, 30.0, 1000.0), 0.02,
+            FieldmapConstraint.from_mask(mask, 30.0), 0.02,
             FlowConfig(certified=True, max_iters=30), np.full(mask.shape, 1.0 + 0j),
         )
         data = np.load(recon)
@@ -913,6 +913,23 @@ class TestCli:
         assert 0 <= report["fallback_iterations"] <= report["iterations"]
         low, median, high = report["step_spread"]
         assert 0 < low <= median <= high
+
+    def test_default_reconstruct_recovers_a_100_hz_field_bump(self, tmp_path):
+        # the CLI start 1 + 0j is 100 Hz from the vials' field; the bound couples
+        # only voxels with signal, so the background never holds the vial edges back
+        ph, truth, met = tmp_path / "ph.json", tmp_path / "truth.npz", tmp_path / "metrics.json"
+        recon = tmp_path / "r.npz"
+        assert cli_main(["phantom", "--out", str(ph), "--truth", str(truth),
+                         "--fieldmap-amplitude", "100"]) == 0
+        assert cli_main(["reconstruct", "--input", str(ph), "--out", str(recon),
+                         "--metrics-out", str(met)]) == 0
+        report = json.loads(met.read_text())
+        assert report["converged"] is True
+        assert report["fallback_iterations"] == 0
+        known, data = np.load(truth), np.load(recon)
+        mask = known["mask"]
+        error = np.max(np.abs(data["c_map"] - known["c0_map"]), axis=-1)
+        assert np.count_nonzero(error[mask] > 1e-3) == 0
 
     def test_metrics_count_the_zero_branch(self, tmp_path):
         ph, noisy, met = tmp_path / "ph.json", tmp_path / "noisy.json", tmp_path / "metrics.json"
