@@ -26,12 +26,14 @@ a field that leaves C_phi is iterated.
 One projected-descent loop, :func:`projected_descent`, moves a field and
 its per-voxel signals (kept in their noise balls ``||s(v) - y(v)|| <=
 delta(v)``) together and finds the support, the steps and the signal
-scale itself. The image driver, :func:`reconstruct_noisy`, runs it on the
-grid with the projection onto C_phi, and the single-voxel flows of
-:mod:`csemri.solver` on a batch of one with the upper half-plane clamp. A
-noisy iteration takes one exponential per voxel: the signal gradient's
-adjoint ``R(xi)^H = R(conj xi)`` reuses the objective's ``W(xi)``,
-because ``W(conj xi) = 1 / conj W(xi)``.
+scale itself. It takes the data in the field's shape and returns one
+:class:`ReconResult`, its maps in that shape. The image driver,
+:func:`reconstruct_noisy`, runs it on the grid with the projection onto
+C_phi and hands that record out as it comes; the single-voxel flows of
+:mod:`csemri.solver` run it on a batch of one with the upper half-plane
+clamp. A noisy iteration takes one exponential per voxel: the signal
+gradient's adjoint ``R(xi)^H = R(conj xi)`` reuses the objective's
+``W(xi)``, because ``W(conj xi) = 1 / conj W(xi)``.
 Noiseless reconstruction, :func:`reconstruct`, is ``delta = 0``, where the
 signals are held at the data. An :class:`ImageGrid` is its signal alone,
 and the objective is evaluated only on the signal support, the voxels
@@ -63,7 +65,6 @@ __all__ = [
     "ImageGrid",
     "FieldmapConstraint",
     "ReconResult",
-    "Descent",
     "SeparationReport",
     "forward_gradient",
     "gradient_adjoint",
@@ -301,15 +302,23 @@ def _dual_projection(xi, constraint, proj_tol):
 
 @dataclass(frozen=True)
 class ReconResult:
-    """A reconstruction and its run statistics.
+    """A reconstruction and its run statistics, as :func:`projected_descent` returns them.
 
-    ``fallback_iterations`` counts the iterations whose per-voxel step left
-    C_phi and that took the smallest step over the support with the
-    projection instead; ``step_spread`` is (min, median, max) of the
-    steps (all three ``cfg.step`` with a fixed step), and ``None`` when
-    there are none: in certified mode with an empty support.
-    ``zero_branch_voxels`` counts the voxels with ``delta(v) > 0`` whose
-    noise ball holds 0 and that therefore left the support.
+    ``xi_map`` is the final field, and ``s_map`` and ``c_map`` hold the
+    signals and their concentration estimate in the field's shape, 0 off
+    the support. ``converged`` holds for a stationary field whose
+    ``constraint_violation`` (0.0 without a constraint) is at most ``10
+    proj_tol max(|Re xi|, 1)``. ``fallback_iterations`` counts the
+    iterations whose per-voxel step left C_phi and that took the smallest
+    step over the support with the projection instead; ``step_spread`` is
+    (min, median, max) of the steps (all three ``cfg.step`` with a fixed
+    step), and ``None`` when there are none: in certified mode with an
+    empty support. ``zero_branch_voxels`` counts the voxels with ``delta(v)
+    > 0`` whose noise ball holds 0 and that therefore left the support.
+    ``final_grad_norm`` is the largest ``|grad|`` over the support at the
+    last iterate (0.0 on an empty support), and ``trajectory`` holds every
+    iterate when ``cfg.keep_trajectory`` is set, else None; the single-voxel
+    flows of :mod:`csemri.solver` read these two.
     """
 
     xi_map: np.ndarray = field(repr=False)
@@ -322,6 +331,8 @@ class ReconResult:
     fallback_iterations: int
     step_spread: tuple[float, float, float] | None
     zero_branch_voxels: int
+    final_grad_norm: float
+    trajectory: tuple[np.ndarray, ...] | None = field(repr=False)
 
 
 def reconstruct(grid, model, constraint, cfg, xi_init, proj_tol=1e-9):
@@ -334,7 +345,7 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
 
     :func:`projected_descent` on every voxel of the grid under C_phi, with
     the support, the steps, the signals' balls ``||s(v) - y(v)|| <=
-    delta(v)``, the input check and the verdict as it describes; ``delta``
+    delta(v)``, the input checks and the verdict as it describes; ``delta``
     is one radius for all voxels or a (height, width) map. The gradient is
     tested against ``cfg.grad_tol ||y(v)||^2`` (``grad_tol`` default
     ``1e-12``) and the signal move against ``1e-10 max(||y(v)||,
@@ -350,87 +361,43 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
     if cfg.keep_trajectory:
         raise DomainError("keep_trajectory records the single-voxel flows only")
     op = make_residual_operator(model)
-    h, w = grid.height, grid.width
-    y = grid.signal.reshape(-1, grid.n_e)
     xi = np.asarray(xi_init, dtype=complex).copy()  # the result never shares the caller's array
-    if xi.shape != (h, w):
-        raise DimensionError(f"xi_init shape {xi.shape} does not match grid")
-
-    tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12
-    grad_tol = tol * np.maximum(np.sum(np.abs(y) ** 2, axis=1), 1e-300)  # relative to ||y||^2
-    run = projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, 1e-10, proj_tol=proj_tol)
-    steps = np.atleast_1d(run.steps)
-    return ReconResult(
-        xi_map=run.xi,
-        c_map=run.c.reshape(h, w, model.n_s),
-        objective_trace=run.trace,
-        constraint_violation=run.violation,
-        iterations=run.iterations,
-        converged=run.converged,
-        s_map=run.signals.reshape(h, w, grid.n_e),
-        fallback_iterations=run.fallbacks,
-        step_spread=None if steps.size == 0
-        else (float(steps.min()), float(np.median(steps)), float(steps.max())),
-        zero_branch_voxels=int(np.count_nonzero(run.zero_branch)),
-    )
-
-
-@dataclass(frozen=True)
-class Descent:
-    """What one :func:`projected_descent` run returns.
-
-    ``xi`` is the final field in the start's shape; ``signals`` (n, n_e)
-    and their concentration estimate ``c`` (n, n_s) are in flat voxel
-    order, 0 off the support. ``converged`` holds for a stationary field
-    whose ``violation`` of the constraint (0.0 without one) is at most
-    ``10 proj_tol max(|Re xi|, 1)``. ``trajectory`` holds every iterate
-    when ``cfg.keep_trajectory`` is set, else None; ``steps`` are one per
-    support voxel in certified mode, else ``cfg.step``.
-    """
-
-    xi: np.ndarray = field(repr=False)
-    signals: np.ndarray = field(repr=False)
-    c: np.ndarray = field(repr=False)
-    iterations: int
-    converged: bool
-    violation: float
-    grad: np.ndarray = field(repr=False)
-    trace: tuple[float, ...] = field(repr=False)
-    trajectory: tuple[np.ndarray, ...] | None = field(repr=False)
-    fallbacks: int
-    steps: np.ndarray | float = field(repr=False)
-    zero_branch: np.ndarray = field(repr=False)
+    tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12  # relative to ||y||^2
+    grad_tol = tol * np.maximum(np.sum(np.abs(grid.signal) ** 2, axis=-1), 1e-300)
+    return projected_descent(op, xi, grid.signal, delta, cfg, constraint, grad_tol, 1e-10,
+                             proj_tol=proj_tol)
 
 
 def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, s_tol, epsilon=0.0,
                       proj_tol=1e-9):
     """Projected joint descent of f(xi, s) (+ epsilon ||s||^2), the loop of every flow.
 
-    ``y`` (n, n_e) holds the data of the n voxels of ``xi`` in flat order,
-    and ``delta`` their ball radii, one for all or one per voxel in the
-    shape of ``xi``. A negative or NaN ``delta`` or ``epsilon``, and a
-    non-finite start or datum, raise :class:`DomainError`, and a constraint
-    whose shape is not the field's :class:`DimensionError`. Each iteration
-    evaluates f and both gradients once, with one exponential per voxel, on
-    the support: the voxels whose ball excludes 0, ``||y|| > delta``, or
-    with a nonzero echo where ``delta = 0``. Off it ``s = 0`` gives ``f =
-    0``, so the signal is 0 there. The field steps by ``cfg.step``, or in
-    certified mode by each voxel's :func:`certified_step` at the start. The
-    candidate is clamped to the upper half-plane when ``constraint`` is
-    None (the single-voxel flows) or when it lies in C_phi, where that clamp
-    is its projection; otherwise the iteration takes the smallest step
-    instead and maps the field back with :func:`project_onto_C_phi`. The
-    signals take :func:`projected_signal_step` (held at ``y`` if no support
-    voxel has ``delta > 0``). It stops once ``|grad| <= grad_tol`` (one
-    bound for all or one per voxel) and every signal moves by at most
-    ``s_tol max(||y||, delta)``, or after ``cfg.max_iters`` steps. Returns
-    the :class:`Descent` record, with its verdict and concentration
-    estimate.
+    ``y`` holds the data in the field's shape, ``xi.shape + (n_e,)``, and
+    ``delta`` and ``grad_tol`` are one value for all voxels or one per voxel
+    in the shape of ``xi``. Data or a constraint whose shape is not the
+    field's raise :class:`DimensionError`, and a negative or NaN ``delta``
+    or ``epsilon`` and a non-finite start or datum :class:`DomainError`.
+    Each iteration evaluates f and both gradients once, with one
+    exponential per voxel, on the support: the voxels whose ball excludes
+    0, ``||y|| > delta``, or with a nonzero echo where ``delta = 0``. Off it
+    ``s = 0`` gives ``f = 0``, so the signal is 0 there. The field steps by
+    ``cfg.step``, or in certified mode by each voxel's
+    :func:`certified_step` at the start. The candidate is clamped to the
+    upper half-plane when ``constraint`` is None (the single-voxel flows)
+    or when it lies in C_phi, where that clamp is its projection; otherwise
+    the iteration takes the smallest step instead and maps the field back
+    with :func:`project_onto_C_phi`. The signals take
+    :func:`projected_signal_step` (held at ``y`` if no support voxel has
+    ``delta > 0``). It stops once ``|grad| <= grad_tol`` and every signal
+    moves by at most ``s_tol max(||y||, delta)``, or after ``cfg.max_iters``
+    steps. Returns the :class:`ReconResult`, its maps in the field's shape.
     """
-    n = len(y)
+    if y.shape[:-1] != xi.shape:
+        raise DimensionError(f"data shape {y.shape} does not match field {xi.shape}")
     if constraint is not None:
         _check_shape(xi, constraint)
-    delta = np.broadcast_to(np.asarray(delta, dtype=float), np.shape(xi)).ravel()
+    y = y.reshape(-1, y.shape[-1])
+    delta = np.broadcast_to(np.asarray(delta, dtype=float), xi.shape).ravel()
     if not (np.all(delta >= 0) and epsilon >= 0):  # NaN fails too
         raise DomainError("delta and epsilon must be nonnegative")
     if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(y))):
@@ -439,7 +406,7 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, s_tol, epsilo
     zero_branch = (delta > 0) & (y_norm <= delta)
     support = np.flatnonzero(np.any(y != 0, axis=1) & ~zero_branch)
     y_s, delta_s = y[support], delta[support]
-    grad_tol = np.broadcast_to(grad_tol, (n,))[support]
+    grad_tol = np.broadcast_to(grad_tol, xi.shape).ravel()[support]
     steps = certified_step(op, xi.ravel()[support], y_s, RHO) if cfg.certified else cfg.step
     fallback_step = np.min(steps, initial=np.inf)  # an empty support never steps
     s_scale = np.maximum(np.maximum(y_norm[support], delta_s), 1e-300)
@@ -484,19 +451,22 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, s_tol, epsilo
     # convergence needs the bound that project_onto_C_phi enforces
     violation = 0.0 if constraint is None else constraint_violation(xi, constraint)
     feasible = violation <= 10.0 * proj_tol * max(float(np.max(np.abs(xi.real))), 1.0)
-    return Descent(
-        xi=xi,
-        signals=signals,
-        c=voxelwise_concentrations(op, xi.ravel(), signals),
+    c = voxelwise_concentrations(op, xi.ravel(), signals)
+    steps = np.atleast_1d(steps)
+    return ReconResult(  # the maps are views in the field's shape
+        xi_map=xi,
+        c_map=c.reshape(xi.shape + c.shape[-1:]),
+        objective_trace=tuple(trace),
+        constraint_violation=violation,
         iterations=iterations,
         converged=stationary and feasible,
-        violation=violation,
-        grad=grad,
-        trace=tuple(trace),
+        s_map=signals.reshape(xi.shape + y.shape[-1:]),
+        fallback_iterations=fallbacks,
+        step_spread=None if steps.size == 0
+        else (float(steps.min()), float(np.median(steps)), float(steps.max())),
+        zero_branch_voxels=int(np.count_nonzero(zero_branch)),
+        final_grad_norm=float(np.abs(grad).max(initial=0.0)),
         trajectory=None if trajectory is None else tuple(trajectory),
-        fallbacks=fallbacks,
-        steps=steps,
-        zero_branch=zero_branch,
     )
 
 

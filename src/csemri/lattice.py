@@ -66,6 +66,8 @@ EIG_CLUSTER_TOL = 1e-8  # swap-map eigenvalues closer than this share one basis 
 EXACT_TOL = 1e-6  # kernel mixing and invariance below this count as exact
 DENOM_LIMIT = 10**4  # largest denominator of a rationalized echo-time ratio
 RATIO_TOL = 1e-12  # echo ratios this close to their fractions are commensurable
+KERNEL_TOL = 1e-8  # singular values of Delta below this times sigma_ref span its kernel
+SUSPECT_TOL = 1e-8  # relative least-squares residual that marks a pair as suspect
 
 
 @dataclass(frozen=True)
@@ -275,13 +277,13 @@ def _orthonormal_eigensystem(matrix):
     return phases, basis
 
 
-def classify_zero(model, eta_hz, sigma_ref, tol=1e-8):
+def classify_zero(model, eta_hz, sigma_ref):
     """Diagnose the kernel of ``Delta(eta)``; None when there is no kernel."""
     delta = delta_matrix(eta_hz, model)
     _, svals, vh = np.linalg.svd(delta)
     n_s = model.n_s
     svals = np.concatenate([svals, np.zeros(2 * n_s - len(svals))])
-    kernel_dim = int(np.sum(svals < tol * sigma_ref))
+    kernel_dim = int(np.sum(svals < KERNEL_TOL * sigma_ref))
     if kernel_dim == 0:
         return None
     kernel = vh.conj().T[:, 2 * n_s - kernel_dim:]
@@ -337,7 +339,7 @@ def swap_concentrations(zero, c0):
     return u @ (phases * (u.conj().T @ np.asarray(c0, dtype=complex)))
 
 
-def delta_zero_set(model, search_band_hz=(-1000.0, 1000.0), tol=1e-8):
+def delta_zero_set(model, search_band_hz=(-1000.0, 1000.0)):
     """Zero set of ``sigma_min(Delta(eta))`` inside the search band.
 
     Requires ``n_e >= 2 n_s`` (below that the kernel is never empty and the
@@ -372,7 +374,7 @@ def delta_zero_set(model, search_band_hz=(-1000.0, 1000.0), tol=1e-8):
 
     structure = rationalize_echoes(model.echoes)
     if not structure.commensurable:
-        zero = classify_zero(model, 0.0, sigma_ref, tol=tol)
+        zero = classify_zero(model, 0.0, sigma_ref)
         zeros = (zero,) if (zero is not None and band_lo <= 0.0 <= band_hi) else ()
         return DeltaZeroSet(zeros=zeros, w_period_hz=inf, sigma_ref=sigma_ref)
 
@@ -407,7 +409,7 @@ def delta_zero_set(model, search_band_hz=(-1000.0, 1000.0), tol=1e-8):
         )
         for m in shifts:
             eta = float(eta0 + m * w_period)
-            zero = classify_zero(model, eta, sigma_ref, tol=tol)
+            zero = classify_zero(model, eta, sigma_ref)
             if zero is not None:
                 zeros.append(zero)
     zeros.sort(key=lambda z: z.eta_hz)
@@ -428,7 +430,7 @@ class IdentifiabilityReport:
     reason: str = ""
 
 
-def local_identifiability_certificate(xi0, c0, model, tol=1e-8):
+def local_identifiability_certificate(xi0, c0, model):
     """Necessary-condition check for a parameter pair to be ambiguous.
 
     In the regime ``n_s <= n_e <= 2 n_s`` a non-locally-identifiable pair
@@ -451,7 +453,7 @@ def local_identifiability_certificate(xi0, c0, model, tol=1e-8):
     residual = float(np.linalg.norm(target - design @ coeffs))
     return IdentifiabilityReport(
         residual_norm=residual,
-        suspect=bool(residual < tol * max(np.linalg.norm(target), 1e-300)),
+        suspect=bool(residual < SUSPECT_TOL * max(np.linalg.norm(target), 1e-300)),
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import inf, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -163,7 +164,11 @@ def corrupt(grid, corruption, seed, xi0_map=None, echo_times_s=None):
     """Apply the corruption model; deterministic for a fixed seed.
 
     Returns the corrupted :class:`ImageGrid` (its signal alone) and the report.
+    A seed that is not a nonnegative integer raises :class:`SpecError`, with
+    or without noise.
     """
+    if not (isinstance(seed, Integral) and seed >= 0):
+        raise SpecError(f"seed must be a nonnegative integer, got {seed!r}")
     y = grid.signal.copy()
     h, w, n_e = y.shape
     budget = np.zeros((h, w))

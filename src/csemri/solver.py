@@ -445,9 +445,11 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
     flow on ``f0``. A voxel whose ball holds 0 (``0 < ||y|| <= delta``, or
     ``y = 0``) is off the support, as in the image driver: ``s = 0`` gives
     ``f = 0`` for every field, so the flow returns ``s_hat = 0`` and
-    ``xi_init`` after 0 iterations on the zero branch. A negative or NaN
-    ``delta`` or ``epsilon`` and a non-finite start or signal raise
-    :class:`DomainError`.
+    ``xi_init`` after 0 iterations on the zero branch. A signal whose
+    leading axes are not the start's shape (a scalar start takes one
+    voxel's ``(n_e,)`` signal) raises :class:`DimensionError`, and a
+    negative or NaN ``delta`` or ``epsilon`` and a non-finite start or
+    signal :class:`DomainError`.
     """
     from .imaging import projected_descent  # imaging imports solver
 
@@ -455,16 +457,16 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
     y_norm = max(float(np.linalg.norm(y)), 1e-300)
     grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12 * y_norm**2
     run = projected_descent(
-        op, np.array([complex(xi_init)]), y[None], delta, cfg, None, grad_tol, 1e-12, epsilon
+        op, np.array([xi_init], dtype=complex), y[None], delta, cfg, None, grad_tol, 1e-12, epsilon
     )
-    xi, s = complex(run.xi[0]), run.signals[0]
+    xi, s = complex(run.xi_map[0]), run.s_map[0]
     s_norm = float(np.linalg.norm(s))
     boundary_gap = abs(float(np.linalg.norm(y - s)) - delta)
     return RecoveryResult(
         xi_hat=xi,
-        c_hat=run.c[0],
+        c_hat=run.c_map[0],
         iterations=run.iterations,
-        final_grad_norm=float(np.abs(run.grad).max(initial=0.0)),
+        final_grad_norm=run.final_grad_norm,
         converged=run.converged,
         trajectory=None if run.trajectory is None else tuple(complex(x[0]) for x in run.trajectory),
         s_hat=s,

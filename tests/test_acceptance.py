@@ -206,7 +206,7 @@ def test_criterion_4_delta_zero_classification():
     """Every returned zero is a kernel point; classifications are faithful."""
     rng = np.random.default_rng(404)
     model = build_model([WATER, FAT6], EchoSpec.uniform_ms(1.3, 1.05, 6))
-    zero_set = delta_zero_set(model, search_band_hz=(-1100.0, 1100.0), tol=1e-8)
+    zero_set = delta_zero_set(model, search_band_hz=(-1100.0, 1100.0))
     assert len(zero_set.zeros) >= 3
     for zero in zero_set.zeros:
         assert zero.sigma_min < 1e-8 * zero_set.sigma_ref

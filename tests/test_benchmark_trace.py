@@ -1,7 +1,8 @@
-"""The benchmark's per-layer trace finds every function it wraps."""
+"""The benchmark trace finds every function it wraps, and every exported name resolves."""
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 from csemri import imaging
@@ -20,6 +21,17 @@ def load_tracing():
 def test_every_trace_target_resolves():
     for module, attribute, name, _, _ in load_tracing().TARGETS:
         assert callable(getattr(importlib.import_module(module), attribute, None)), name
+
+
+def test_every_exported_name_resolves():
+    # importing the package resolves every name its __init__ imports; a name left in a
+    # module's __all__ after its object went fails here
+    import csemri
+
+    for info in pkgutil.iter_modules(csemri.__path__):
+        module = importlib.import_module(f"csemri.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_the_descent_loop_looks_up_the_traced_names():

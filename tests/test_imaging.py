@@ -499,6 +499,32 @@ class TestReconstruct:
         assert rep.offsets_constant_per_region
         assert not np.any(rep.mismatch[mask])
 
+    @pytest.mark.parametrize("cfg, spread", [
+        (FlowConfig(step=2e3, max_iters=5), (2e3, 2e3, 2e3)),
+        (FlowConfig(certified=True, max_iters=5), None),
+    ])
+    def test_all_zero_grid_keeps_the_step_spread_rule(self, cfg, spread):
+        # an empty support: a fixed step still gives three equal steps, certified mode none
+        grid = ImageGrid(np.zeros((3, 4, 6), complex))
+        con = FieldmapConstraint.uniform(3, 4, 30.0)
+        res = reconstruct(grid, MODEL, con, cfg, np.full((3, 4), 1.0 + 0j))
+        assert res.step_spread == spread
+        assert res.iterations == 0 and res.final_grad_norm == 0.0
+        assert res.s_map.shape == (3, 4, 6) and res.c_map.shape == (3, 4, 3)
+
+    def test_start_or_data_not_in_the_field_shape_raises(self):
+        truth = small_phantom(side=8, n_shapes=1)
+        con = FieldmapConstraint.uniform(8, 8, 30.0)
+        cfg = FlowConfig(certified=True, max_iters=5)
+        for xi in (np.ones((8, 7), complex), np.ones((8, 8, 1), complex), np.ones(64, complex)):
+            with pytest.raises(DimensionError):
+                reconstruct(truth.grid, MODEL, con, cfg, xi)
+        y = truth.grid.signal[2, 3]
+        with pytest.raises(DimensionError):  # a start that is not one voxel's
+            constrained_flow(OP, y, 0.0, np.ones(2, complex), cfg)
+        with pytest.raises(DimensionError):  # data that are not one voxel's
+            constrained_flow(OP, truth.grid.signal[2, 3:5], 0.0, 1.0 + 0j, cfg)
+
 
 class TestReconstructNoisy:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)

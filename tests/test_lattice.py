@@ -162,7 +162,7 @@ class TestDeltaZeroSet:
 
     def test_against_dense_scan_oracle(self):
         model = build_model([WATER, FAT6], EchoSpec.uniform_ms(1.3, 1.05, 6))
-        zs = delta_zero_set(model, search_band_hz=(-1100.0, 1100.0), tol=1e-8)
+        zs = delta_zero_set(model, search_band_hz=(-1100.0, 1100.0))
         grid = np.arange(-1100.0, 1100.0, 0.01)
         smin = sigma_min_profile(model, grid)
         thresh = 1e-4 * zs.sigma_ref
@@ -204,7 +204,7 @@ class TestDeltaZeroSet:
 
     def test_zeros_are_isolated(self):
         model = build_model([WATER, FAT6], EchoSpec.uniform_ms(1.3, 1.05, 6))
-        zs = delta_zero_set(model, search_band_hz=(-1100.0, 1100.0), tol=1e-8)
+        zs = delta_zero_set(model, search_band_hz=(-1100.0, 1100.0))
         etas = zs.etas()
         gap = np.min(np.diff(etas))
         tol_abs = 1e-8 * zs.sigma_ref

@@ -110,6 +110,12 @@ class TestCorrupt:
         assert np.array_equal(noisy.signal, self.truth.grid.signal)
         assert np.all(report.budget == 0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_seed_that_is_no_nonnegative_integer_raises(self, seed, sigma):
+        with pytest.raises(SpecError, match="seed"):
+            corrupt(self.truth.grid, CorruptionSpec(sigma=sigma), seed=seed)
+
     def test_seeded_determinism(self):
         a, _ = corrupt(self.truth.grid, CorruptionSpec(sigma=0.1), seed=9)
         b, _ = corrupt(self.truth.grid, CorruptionSpec(sigma=0.1), seed=9)
@@ -624,6 +630,8 @@ class TestCli:
             ["corrupt", "--sigma", "inf"],
             ["corrupt", "--sigma", "nan", "--relative"],
             ["corrupt", "--sigma", "inf", "--relative"],
+            ["corrupt", "--seed", "-1"],  # checked without noise too
+            ["corrupt", "--seed", "-1", "--sigma", "0.01"],
         ],
     )
     def test_out_of_range_numbers_exit_2(self, tmp_path, tmp_path_factory, capsys, argv):
