@@ -27,7 +27,6 @@ from .species import (
     load_species,
     signal,
     weighting_diag,
-    weighting_matrix,
 )
 from .lattice import (
     DeltaZero,
@@ -48,10 +47,8 @@ from .residual import (
     ResidualOperator,
     WirtingerGradient,
     WirtingerHessian,
-    concentrations_mp,
     concentrations_ri,
     full_residual,
-    hessian_quadratic_form,
     make_residual_operator,
     residual_derivative,
     residual_matrix,
@@ -60,13 +57,10 @@ from .residual import (
     wirtinger_hessian_f0,
 )
 from .solver import (
-    CurvatureReport,
     FlowConfig,
     RecoveryResult,
-    beta_integral,
     constrained_flow,
     curvature_profile,
-    curvature_report,
     gamma_plus,
     lambert_w0,
     radius_empirical_from_profile,
@@ -85,7 +79,6 @@ from .imaging import (
     constraint_violation,
     forward_gradient,
     gradient_adjoint,
-    laplacian_bound_check,
     metrics,
     metrics_table,
     pdff_map,

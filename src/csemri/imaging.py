@@ -68,7 +68,6 @@ __all__ = [
     "SeparationReport",
     "forward_gradient",
     "gradient_adjoint",
-    "laplacian_bound_check",
     "project_onto_C_phi",
     "clamp_upper_half_plane",
     "constraint_violation",
@@ -98,6 +97,8 @@ class ImageGrid:
         object.__setattr__(self, "signal", np.asarray(self.signal, dtype=complex))
         if self.signal.ndim != 3:
             raise DimensionError(f"signal must be (height, width, n_e), got {self.signal.shape}")
+        if 0 in self.signal.shape:
+            raise DimensionError(f"height, width and n_e must be >= 1, got {self.signal.shape}")
         # checked on every voxel: a NaN voxel would reach the objective
         if not np.all(np.isfinite(self.signal)):
             raise DimensionError("signal has non-finite entries")
@@ -176,31 +177,6 @@ def gradient_adjoint(psi):
     out[:, :-1] -= psi[:, :-1, 1]
     out[:, 1:] += psi[:, :-1, 1]
     return out
-
-
-@dataclass(frozen=True)
-class LaplacianReport:
-    max_abs_laplacian: float
-    ok: bool
-
-
-def laplacian_bound_check(phi, eps0):
-    """Check |5-point Laplacian| <= 4 eps0 at interior voxels.
-
-    A field whose gradient norm is bounded by eps0 everywhere satisfies
-    this automatically, i.e. it is a bounded-source perturbation of a
-    discretely harmonic map.
-    """
-    if eps0 < 0:
-        raise DimensionError("eps0 must be nonnegative")
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape[0] < 3 or phi.shape[1] < 3:
-        return LaplacianReport(0.0, True)
-    lap = (
-        phi[2:, 1:-1] + phi[:-2, 1:-1] + phi[1:-1, 2:] + phi[1:-1, :-2] - 4.0 * phi[1:-1, 1:-1]
-    )
-    m = float(np.max(np.abs(lap)))
-    return LaplacianReport(m, bool(m <= 4.0 * eps0 + 1e-9))
 
 
 def constraint_violation(phi, constraint):

@@ -373,14 +373,14 @@ def delta_zero_set(model, search_band_hz=(-1000.0, 1000.0)):
     band_lo, band_hi = float(search_band_hz[0]), float(search_band_hz[1])
 
     structure = rationalize_echoes(model.echoes)
+    w_period = fieldmap_lattice(structure).period_hz  # W(eta + w_period) = W(eta) exactly
     if not structure.commensurable:
         zero = classify_zero(model, 0.0, sigma_ref)
         zeros = (zero,) if (zero is not None and band_lo <= 0.0 <= band_hi) else ()
-        return DeltaZeroSet(zeros=zeros, w_period_hz=inf, sigma_ref=sigma_ref)
+        return DeltaZeroSet(zeros=zeros, w_period_hz=w_period, sigma_ref=sigma_ref)
 
     q = structure.denominator
     exponents = [pk * q // qk for pk, qk in structure.fractions]
-    w_period = q / structure.t_max  # W(eta + w_period) = W(eta) exactly
     if (band_hi - band_lo) / w_period > MAX_PERIODIC_IMAGES:
         raise SpecError(f"search band spans more than {MAX_PERIODIC_IMAGES} W periods")
 

@@ -63,9 +63,7 @@ __all__ = [
     "residual_value",
     "wirtinger_gradient_f0",
     "wirtinger_hessian_f0",
-    "hessian_quadratic_form",
     "concentrations_ri",
-    "concentrations_mp",
     "full_residual",
     "voxelwise_value_and_gradient",
     "voxelwise_full_residual",
@@ -247,11 +245,6 @@ def residual_value(op, xi, s):
 class WirtingerGradient:
     d_xi: complex
 
-    @property
-    def d_xi_conj(self):
-        """For real objectives the xi* derivative is the conjugate."""
-        return np.conj(self.d_xi)
-
 
 @dataclass(frozen=True)
 class WirtingerHessian:
@@ -279,27 +272,9 @@ def wirtinger_hessian_f0(op, xi, s):
     )
 
 
-def hessian_quadratic_form(h, eta):
-    """Action of the Wirtinger Hessian on the direction pair (eta, eta*)."""
-    eta = complex(eta)
-    return float(2.0 * h.d_xixiconj * abs(eta) ** 2 + 2.0 * np.real(eta * eta * h.d_xixi))
-
-
 def concentrations_ri(op, xi, s):
     """Oblique estimate Phi^+ W(-xi) s; exact on noiseless signals."""
     return voxelwise_concentrations(op, xi, s)[0]
-
-
-def concentrations_mp(op, xi, s):
-    """Least-squares estimate M(xi)^+ s with M(xi) = W(xi) Phi.
-
-    Coincides with :func:`concentrations_ri` for real ``xi`` (unitary
-    weighting); differs once decay makes ``W`` non-unitary.
-    """
-    _check_guard(op, xi)
-    w, _ = _demodulate(op, xi, s)
-    m = w[0][:, None] * op.model.phi
-    return np.linalg.lstsq(m, np.asarray(s, dtype=complex), rcond=None)[0]
 
 
 @dataclass(frozen=True)

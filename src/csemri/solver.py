@@ -36,22 +36,20 @@ The recovery flows run :func:`csemri.imaging.projected_descent` on one voxel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import exp, expm1, inf, log1p, sqrt
+from dataclasses import dataclass
+from math import exp, inf, log1p, sqrt
 from numbers import Integral
 
 import numpy as np
 
-from .errors import DegenerateCurvature, DomainError, NonBracketed
+from .errors import DegenerateCurvature, DimensionError, DomainError, NonBracketed
 from .residual import EXP_GUARD, _check_guard, residual_pieces
 from .residual import wirtinger_gradient_f0  # noqa: F401  (the benchmark trace looks it up here)
 
 __all__ = [
     "FlowConfig",
     "RecoveryResult",
-    "CurvatureReport",
     "lambert_w0",
-    "beta_integral",
     "gamma_plus",
     "radius_lambert",
     "radius_loose",
@@ -61,7 +59,6 @@ __all__ = [
     "projected_signal_step",
     "curvature_profile",
     "radius_empirical_from_profile",
-    "curvature_report",
     "wirtinger_flow",
     "constrained_flow",
     "regularized_constrained_flow",
@@ -89,20 +86,6 @@ def lambert_w0(x):
     from scipy.special import lambertw  # imported here: 0.3 s that only this function needs
 
     return float(lambertw(x).real)
-
-
-def beta_integral(a, b):
-    """integral_0^1 exp(|a + theta b|) dtheta, evaluated piecewise exactly."""
-    a = float(a)
-    b = float(b)
-    if b == 0.0:
-        return exp(abs(a))
-    if a >= 0.0 and a + b >= 0.0:
-        return exp(a) * expm1(b) / b
-    if a <= 0.0 and a + b <= 0.0:
-        return exp(-a) * expm1(-b) / (-b)
-    # sign change at theta = -a/b: both segments integrate to positive area
-    return (expm1(abs(a)) + expm1(abs(a + b))) / abs(b)
 
 
 def _curvature_numbers(op, xi0, s0):
@@ -445,14 +428,15 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
     flow on ``f0``. A voxel whose ball holds 0 (``0 < ||y|| <= delta``, or
     ``y = 0``) is off the support, as in the image driver: ``s = 0`` gives
     ``f = 0`` for every field, so the flow returns ``s_hat = 0`` and
-    ``xi_init`` after 0 iterations on the zero branch. A signal whose
-    leading axes are not the start's shape (a scalar start takes one
-    voxel's ``(n_e,)`` signal) raises :class:`DimensionError`, and a
-    negative or NaN ``delta`` or ``epsilon`` and a non-finite start or
-    signal :class:`DomainError`.
+    ``xi_init`` after 0 iterations on the zero branch. A start that is not
+    a scalar or a signal that is not one voxel's ``(n_e,)`` raises
+    :class:`DimensionError`, and a negative or NaN ``delta`` or ``epsilon``
+    and a non-finite start or signal :class:`DomainError`.
     """
     from .imaging import projected_descent  # imaging imports solver
 
+    if np.ndim(xi_init) != 0:
+        raise DimensionError(f"the start must be a scalar, got shape {np.shape(xi_init)}")
     y = np.asarray(y, dtype=complex)
     y_norm = max(float(np.linalg.norm(y)), 1e-300)
     grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12 * y_norm**2
@@ -517,37 +501,3 @@ def radius_empirical_from_profile(q_profile, level=0.0):
             return float(prev_r + (r - prev_r) * (prev_q - level) / (prev_q - q))
         prev_r, prev_q = r, q
     return inf
-
-
-@dataclass(frozen=True)
-class CurvatureReport:
-    """Nested convergence radii and the raw curvature profile.
-
-    The radii satisfy lambert <= loose <= tight <= empirical; the figure
-    of merit ``||R'(xi0) s0|| / ||R''(xi0) s0||`` sets their overall scale.
-    """
-
-    radius_lambert_hz: float
-    radius_loose_hz: float
-    radius_tight_hz: float
-    radius_empirical_hz: float
-    figure_of_merit: float
-    q_profile: tuple[tuple[float, float], ...] = field(repr=False)
-
-
-def curvature_report(op, xi0, s0, rho=0.5, angular_samples=32):
-    """The nested radii; Q(r) is sampled on 36 radii from r_lambert / 4 to 40 r_tight."""
-    r_lam = radius_lambert(op, xi0, s0, rho)
-    r_loose = radius_loose(op, xi0, s0, rho)
-    r_tight = radius_tight(op, xi0, s0, rho)
-    radii = np.geomspace(max(r_lam / 4.0, 1e-6), 40.0 * r_tight, 36)
-    prof = curvature_profile(op, xi0, s0, radii, angular_samples=angular_samples)
-    r1, r2, _ = _curvature_numbers(op, xi0, s0)
-    return CurvatureReport(
-        radius_lambert_hz=r_lam,
-        radius_loose_hz=r_loose,
-        radius_tight_hz=r_tight,
-        radius_empirical_hz=radius_empirical_from_profile(prof),
-        figure_of_merit=r1 / r2 if r2 > 0 else inf,
-        q_profile=tuple(prof),
-    )

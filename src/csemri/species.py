@@ -30,7 +30,6 @@ __all__ = [
     "AcquisitionModel",
     "build_model",
     "weighting_diag",
-    "weighting_matrix",
     "signal",
     "check_submatrices_nonsingular",
     "check_J_full_rank",
@@ -226,12 +225,6 @@ def weighting_diag(xi, times_s):
     an array ``xi`` with the echo axis last; a scalar ``xi`` gives shape (n_e,)."""
     t = np.asarray(times_s, dtype=float)
     return np.exp(2j * np.pi * np.asarray(xi, dtype=complex)[..., None] * t)
-
-
-def weighting_matrix(xi, echoes):
-    """Full ``n_e x n_e`` weighting matrix ``W(xi)``; ``W(0)`` is the identity."""
-    times = echoes.array() if isinstance(echoes, EchoSpec) else np.asarray(echoes, float)
-    return np.diag(weighting_diag(xi, times))
 
 
 def signal(xi, c, model):

@@ -142,9 +142,25 @@ class TestDeltaZeroSet:
         t = (1.0e-3, 2.0e-3, np.pi * 1e-3, 4.5e-3)
         model = build_model([WATER, FAT6], EchoSpec(t))
         zs = delta_zero_set(model, search_band_hz=(-500, 500))
+        period = fieldmap_lattice(rationalize_echoes(model.echoes)).period_hz
+        assert zs.w_period_hz == period == np.inf
         assert len(zs.zeros) == 1
         assert zs.zeros[0].eta_hz == 0.0
         assert zs.zeros[0].exact_recovery
+
+    @pytest.mark.parametrize("echo_times_ms, species", [
+        ([1.238 + 0.986 * k for k in range(6)], (WATER, FAT6, SILICONE)),
+        ([1.238 + 0.986 * k for k in range(6)], (WATER, FAT6)),
+        ([1.3 + 1.05 * k for k in range(6)], (WATER, FAT6, SILICONE)),
+        ([1.3 + 1.05 * k for k in range(7)], (WATER, FAT6, SILICONE)),
+        ([1.3 + 1.05 * k for k in range(8)], (WATER, FAT6, SILICONE)),
+    ])
+    def test_w_period_is_the_lattice_period(self, echo_times_ms, species):
+        # the five protocols of the identify benchmark
+        echoes = EchoSpec.from_ms(echo_times_ms)
+        period = fieldmap_lattice(rationalize_echoes(echoes)).period_hz
+        assert np.isfinite(period)
+        assert delta_zero_set(build_model(species, echoes)).w_period_hz == period
 
     def test_water_fat_structure_stable_across_echo_counts(self):
         etas = {}

@@ -9,10 +9,8 @@ from csemri.errors import OverflowRisk, RankDeficient
 from csemri.lattice import fieldmap_lattice, rationalize_echoes
 from csemri.residual import (
     EXP_GUARD,
-    concentrations_mp,
     concentrations_ri,
     full_residual,
-    hessian_quadratic_form,
     make_residual_operator,
     residual_derivative,
     residual_matrix,
@@ -32,7 +30,7 @@ from csemri.species import (
     check_J_full_rank,
     load_species,
     signal,
-    weighting_matrix,
+    weighting_diag,
 )
 
 RNG = np.random.default_rng(91403)
@@ -55,6 +53,24 @@ def random_complex(shape, rng=RNG):
 
 def random_xi(rng=RNG, re=300.0, im=60.0):
     return complex(rng.uniform(-re, re), rng.uniform(0.0, im))
+
+
+def weighting_matrix(xi, echoes):
+    """The ``n_e x n_e`` weighting matrix ``W(xi)``."""
+    return np.diag(weighting_diag(xi, echoes.array()))
+
+
+def hessian_quadratic_form(h, eta):
+    """Action of the Wirtinger Hessian on the direction pair (eta, eta*)."""
+    eta = complex(eta)
+    return float(2.0 * h.d_xixiconj * abs(eta) ** 2 + 2.0 * np.real(eta * eta * h.d_xixi))
+
+
+def concentrations_mp(model, xi, s):
+    """Least-squares estimate M(xi)^+ s with M(xi) = W(xi) Phi: the oracle for
+    concentrations_ri, which it equals for real ``xi`` (unitary weighting)."""
+    m = weighting_diag(xi, model.times)[:, None] * model.phi
+    return np.linalg.lstsq(m, np.asarray(s, dtype=complex), rcond=None)[0]
 
 
 class TestOperatorConstruction:
@@ -167,7 +183,6 @@ class TestWirtingerGradient:
             s0 = signal(xi0, random_complex(2), MODEL)
             g = wirtinger_gradient_f0(OP, xi0, s0)
             assert abs(g.d_xi) < 1e-12 * np.linalg.norm(s0) ** 2
-            assert g.d_xi_conj == np.conj(g.d_xi)
 
     def test_matches_chart_finite_differences(self):
         for _ in range(100):
@@ -290,19 +305,19 @@ class TestConcentrations:
             xi = RNG.uniform(-400, 400)
             s = random_complex(6)
             assert np.allclose(
-                concentrations_mp(OP, xi, s), concentrations_ri(OP, xi, s), rtol=1e-10
+                concentrations_mp(MODEL, xi, s), concentrations_ri(OP, xi, s), rtol=1e-10
             )
 
     def test_mp_inverts_noiseless_signals(self):
         xi = random_xi()
         c = random_complex(2)
         s = signal(xi, c, MODEL)
-        assert np.allclose(concentrations_mp(OP, xi, s), c, rtol=1e-9)
+        assert np.allclose(concentrations_mp(MODEL, xi, s), c, rtol=1e-9)
 
     def test_mp_differs_from_ri_under_decay(self):
         xi = complex(40.0, 35.0)
         s = random_complex(6)
-        c_mp = concentrations_mp(OP, xi, s)
+        c_mp = concentrations_mp(MODEL, xi, s)
         c_ri = concentrations_ri(OP, xi, s)
         assert np.linalg.norm(c_mp - c_ri) > 1e-6 * np.linalg.norm(c_ri)
         # each matches the least-squares solution of its own defining system
@@ -478,7 +493,6 @@ class TestKernelAgainstDenseReferences:
             lambda xi: voxelwise_full_residual(op, xi, sig),
             lambda xi: voxelwise_concentrations(op, xi, sig),
             lambda xi: residual_value(op, xi[1], sig[1]),
-            lambda xi: concentrations_mp(op, xi[1], sig[1]),
         )
         for fn in entry_points:
             with pytest.raises(OverflowRisk, match="overflow exp"):

@@ -4,6 +4,7 @@ import functools
 import os
 import subprocess
 import sys
+from math import exp, expm1
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +19,9 @@ from csemri.phantom import default_phantom_spec, generate_phantom
 from csemri.residual import EXP_GUARD, make_residual_operator, residual_pieces, residual_value
 from csemri.solver import (
     FlowConfig,
-    beta_integral,
     certified_step,
     constrained_flow,
     curvature_profile,
-    curvature_report,
     gamma_plus,
     lambert_w0,
     radius_empirical_from_profile,
@@ -53,6 +52,20 @@ def random_voxel(rng=RNG, re=100.0, im=(1.0, 50.0)):
     xi0 = complex(rng.uniform(-re, re), rng.uniform(*im))
     c0 = random_complex(2, rng)
     return xi0, c0, signal(xi0, c0, MODEL)
+
+
+def beta_integral(a, b):
+    """The envelope beta(a, b) = integral_0^1 exp(|a + theta b|) dtheta, piecewise exactly."""
+    a = float(a)
+    b = float(b)
+    if b == 0.0:
+        return exp(abs(a))
+    if a >= 0.0 and a + b >= 0.0:
+        return exp(a) * expm1(b) / b
+    if a <= 0.0 and a + b <= 0.0:
+        return exp(-a) * expm1(-b) / (-b)
+    # sign change at theta = -a/b: both segments integrate to positive area
+    return (expm1(abs(a)) + expm1(abs(a + b))) / abs(b)
 
 
 class TestLambertW:
@@ -531,16 +544,15 @@ class TestCurvatureProfile:
         assert np.max(np.abs(np.diff(qs))) < 0.35
 
     def test_report_ordering_invariant(self):
+        # the nested radii, with Q(r) on 36 radii from r_lambert / 4 to 40 r_tight
         for _ in range(5):
             xi0, _, s0 = random_voxel()
-            rep = curvature_report(OP, xi0, s0, rho=0.5, angular_samples=16)
-            assert (
-                rep.radius_lambert_hz
-                <= rep.radius_loose_hz
-                <= rep.radius_tight_hz
-                <= rep.radius_empirical_hz
-            )
-            assert rep.figure_of_merit > 0
+            r_lam = radius_lambert(OP, xi0, s0, 0.5)
+            r_loose = radius_loose(OP, xi0, s0, 0.5)
+            r_tight = radius_tight(OP, xi0, s0, 0.5)
+            radii = np.geomspace(max(r_lam / 4.0, 1e-6), 40.0 * r_tight, 36)
+            prof = curvature_profile(OP, xi0, s0, radii, angular_samples=16)
+            assert r_lam <= r_loose <= r_tight <= radius_empirical_from_profile(prof)
 
 
 class TestStepBound:

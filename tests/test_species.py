@@ -15,7 +15,6 @@ from csemri.species import (
     load_species,
     signal,
     weighting_diag,
-    weighting_matrix,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -99,10 +98,6 @@ class TestBuildModel:
 
 
 class TestWeightingMatrix:
-    def test_zero_is_identity(self):
-        w = weighting_matrix(0.0, PROTOCOL_ECHOES_4)
-        assert np.array_equal(w, np.eye(4))
-
     def test_real_xi_unit_modulus(self):
         w = weighting_diag(123.4, PROTOCOL_ECHOES_4.array())
         assert np.allclose(np.abs(w), 1.0)
