@@ -83,6 +83,7 @@ __all__ = [
 DB_CAP = 300.0
 PDFF_MIN_CONTENT = 1e-12  # PDFF is NaN where water + fat content is below this
 PROJ_MAX_ITERS = 20_000  # cap on the dual iterations of one projection
+S_TOL = 1e-12  # stationary signals move by at most S_TOL max(||y||, delta) per iteration
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,6 @@ class ImageGrid:
     @property
     def width(self):
         return self.signal.shape[1]
-
-    @property
-    def n_e(self):
-        return self.signal.shape[2]
 
 
 @dataclass(frozen=True)
@@ -269,11 +266,16 @@ def _dual_projection(xi, constraint, proj_tol):
             q = r_new + ((t - 1.0) / t_new) * (r_new - r)
         r, t = r_new, t_new
     out = x + 1j * np.maximum(np.imag(xi), 0.0)
-    if constraint_violation(out, constraint) > 10.0 * tol:
+    if constraint_violation(out, constraint) > _violation_bound(xi, proj_tol):
         raise NonConvergence(
             f"projection still violates the constraint after {PROJ_MAX_ITERS} iterations"
         )
     return out
+
+
+def _violation_bound(xi, proj_tol):
+    """``10 proj_tol max(|Re xi|, 1)``, the violation that the projection guarantees."""
+    return 10.0 * proj_tol * max(float(np.max(np.abs(np.real(xi)))), 1.0)
 
 
 @dataclass(frozen=True)
@@ -293,8 +295,7 @@ class ReconResult:
     > 0`` whose noise ball holds 0 and that therefore left the support.
     ``final_grad_norm`` is the largest ``|grad|`` over the support at the
     last iterate (0.0 on an empty support), and ``trajectory`` holds every
-    iterate when ``cfg.keep_trajectory`` is set, else None; the single-voxel
-    flows of :mod:`csemri.solver` read these two.
+    iterate, the start first, when ``cfg.keep_trajectory`` is set, else None.
     """
 
     xi_map: np.ndarray = field(repr=False)
@@ -321,53 +322,50 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
 
     :func:`projected_descent` on every voxel of the grid under C_phi, with
     the support, the steps, the signals' balls ``||s(v) - y(v)|| <=
-    delta(v)``, the input checks and the verdict as it describes; ``delta``
-    is one radius for all voxels or a (height, width) map. The gradient is
-    tested against ``cfg.grad_tol ||y(v)||^2`` (``grad_tol`` default
-    ``1e-12``) and the signal move against ``1e-10 max(||y(v)||,
-    delta(v))``. Off the support ``s = 0`` gives ``f = 0`` for every field:
-    there ``s_map = 0``, ``c_map = 0`` (so :func:`pdff_map` is NaN, below
-    ``PDFF_MIN_CONTENT``), and the field moves only through the projection.
-    The grid's signal is the only input that selects voxels; the
-    constraint's bounds select none. ``cfg.keep_trajectory`` records the
-    single-voxel flows only and raises :class:`DomainError` here.
+    delta(v)``, the input checks, the stopping rule, the trajectory and the
+    verdict as it describes; ``delta`` is one radius for all voxels or a
+    (height, width) map. An explicit ``cfg.grad_tol`` is relative here: the
+    gradient is tested against ``cfg.grad_tol ||y(v)||^2``. Off the support
+    ``s = 0`` gives ``f = 0`` for every field: there ``s_map = 0``, ``c_map
+    = 0`` (so :func:`pdff_map` is NaN, below ``PDFF_MIN_CONTENT``), and the
+    field moves only through the projection. The grid's signal is the only
+    input that selects voxels; the constraint's bounds select none.
     """
-    if grid.n_e != model.n_e:
-        raise DimensionError("grid echo count does not match the model")
-    if cfg.keep_trajectory:
-        raise DomainError("keep_trajectory records the single-voxel flows only")
-    op = make_residual_operator(model)
-    xi = np.asarray(xi_init, dtype=complex).copy()  # the result never shares the caller's array
-    tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12  # relative to ||y||^2
-    grad_tol = tol * np.maximum(np.sum(np.abs(grid.signal) ** 2, axis=-1), 1e-300)
-    return projected_descent(op, xi, grid.signal, delta, cfg, constraint, grad_tol, 1e-10,
-                             proj_tol=proj_tol)
+    tol = None if cfg.grad_tol is None else cfg.grad_tol * np.sum(np.abs(grid.signal) ** 2, axis=-1)
+    return projected_descent(make_residual_operator(model), xi_init, grid.signal, delta, cfg,
+                             constraint, tol, proj_tol=proj_tol)
 
 
-def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, s_tol, epsilon=0.0,
-                      proj_tol=1e-9):
+def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0, proj_tol=1e-9):
     """Projected joint descent of f(xi, s) (+ epsilon ||s||^2), the loop of every flow.
 
     ``y`` holds the data in the field's shape, ``xi.shape + (n_e,)``, and
     ``delta`` and ``grad_tol`` are one value for all voxels or one per voxel
-    in the shape of ``xi``. Data or a constraint whose shape is not the
-    field's raise :class:`DimensionError`, and a negative or NaN ``delta``
-    or ``epsilon`` and a non-finite start or datum :class:`DomainError`.
-    Each iteration evaluates f and both gradients once, with one
-    exponential per voxel, on the support: the voxels whose ball excludes
-    0, ``||y|| > delta``, or with a nonzero echo where ``delta = 0``. Off it
-    ``s = 0`` gives ``f = 0``, so the signal is 0 there. The field steps by
-    ``cfg.step``, or in certified mode by each voxel's
-    :func:`certified_step` at the start. The candidate is clamped to the
-    upper half-plane when ``constraint`` is None (the single-voxel flows)
-    or when it lies in C_phi, where that clamp is its projection; otherwise
-    the iteration takes the smallest step instead and maps the field back
-    with :func:`project_onto_C_phi`. The signals take
+    in the shape of ``xi``. Data whose echo count is not the operator's, or
+    data or a constraint whose shape is not the field's, raise
+    :class:`DimensionError`, and a negative or NaN ``delta`` or ``epsilon``
+    and a non-finite start or datum :class:`DomainError`. The start is
+    copied, never written. Each iteration evaluates f and both gradients
+    once, with one exponential per voxel, on the support: the voxels whose
+    ball excludes 0, ``||y|| > delta``, or with a nonzero echo where
+    ``delta = 0``. Off it ``s = 0`` gives ``f = 0``, so the signal is 0
+    there. The field steps by ``cfg.step``, or in certified mode by each
+    voxel's :func:`certified_step` at the start. The candidate is clamped to
+    the upper half-plane when ``constraint`` is None (the single-voxel
+    flows) or when it lies in C_phi, where that clamp is its projection;
+    otherwise the iteration takes the smallest step instead and maps the
+    field back with :func:`project_onto_C_phi`. The signals take
     :func:`projected_signal_step` (held at ``y`` if no support voxel has
-    ``delta > 0``). It stops once ``|grad| <= grad_tol`` and every signal
-    moves by at most ``s_tol max(||y||, delta)``, or after ``cfg.max_iters``
-    steps. Returns the :class:`ReconResult`, its maps in the field's shape.
+    ``delta > 0``). It stops once ``|grad| <= grad_tol``, an absolute bound
+    (``None``: ``1e-12 ||y||^2``), and every signal moves by at most
+    ``S_TOL max(||y||, delta)``, or after ``cfg.max_iters`` steps; with
+    ``cfg.keep_trajectory`` it records every iterate. Returns the
+    :class:`ReconResult`, its maps in the field's shape.
     """
+    y = np.asarray(y, dtype=complex)
+    if y.shape[-1:] != (op.n_e,):
+        raise DimensionError(f"data shape {y.shape} does not end in the model's {op.n_e} echoes")
+    xi = np.array(xi, dtype=complex)  # the result never shares the caller's array
     if y.shape[:-1] != xi.shape:
         raise DimensionError(f"data shape {y.shape} does not match field {xi.shape}")
     if constraint is not None:
@@ -382,7 +380,8 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, s_tol, epsilo
     zero_branch = (delta > 0) & (y_norm <= delta)
     support = np.flatnonzero(np.any(y != 0, axis=1) & ~zero_branch)
     y_s, delta_s = y[support], delta[support]
-    grad_tol = np.broadcast_to(grad_tol, xi.shape).ravel()[support]
+    grad_tol = (1e-12 * y_norm[support] ** 2 if grad_tol is None
+                else np.broadcast_to(grad_tol, xi.shape).ravel()[support])
     steps = certified_step(op, xi.ravel()[support], y_s, RHO) if cfg.certified else cfg.step
     fallback_step = np.min(steps, initial=np.inf)  # an empty support never steps
     s_scale = np.maximum(np.maximum(y_norm[support], delta_s), 1e-300)
@@ -403,7 +402,7 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, s_tol, epsilo
             s_move = float(np.max(np.linalg.norm(s_new - s, axis=1) / s_scale, initial=0.0))
         trace.append(float(f.sum()))
         grad = 2.0 * np.conj(d_xi)
-        stationary = bool((np.abs(grad) <= grad_tol).all()) and s_move <= s_tol
+        stationary = bool((np.abs(grad) <= grad_tol).all()) and s_move <= S_TOL
         if stationary or iterations == cfg.max_iters:
             break
         moved = xi.copy()
@@ -426,7 +425,7 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, s_tol, epsilo
     # the start is never projected, so a stationary start may be infeasible;
     # convergence needs the bound that project_onto_C_phi enforces
     violation = 0.0 if constraint is None else constraint_violation(xi, constraint)
-    feasible = violation <= 10.0 * proj_tol * max(float(np.max(np.abs(xi.real))), 1.0)
+    feasible = violation <= _violation_bound(xi, proj_tol)
     c = voxelwise_concentrations(op, xi.ravel(), signals)
     steps = np.atleast_1d(steps)
     return ReconResult(  # the maps are views in the field's shape

@@ -57,7 +57,7 @@ SWAP_RISK = "SwapRisk"
 MAX_DEGREE = 10**4  # degree of the determinant polynomial in z
 MAX_PERIODIC_IMAGES = 10**5  # W periods that one search band may span
 # the companion eigenvalues of an m-fold root scatter like eps**(1/m) around it:
-# roots closer than this radius are one root, and the modulus filter sits well
+# the merge and dedupe radii never fall below this one, and the modulus filter sits well
 # above the scatter of a double root; the polish and sigma_min classification
 # drop impostors, and eta = 0 is a candidate whatever its roots' scatter
 CLUSTER_RADIUS_HZ = 1e-6
@@ -390,7 +390,7 @@ def delta_zero_set(model, search_band_hz=(-1000.0, 1000.0)):
     roots = _unit_circle_roots(_minor_polynomial(model.phi, range(2 * n_s), exponents))
     # angles in [0, 2*pi) -> eta in [0, w_period)
     etas = np.mod(np.mod(np.angle(roots), 2 * np.pi) * w_period / (2 * np.pi), w_period)
-    etas = np.append(_cluster_angles(etas, CLUSTER_RADIUS_HZ), 0.0)
+    etas = np.append(etas, 0.0)
     # the scattered images of a multiple root merge within a period-scaled
     # radius; polishing sigma_min itself recovers full accuracy afterwards
     merge_radius_hz = max(CLUSTER_RADIUS_HZ, 1e-6 * w_period)

@@ -355,12 +355,11 @@ class FlowConfig:
     in the image driver the smallest step over the support (and the
     projection) in an iteration whose steps leave C_phi. ``max_iters >= 0``
     caps the steps. ``grad_tol >= 0`` bounds each voxel's real-chart field
-    gradient: in the single-voxel flows absolutely (default ``1e-12
-    ||y||^2``, as the gradient scales with the squared signal), in the image
-    driver relative to ``||y(v)||^2`` (default ``1e-12``).
-    ``keep_trajectory`` records every iterate of the single-voxel flows;
-    the image driver refuses it. The certified step takes the curvature
-    margin ``RHO``. A step that is not positive and finite, and a
+    gradient: absolutely in the single-voxel flows, relative to
+    ``||y(v)||^2`` in the image driver; both default to ``1e-12 ||y(v)||^2``,
+    as the gradient scales with the squared signal. ``keep_trajectory``
+    records every iterate. The certified step takes the curvature margin
+    ``RHO``. A step that is not positive and finite, and a
     ``max_iters`` that is not a nonnegative integer, raise
     :class:`DomainError`.
     """
@@ -418,9 +417,8 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
     """Projected joint descent of f(xi, s) (+ epsilon ||s||^2) over the ball
     ||y - s|| <= delta.
 
-    :func:`csemri.imaging.projected_descent` on a batch of one, until the
-    field gradient is at most ``cfg.grad_tol`` and the signal moves by at
-    most ``1e-12 max(||y||, delta)``: simultaneous steps in both Wirtinger
+    :func:`csemri.imaging.projected_descent` on a batch of one, with its
+    stopping rule, trajectory and verdict: simultaneous steps in both Wirtinger
     blocks, the radial projection of ``s`` and the clamp of ``xi`` to the
     closed upper half-plane, with one exponential per iteration. With
     ``delta = 0`` the ball is the point ``y``: the signal is held
@@ -437,12 +435,7 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
 
     if np.ndim(xi_init) != 0:
         raise DimensionError(f"the start must be a scalar, got shape {np.shape(xi_init)}")
-    y = np.asarray(y, dtype=complex)
-    y_norm = max(float(np.linalg.norm(y)), 1e-300)
-    grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-12 * y_norm**2
-    run = projected_descent(
-        op, np.array([xi_init], dtype=complex), y[None], delta, cfg, None, grad_tol, 1e-12, epsilon
-    )
+    run = projected_descent(op, [xi_init], [y], delta, cfg, None, cfg.grad_tol, epsilon)
     xi, s = complex(run.xi_map[0]), run.s_map[0]
     s_norm = float(np.linalg.norm(s))
     boundary_gap = abs(float(np.linalg.norm(y - s)) - delta)

@@ -391,7 +391,7 @@ class TestImageGrid:
         with pytest.raises(DimensionError):  # no echo axis
             ImageGrid(np.zeros((3, 5), complex))
         grid = ImageGrid(np.ones((3, 5, 2)))
-        assert (grid.height, grid.width, grid.n_e) == (3, 5, 2)
+        assert (grid.height, grid.width) == (3, 5)
         assert grid.signal.dtype == complex
 
     def test_infinite_signal_raises_without_a_warning(self):
@@ -548,6 +548,13 @@ class TestReconstruct:
             constrained_flow(OP, np.ones((2, 6)), 0.0, np.ones(2), cfg)
         with pytest.raises(DimensionError):  # data that are not one voxel's
             constrained_flow(OP, truth.grid.signal[2, 3:5], 0.0, 1.0 + 0j, cfg)
+        for n_e in (5, 7):  # an echo count that is not the model's, in either driver
+            with pytest.raises(DimensionError):
+                reconstruct(ImageGrid(np.ones((8, 8, n_e))), MODEL, con, cfg, np.ones((8, 8)))
+            with pytest.raises(DimensionError):
+                constrained_flow(OP, np.ones(n_e), 0.0, 1.0 + 0j, cfg)
+        with pytest.raises(DimensionError):  # no echo at all
+            constrained_flow(OP, np.ones(0), 0.0, 1.0 + 0j, cfg)
 
 
 class TestReconstructNoisy:
@@ -571,6 +578,30 @@ class TestReconstructNoisy:
         assert image.zero_branch_voxels == (delta_rel >= 1.0)
         assert np.array_equal(image.xi_map.ravel(), [voxel.xi_hat])
         assert np.array_equal(image.s_map.ravel(), voxel.s_hat)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_one_voxel_image_stops_as_the_flow(self, noise):
+        # the same loop on the same data: with the default gradient bound and one signal
+        # tolerance, both drivers take the same iterates and stop at the same one
+        rng = np.random.default_rng(2707)
+        cfg = FlowConfig(certified=True, keep_trajectory=True)
+        unbounded = FieldmapConstraint.uniform(1, 1, np.inf)
+        for _ in range(10):
+            xi0 = complex(rng.uniform(-60.0, 60.0), rng.uniform(0.0, 40.0))
+            c0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            y = MODEL.phi @ c0 * np.exp(2j * np.pi * xi0 * MODEL.times)
+            w = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            y = y + noise * np.linalg.norm(y) * w / np.linalg.norm(w)
+            delta = noise * float(np.linalg.norm(y))
+            xi_init = xi0 + complex(rng.uniform(-3.0, 3.0), rng.uniform(0.0, 3.0))
+            voxel = constrained_flow(OP, y, delta, xi_init, cfg)
+            image = reconstruct_noisy(
+                ImageGrid(y[None, None, :]), MODEL, unbounded, delta, cfg, np.full((1, 1), xi_init)
+            )
+            assert voxel.converged and image.converged
+            assert image.iterations == voxel.iterations
+            assert [complex(x[0, 0]) for x in image.trajectory] == list(voxel.trajectory)
+            assert np.array_equal(image.s_map.ravel(), voxel.s_hat)
 
     def test_one_joint_evaluation_per_iteration(self, monkeypatch):
         from csemri import residual
@@ -614,13 +645,19 @@ class TestReconstructNoisy:
             with pytest.raises(DomainError):
                 reconstruct_noisy(truth.grid, MODEL, con, delta, cfg, xi)
 
-    def test_trajectory_is_refused(self):
-        # keep_trajectory records the single-voxel flows only
+    def test_trajectory_records_every_iterate(self):
         truth = small_phantom(side=8, n_shapes=1)
         con = FieldmapConstraint.uniform(8, 8, 30.0)
-        cfg = FlowConfig(certified=True, max_iters=5, keep_trajectory=True)
-        with pytest.raises(DomainError):
-            reconstruct_noisy(truth.grid, MODEL, con, 0.0, cfg, np.full((8, 8), 1.0 + 0j))
+        cfg = FlowConfig(certified=True, max_iters=5, grad_tol=0.0, keep_trajectory=True)
+        start = np.full((8, 8), 1.0 + 0j)
+        res = reconstruct_noisy(truth.grid, MODEL, con, 0.0, cfg, start)
+        assert res.iterations == 5 and len(res.trajectory) == 6
+        assert np.array_equal(res.trajectory[0], start)
+        assert np.array_equal(res.trajectory[-1], res.xi_map)
+        assert all(x.shape == (8, 8) for x in res.trajectory)
+        idle = FlowConfig(certified=True, max_iters=0)
+        res = reconstruct_noisy(truth.grid, MODEL, con, 0.0, idle, start)
+        assert res.iterations == 0 and not np.shares_memory(res.xi_map, start)  # a copy
 
     def test_delta_zero_matches_noiseless_path(self):
         truth = small_phantom()

@@ -230,6 +230,17 @@ class TestCsirContainer:
         with pytest.raises(SpecError):
             read_csir(header)
 
+    @pytest.mark.parametrize("payload", [5, None, ["img.bin"]])
+    def test_payload_that_is_not_a_file_name_exits_2(self, tmp_path, capsys, payload):
+        header = tmp_path / "img.json"
+        write_csir(header, np.ones((2, 3, 6), dtype=complex), [1.2, 2.2, 3.2, 4.2, 5.2, 6.2])
+        header.write_text(json.dumps({**json.loads(header.read_text()), "payload": payload}))
+        out = tmp_path / "r.npz"
+        assert cli_main(["reconstruct", "--input", str(header), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
+        assert not out.exists()
+
 
 def _csv_writer_reference(path, matrix, header=None):
     with open(path, "w", newline="") as fh:
@@ -553,7 +564,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("signal", [[1, 2, 3]] * 6), ("signal", [["a", 0]] * 6), ("init", [1, 2, 3])],
+        [("signal", [[1, 2, 3]] * 6), ("signal", [["a", 0]] * 6), ("init", [1, 2, 3]),
+         ("signal", [])],
     )
     def test_malformed_solve_input_exits_2(self, tmp_path, capsys, field, value):
         doc = {
@@ -569,7 +581,8 @@ class TestCli:
         inp.write_text(json.dumps(doc))
         assert cli_main(["solve", "--input", str(inp)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
+        expected = "DimensionError" if value == [] else "SpecError"  # no echo is a wrong count
+        assert err.count("\n") == 1 and json.loads(err)["error"] == expected
 
     @pytest.mark.parametrize(
         "field, value",
