@@ -29,8 +29,8 @@ fat = load_species("fat6", hz_per_ppm=HZ_PER_PPM_3T)
 # the echo family t_k = 1.3 + 1.05 k (ms): all times share a 0.05 ms grain
 for n_e in (4, 6, 8):
     echoes = EchoSpec.uniform_ms(1.3, 1.05, n_e)
-    lattice = fieldmap_lattice(rationalize_echoes(echoes))
-    print(f"{n_e} echoes: lattice spacing {lattice.period_hz:.1f} Hz")
+    period = fieldmap_lattice(rationalize_echoes(echoes))
+    print(f"{n_e} echoes: lattice spacing {period:.1f} Hz")
 
 # the full zero set in a +-1.1 kHz band is identical for every echo count
 model = build_model([water, fat], EchoSpec.uniform_ms(1.3, 1.05, 6))

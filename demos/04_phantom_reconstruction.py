@@ -41,8 +41,8 @@ truth = generate_phantom(default_phantom_spec(), model)
 print(f"phantom: 64x64, {int(truth.mask.sum())} signal voxels, "
       f"fieldmap range [{truth.fieldmap.min():.1f}, {truth.fieldmap.max():.1f}] Hz")
 
-lattice = fieldmap_lattice(rationalize_echoes(model.echoes))
-print(f"fieldmap solution lattice spacing: {lattice.period_hz:.0f} Hz")
+period = fieldmap_lattice(rationalize_echoes(model.echoes))
+print(f"fieldmap solution lattice spacing: {period:.0f} Hz")
 
 # initialize half of the vials one lattice period away from the truth
 labels, n_regions = ndimage.label(truth.mask)
@@ -50,7 +50,7 @@ shift = np.zeros(truth.mask.shape)
 for r in range(1, n_regions + 1):
     region = labels == r
     if np.mean(np.nonzero(region)[1]) < truth.mask.shape[1] / 2:
-        shift[region] = lattice.period_hz
+        shift[region] = period
 
 constraint = FieldmapConstraint.from_mask(truth.mask, 30.0)
 res = reconstruct(
@@ -67,7 +67,7 @@ print(f"max concentration error on the mask: "
 print(f"max r2* error on the mask: "
       f"{np.abs(np.imag(res.xi_map - truth.xi0_map))[mask].max():.2e} Hz")
 
-report = separation_check(res.xi_map, truth.xi0_map, lattice, tol=1e-3, mask=mask)
+report = separation_check(res.xi_map, truth.xi0_map, period, tol=1e-3, mask=mask)
 print(f"fieldmap offsets constant per vial: {report.offsets_constant_per_region}")
 print(f"per-vial lattice indices: {report.region_offsets}")
 print("(the shifted vials stay a full period away, yet every concentration "

@@ -16,13 +16,13 @@ from csemri import (
     FieldmapConstraint,
     FlowConfig,
     build_model,
+    constrained_flow,
     corrupt,
     default_phantom_spec,
     generate_phantom,
     load_species,
     make_residual_operator,
     reconstruct_noisy,
-    regularized_constrained_flow,
     signal,
 )
 from csemri.residual import voxelwise_concentrations
@@ -44,8 +44,8 @@ s0 = signal(xi0, c0, model)
 sigma = 0.01 * np.abs(s0).max()
 y = s0 + sigma * (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / np.sqrt(2)
 delta = sigma * np.sqrt(6)
-res = regularized_constrained_flow(
-    op, y, delta, 1e-3, xi0 + 0.5, FlowConfig(certified=True, max_iters=20_000)
+res = constrained_flow(
+    op, y, delta, xi0 + 0.5, FlowConfig(certified=True, max_iters=20_000), epsilon=1e-3
 )
 print("noisy voxel:")
 print(f"  branch = {res.branch}  (|y - s_hat| - delta = "
@@ -54,9 +54,9 @@ print(f"  xi error {abs(res.xi_hat - xi0):.4f} Hz, c error {np.linalg.norm(res.c
 
 # pure noise with a wide ball: the estimated signal collapses to zero
 junk = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / np.sqrt(2)
-res0 = regularized_constrained_flow(
-    op, junk, 1.5 * np.linalg.norm(junk), 1e-2, 1.0 + 0j,
-    FlowConfig(step=1e3, max_iters=50_000),
+res0 = constrained_flow(
+    op, junk, 1.5 * np.linalg.norm(junk), 1.0 + 0j,
+    FlowConfig(step=1e3, max_iters=50_000), epsilon=1e-2,
 )
 print(f"pure-noise voxel: branch = {res0.branch}, |s_hat| = "
       f"{np.linalg.norm(res0.s_hat):.2e}")

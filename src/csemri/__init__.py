@@ -32,7 +32,6 @@ from .lattice import (
     DeltaZero,
     DeltaZeroSet,
     RationalEchoStructure,
-    SolutionLattice,
     delta_matrix,
     delta_zero_set,
     fieldmap_lattice,
@@ -67,7 +66,6 @@ from .solver import (
     radius_lambert,
     radius_loose,
     radius_tight,
-    regularized_constrained_flow,
     step_bound,
     wirtinger_flow,
 )

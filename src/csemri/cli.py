@@ -120,11 +120,11 @@ def cmd_analyze(args):
         raise errors.SpecError(f"--csv profile of {points:.3g} points exceeds {MAX_GRID_POINTS}")
     model = _load_acquisition(args.config)
     structure = rationalize_echoes(model.echoes)
-    lattice = fieldmap_lattice(structure)
+    period = fieldmap_lattice(structure)
     report = {
         "lattice": {
             "commensurable": structure.commensurable,
-            "period_hz": lattice.period_hz if not lattice.trivial else None,
+            "period_hz": period if structure.commensurable else None,
         },
         **zero_set_record(delta_zero_set(model, search_band_hz=tuple(args.band))),
     }

@@ -105,7 +105,7 @@ def flow_config_from_dict(doc):
     if unknown:
         raise SpecError(f"unknown flow config keys {unknown}; allowed are {list(FLOW_CONFIG_KEYS)}")
     step, grad_tol = doc.get("step"), doc.get("grad_tol")
-    max_iters = doc.get("max_iters", 100_000)
+    max_iters = doc.get("max_iters", FlowConfig.max_iters)
     certified = doc.get("certified", step is None)
     if not isinstance(certified, bool):
         raise SpecError(f"flow config certified must be true or false, got {certified!r}")

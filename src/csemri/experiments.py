@@ -131,9 +131,7 @@ def experiment_solution_set(species, out_dir):
             )
         )
         payload = {
-            "lattice_period_hz": _finite_or_none(
-                fieldmap_lattice(rationalize_echoes(echoes)).period_hz
-            ),
+            "lattice_period_hz": _finite_or_none(fieldmap_lattice(rationalize_echoes(echoes))),
             **zero_set_record(delta_zero_set(model, search_band_hz=BAND_HZ)),
         }
         path = out_dir / f"zeros_ne{n}.json"

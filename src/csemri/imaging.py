@@ -59,7 +59,7 @@ from .residual import (
     voxelwise_signal_gradient,  # noqa: F401  (the benchmark trace looks it up here)
     voxelwise_value_and_gradient,
 )
-from .solver import RHO, certified_step, projected_signal_step
+from .solver import RHO, certified_step
 
 __all__ = [
     "ImageGrid",
@@ -69,7 +69,6 @@ __all__ = [
     "forward_gradient",
     "gradient_adjoint",
     "project_onto_C_phi",
-    "clamp_upper_half_plane",
     "constraint_violation",
     "projected_descent",
     "reconstruct",
@@ -83,6 +82,7 @@ __all__ = [
 DB_CAP = 300.0
 PDFF_MIN_CONTENT = 1e-12  # PDFF is NaN where water + fat content is below this
 PROJ_MAX_ITERS = 20_000  # cap on the dual iterations of one projection
+PROJ_TOL = 1e-9  # default proj_tol: a projection stops at a move of PROJ_TOL max(|Re xi|, 1)
 S_TOL = 1e-12  # stationary signals move by at most S_TOL max(||y||, delta) per iteration
 
 
@@ -195,7 +195,7 @@ def _check_shape(xi, constraint):
         )
 
 
-def project_onto_C_phi(xi, constraint, proj_tol=1e-9):
+def project_onto_C_phi(xi, constraint, proj_tol=PROJ_TOL):
     """Euclidean projection of Re(xi) onto the gradient-bound set.
 
     The dual fast gradient projection :func:`_dual_projection`, iterated
@@ -214,7 +214,7 @@ def project_onto_C_phi(xi, constraint, proj_tol=1e-9):
     xi = np.asarray(xi)
     _check_shape(xi, constraint)
     if _in_C_phi(xi, constraint):
-        return clamp_upper_half_plane(xi)
+        return _clamp_upper_half_plane(xi)
     return _dual_projection(xi, constraint, proj_tol)
 
 
@@ -226,7 +226,7 @@ def _in_C_phi(xi, constraint):
     return not np.any(g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1] > eps * eps)
 
 
-def clamp_upper_half_plane(xi):
+def _clamp_upper_half_plane(xi):
     """Projection onto the closed upper half-plane: ``Im xi`` clamped at 0."""
     return np.real(xi) + 1j * np.maximum(np.imag(xi), 0.0)
 
@@ -312,12 +312,12 @@ class ReconResult:
     trajectory: tuple[np.ndarray, ...] | None = field(repr=False)
 
 
-def reconstruct(grid, model, constraint, cfg, xi_init, proj_tol=1e-9):
+def reconstruct(grid, model, constraint, cfg, xi_init, proj_tol=PROJ_TOL):
     """Noiseless reconstruction: :func:`reconstruct_noisy` with ``delta = 0``."""
     return reconstruct_noisy(grid, model, constraint, 0.0, cfg, xi_init, proj_tol=proj_tol)
 
 
-def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-9):
+def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=PROJ_TOL):
     """Joint projected Wirtinger descent on the field and the per-voxel signals.
 
     :func:`projected_descent` on every voxel of the grid under C_phi, with
@@ -336,7 +336,8 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=1e-
                              constraint, tol, proj_tol=proj_tol)
 
 
-def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0, proj_tol=1e-9):
+def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0,
+                      proj_tol=PROJ_TOL):
     """Projected joint descent of f(xi, s) (+ epsilon ||s||^2), the loop of every flow.
 
     ``y`` holds the data in the field's shape, ``xi.shape + (n_e,)``, and
@@ -355,7 +356,7 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0, 
     flows) or when it lies in C_phi, where that clamp is its projection;
     otherwise the iteration takes the smallest step instead and maps the
     field back with :func:`project_onto_C_phi`. The signals take
-    :func:`projected_signal_step` (held at ``y`` if no support voxel has
+    :func:`_projected_signal_step` (held at ``y`` if no support voxel has
     ``delta > 0``). It stops once ``|grad| <= grad_tol``, an absolute bound
     (``None``: ``1e-12 ||y||^2``), and every signal moves by at most
     ``S_TOL max(||y||, delta)``, or after ``cfg.max_iters`` steps; with
@@ -371,7 +372,7 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0, 
     if constraint is not None:
         _check_shape(xi, constraint)
     y = y.reshape(-1, y.shape[-1])
-    delta = np.broadcast_to(np.asarray(delta, dtype=float), xi.shape).ravel()
+    delta = _per_voxel(np.asarray(delta, dtype=float), xi.shape, "delta")
     if not (np.all(delta >= 0) and epsilon >= 0):  # NaN fails too
         raise DomainError("delta and epsilon must be nonnegative")
     if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(y))):
@@ -381,7 +382,7 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0, 
     support = np.flatnonzero(np.any(y != 0, axis=1) & ~zero_branch)
     y_s, delta_s = y[support], delta[support]
     grad_tol = (1e-12 * y_norm[support] ** 2 if grad_tol is None
-                else np.broadcast_to(grad_tol, xi.shape).ravel()[support])
+                else _per_voxel(grad_tol, xi.shape, "grad_tol")[support])
     steps = certified_step(op, xi.ravel()[support], y_s, RHO) if cfg.certified else cfg.step
     fallback_step = np.min(steps, initial=np.inf)  # an empty support never steps
     s_scale = np.maximum(np.maximum(y_norm[support], delta_s), 1e-300)
@@ -398,7 +399,7 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0, 
             f, d_xi = voxelwise_value_and_gradient(op, xi_s, s)
         else:
             f, d_xi, d_s = voxelwise_full_residual(op, xi_s, s)
-            s_new = projected_signal_step(op, xi_s, s, d_s, y_s, delta_s, epsilon)
+            s_new = _projected_signal_step(op, xi_s, s, d_s, y_s, delta_s, epsilon)
             s_move = float(np.max(np.linalg.norm(s_new - s, axis=1) / s_scale, initial=0.0))
         trace.append(float(f.sum()))
         grad = 2.0 * np.conj(d_xi)
@@ -408,7 +409,7 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0, 
         moved = xi.copy()
         moved.ravel()[support] = xi_s - steps * grad  # the gradient is zero off the support
         if constraint is None or _in_C_phi(moved, constraint):
-            np.maximum(moved.imag, 0.0, out=moved.imag)  # clamp_upper_half_plane, in place
+            np.maximum(moved.imag, 0.0, out=moved.imag)  # _clamp_upper_half_plane, in place
             xi = moved
         else:
             fallbacks += 1
@@ -445,6 +446,28 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0, 
     )
 
 
+def _per_voxel(value, shape, name):
+    """``value`` broadcast to the field's ``shape`` and flattened, else :class:`DimensionError`."""
+    try:
+        return np.broadcast_to(value, shape).ravel()
+    except ValueError:
+        raise DimensionError(f"{name} shape {np.shape(value)} does not broadcast to {shape}") from None
+
+
+def _projected_signal_step(op, xi, s, grad_s_conj, y, delta, epsilon):
+    """One projected gradient step of the signal block for a batch of voxels.
+
+    ``grad_s_conj`` is ``d_{s*} f`` at ``(xi, s)``, shape (n, n_e); the
+    step ``0.9 / L`` per voxel uses ``||R(xi)||_op^2 <= exp(tau_s |Im xi|)``
+    plus the ridge curvature ``2 epsilon`` as ``L``, and the result is
+    projected radially onto the balls ``||s - y|| <= delta``.
+    """
+    lip = np.exp(op.tau_s * np.abs(np.imag(xi))) + 2.0 * epsilon
+    d = s - (0.9 / lip)[..., None] * 2.0 * (grad_s_conj + epsilon * s) - y
+    nrm = np.linalg.norm(d, axis=-1, keepdims=True)
+    return y + d * np.minimum(1.0, np.asarray(delta)[..., None] / np.maximum(nrm, 1e-300))
+
+
 MISMATCH = np.iinfo(np.int64).min  # sentinel for offsets that are no lattice multiple
 
 
@@ -465,11 +488,11 @@ class SeparationReport:
     dichotomy_ok: bool
 
 
-def separation_check(xi_map_a, xi_map_b, lattice, tol=1e-6, mask=None):
-    """Classify Re(a-b) voxelwise as integer multiples of the lattice period."""
-    if lattice.trivial:
+def separation_check(xi_map_a, xi_map_b, period, tol=1e-6, mask=None):
+    """Classify Re(a-b) voxelwise as integer multiples of the lattice ``period`` in Hz,
+    as :func:`csemri.lattice.fieldmap_lattice` returns it; an infinite one is refused."""
+    if not np.isfinite(period):
         raise DimensionError("separation check needs a finite lattice period")
-    period = lattice.period_hz
     diff = np.real(np.asarray(xi_map_a) - np.asarray(xi_map_b))
     k = np.round(diff / period).astype(np.int64)
     resid = np.abs(diff - k * period)

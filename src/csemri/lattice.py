@@ -37,7 +37,6 @@ __all__ = [
     "EXACT_RECOVERY",
     "SWAP_RISK",
     "RationalEchoStructure",
-    "SolutionLattice",
     "DeltaZero",
     "DeltaZeroSet",
     "rationalize_echoes",
@@ -82,19 +81,10 @@ class RationalEchoStructure:
     t_max: float
     fractions: tuple[tuple[int, int], ...]
     denominator: int
-    commensurable: bool
-
-
-@dataclass(frozen=True)
-class SolutionLattice:
-    """Spacing of the set of signal-preserving real fieldmap shifts."""
-
-    period_hz: float
 
     @property
-    def trivial(self):
-        """True when the only signal-preserving shift is zero."""
-        return not np.isfinite(self.period_hz)
+    def commensurable(self):
+        return self.denominator > 0
 
 
 def rationalize_echoes(echoes):
@@ -123,15 +113,15 @@ def rationalize_echoes(echoes):
         t_max=t_max,
         fractions=tuple(fractions),
         denominator=lcm(*(qk for _, qk in fractions)) if commensurable else 0,
-        commensurable=commensurable,
     )
 
 
 def fieldmap_lattice(structure):
-    """Lattice of shifts ``eta`` with ``exp(2*pi*i*eta*t_k) = 1`` at every echo."""
+    """Period in Hz of the lattice of shifts ``eta`` with ``exp(2*pi*i*eta*t_k) = 1`` at
+    every echo; ``inf`` when the echoes are incommensurable and only 0 is such a shift."""
     if not structure.commensurable:
-        return SolutionLattice(period_hz=inf)
-    return SolutionLattice(period_hz=structure.denominator / structure.t_max)
+        return inf
+    return structure.denominator / structure.t_max
 
 
 def delta_matrix(eta, model):
@@ -373,7 +363,7 @@ def delta_zero_set(model, search_band_hz=(-1000.0, 1000.0)):
     band_lo, band_hi = float(search_band_hz[0]), float(search_band_hz[1])
 
     structure = rationalize_echoes(model.echoes)
-    w_period = fieldmap_lattice(structure).period_hz  # W(eta + w_period) = W(eta) exactly
+    w_period = fieldmap_lattice(structure)  # W(eta + w_period) = W(eta) exactly
     if not structure.commensurable:
         zero = classify_zero(model, 0.0, sigma_ref)
         zeros = (zero,) if (zero is not None and band_lo <= 0.0 <= band_hi) else ()

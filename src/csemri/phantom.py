@@ -60,12 +60,21 @@ class FieldSpec:
     pixel grid, ``d`` the distance in pixels to the grid's center.
 
     ``FieldSpec(offset)`` is the constant field: with ``amplitude = 0`` and
-    the infinite default ``sigma`` the bump is exactly 0 everywhere.
+    the infinite default ``sigma`` the bump is exactly 0 everywhere. A
+    non-finite ``offset`` or ``amplitude`` and a ``sigma`` that is not
+    positive raise :class:`SpecError`.
     """
 
     offset: float
     amplitude: float = 0.0
     sigma: float = inf
+
+    def __post_init__(self):
+        for name in ("offset", "amplitude"):
+            if not np.isfinite(getattr(self, name)):
+                raise SpecError(f"field {name} must be finite, got {getattr(self, name)}")
+        if not self.sigma > 0.0:  # NaN fails too
+            raise SpecError(f"field sigma must be positive, got {self.sigma}")
 
     def evaluate(self, height, width):
         yy, xx = np.mgrid[0:height, 0:width].astype(float)
@@ -138,7 +147,7 @@ class CorruptionSpec:
     symmetric complex Gaussian per echo (so E||noise||^2 = sigma^2 n_e),
     finite and nonnegative.
     The mismatch term adds ``W(xi0) phi_M(t) c_M`` per voxel for a species
-    absent from the reconstruction model.
+    absent from the reconstruction model; ``c_M`` must be finite.
     """
 
     sigma: float
@@ -150,6 +159,10 @@ class CorruptionSpec:
             raise SpecError(f"noise level sigma must be nonnegative and finite, got {self.sigma}")
         if (self.mismatch_species is None) != (self.mismatch_concentration is None):
             raise SpecError("mismatch needs both a species and a concentration field")
+        if self.mismatch_concentration is not None and not np.all(
+            np.isfinite(self.mismatch_concentration)
+        ):
+            raise SpecError("mismatch concentration must be finite")
 
 
 @dataclass(frozen=True)

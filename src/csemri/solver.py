@@ -56,12 +56,10 @@ __all__ = [
     "radius_tight",
     "step_bound",
     "certified_step",
-    "projected_signal_step",
     "curvature_profile",
     "radius_empirical_from_profile",
     "wirtinger_flow",
     "constrained_flow",
-    "regularized_constrained_flow",
 ]
 
 RHO = 0.5  # curvature margin of the certified step in the flows and the image driver
@@ -121,7 +119,7 @@ def _envelope_arg(op, xi0, s0, rho):
     return op.tau_s * exp(-op.tau_s * float(np.imag(xi0))) * budget
 
 
-def radius_lambert(op, xi0, s0, rho=0.5):
+def radius_lambert(op, xi0, s0, rho=RHO):
     """Closed-form certified radius via the Lambert W function.
 
     Uses ``beta(a, b) <= exp(a) exp(tau_s |eta|)``, turning the envelope
@@ -131,7 +129,7 @@ def radius_lambert(op, xi0, s0, rho=0.5):
     return lambert_w0(_envelope_arg(op, xi0, s0, rho)) / op.tau_s
 
 
-def radius_loose(op, xi0, s0, rho=0.5):
+def radius_loose(op, xi0, s0, rho=RHO):
     """Certified radius with the envelope beta evaluated exactly.
 
     Solves ``r * beta(tau_s Im xi0, tau_s r) = gamma_plus^2 / (2||s0||^2)``.
@@ -249,7 +247,7 @@ def _min_eig_fn(pieces):
     return curvature - np.abs(np.einsum("ne,ne->n", rs.conj(), r2s))
 
 
-def radius_tight(op, xi0, s0, rho=0.5, angular_samples=48):
+def radius_tight(op, xi0, s0, rho=RHO, angular_samples=48):
     """Radius over which the monotonicity minorant keeps its margin.
 
     Numerically solves the implicit inequality
@@ -399,20 +397,6 @@ def wirtinger_flow(op, s0, xi_init, cfg):
     return constrained_flow(op, s0, 0.0, xi_init, cfg)
 
 
-def projected_signal_step(op, xi, s, grad_s_conj, y, delta, epsilon=0.0):
-    """One projected gradient step of the signal block for a batch of voxels.
-
-    ``grad_s_conj`` is ``d_{s*} f`` at ``(xi, s)``, shape (n, n_e); the
-    step ``0.9 / L`` per voxel uses ``||R(xi)||_op^2 <= exp(tau_s |Im xi|)``
-    plus the ridge curvature ``2 epsilon`` as ``L``, and the result is
-    projected radially onto the balls ``||s - y|| <= delta``.
-    """
-    lip = np.exp(op.tau_s * np.abs(np.imag(xi))) + 2.0 * epsilon
-    d = s - (0.9 / lip)[..., None] * 2.0 * (grad_s_conj + epsilon * s) - y
-    nrm = np.linalg.norm(d, axis=-1, keepdims=True)
-    return y + d * np.minimum(1.0, np.asarray(delta)[..., None] / np.maximum(nrm, 1e-300))
-
-
 def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
     """Projected joint descent of f(xi, s) (+ epsilon ||s||^2) over the ball
     ||y - s|| <= delta.
@@ -426,7 +410,9 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
     flow on ``f0``. A voxel whose ball holds 0 (``0 < ||y|| <= delta``, or
     ``y = 0``) is off the support, as in the image driver: ``s = 0`` gives
     ``f = 0`` for every field, so the flow returns ``s_hat = 0`` and
-    ``xi_init`` after 0 iterations on the zero branch. A start that is not
+    ``xi_init`` after 0 iterations on the zero branch. With the ridge
+    ``epsilon > 0`` a converged signal either vanishes or lies on the ball's
+    boundary, and ``branch`` records which of the two it is. A start that is not
     a scalar or a signal that is not one voxel's ``(n_e,)`` raises
     :class:`DimensionError`, and a negative or NaN ``delta`` or ``epsilon``
     and a non-finite start or signal :class:`DomainError`.
@@ -449,16 +435,6 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
         s_hat=s,
         branch="zero" if s_norm <= boundary_gap else "boundary",
     )
-
-
-def regularized_constrained_flow(op, y, delta, epsilon, xi_init, cfg):
-    """Constrained flow with the ridge term epsilon ||s||^2.
-
-    At a converged point either the estimated signal vanishes or the ball
-    constraint is active; the result records which of the two branches
-    happened.
-    """
-    return constrained_flow(op, y, delta, xi_init, cfg, epsilon=epsilon)
 
 
 def curvature_profile(op, xi0, s0, radii, angular_samples=64):

@@ -175,13 +175,13 @@ class AcquisitionModel:
     """Echo schedule, species list, model matrix and echo-time diagonal.
 
     ``phi`` is the ``n_e x n_s`` matrix with entries ``phi_l(t_k)``;
-    ``t_diag`` holds the echo times, i.e. the diagonal of ``T``.
+    ``times`` holds the echo times, i.e. the diagonal of ``T``.
     """
 
     echoes: EchoSpec
     species: tuple[Species, ...]
     phi: np.ndarray = field(repr=False)
-    t_diag: np.ndarray = field(repr=False)
+    times: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.n_e < self.n_s:
@@ -191,7 +191,7 @@ class AcquisitionModel:
         if not np.all(np.isfinite(self.phi)):
             raise InvalidSpecies("model matrix has non-finite entries")
         self.phi.setflags(write=False)
-        self.t_diag.setflags(write=False)
+        self.times.setflags(write=False)
 
     @property
     def n_e(self):
@@ -200,10 +200,6 @@ class AcquisitionModel:
     @property
     def n_s(self):
         return self.phi.shape[1]
-
-    @property
-    def times(self):
-        return self.t_diag
 
 
 def build_model(species, echoes):
@@ -217,7 +213,7 @@ def build_model(species, echoes):
             f"need at least as many echoes as species: n_e={len(t)} < n_s={len(species)}"
         )
     phi = np.column_stack([sp.evaluate(t) for sp in species]).astype(np.complex128)
-    return AcquisitionModel(echoes=echoes, species=species, phi=phi, t_diag=t.copy())
+    return AcquisitionModel(echoes=echoes, species=species, phi=phi, times=t.copy())
 
 
 def weighting_diag(xi, times_s):

@@ -1,6 +1,7 @@
-"""Every demo script runs to completion."""
+"""Every demo script and the README's library tour run to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +25,10 @@ def test_demo_exits_0(script, tmp_path):
         timeout=600,
     )
     assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_readme_library_tour_runs():
+    # the tour's asserts are the README's claims; the tour is its one python block
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -269,7 +269,7 @@ class TestProjection:
         from scipy import ndimage
 
         truth = generate_phantom(default_phantom_spec(), MODEL)
-        period = fieldmap_lattice(rationalize_echoes(MODEL.echoes)).period_hz
+        period = fieldmap_lattice(rationalize_echoes(MODEL.echoes))
         labels, n_regions = ndimage.label(truth.mask)
         shift = np.zeros(truth.mask.shape)
         for r in range(1, n_regions + 1):
@@ -469,7 +469,7 @@ class TestReconstruct:
         from scipy import ndimage
 
         truth = small_phantom()
-        period = fieldmap_lattice(rationalize_echoes(MODEL.echoes)).period_hz
+        period = fieldmap_lattice(rationalize_echoes(MODEL.echoes))
         labels, n_regions = ndimage.label(truth.mask)
         cols = np.arange(truth.mask.shape[1])
         shift = np.zeros(truth.mask.shape)
@@ -503,7 +503,7 @@ class TestReconstruct:
         from scipy import ndimage
 
         truth = small_phantom()
-        period = fieldmap_lattice(rationalize_echoes(MODEL.echoes)).period_hz
+        period = fieldmap_lattice(rationalize_echoes(MODEL.echoes))
         labels, _ = ndimage.label(truth.mask)
         shift = np.where(labels % 2 == 1, period, 0.0)  # shift alternating regions
         con = FieldmapConstraint.from_mask(truth.mask, 30.0)
@@ -555,6 +555,12 @@ class TestReconstruct:
                 constrained_flow(OP, np.ones(n_e), 0.0, 1.0 + 0j, cfg)
         with pytest.raises(DimensionError):  # no echo at all
             constrained_flow(OP, np.ones(0), 0.0, 1.0 + 0j, cfg)
+        start = np.ones((8, 8), complex)
+        for shape in ((3,), (8, 8, 1), (2, 8)):  # per-voxel maps that are not the field's
+            with pytest.raises(DimensionError):
+                reconstruct_noisy(truth.grid, MODEL, con, np.full(shape, 0.01), cfg, start)
+        with pytest.raises(DimensionError):
+            imaging.projected_descent(OP, start, truth.grid.signal, 0.0, cfg, con, np.ones(3))
 
 
 class TestReconstructNoisy:
@@ -903,31 +909,31 @@ class TestZeroBranch:
 
 class TestSeparationCheck:
     def setup_method(self):
-        self.lattice = fieldmap_lattice(rationalize_echoes(MODEL.echoes))
+        self.period = fieldmap_lattice(rationalize_echoes(MODEL.echoes))
 
     def test_identical_fields(self):
         xi = RNG.standard_normal((5, 5)) + 1j * RNG.uniform(0, 10, (5, 5))
-        rep = separation_check(xi, xi, self.lattice)
+        rep = separation_check(xi, xi, self.period)
         assert np.all(rep.offsets == 0)
         assert rep.dichotomy_ok
 
     def test_uniform_period_shift(self):
         xi = RNG.standard_normal((5, 5)) + 0j
-        rep = separation_check(xi + self.lattice.period_hz, xi, self.lattice)
+        rep = separation_check(xi + self.period, xi, self.period)
         assert np.all(rep.offsets == 1)
         assert rep.dichotomy_ok
 
     def test_mixed_offsets_flagged(self):
         xi = np.zeros((4, 4), complex)
         shifted = xi.copy()
-        shifted[:, :2] += self.lattice.period_hz
-        rep = separation_check(shifted, xi, self.lattice)
+        shifted[:, :2] += self.period
+        rep = separation_check(shifted, xi, self.period)
         assert not rep.dichotomy_ok
 
     def test_non_lattice_residue_is_mismatch(self):
         xi = np.zeros((3, 3), complex)
-        other = xi + 0.37 * self.lattice.period_hz
-        rep = separation_check(other, xi, self.lattice, tol=1e-3)
+        other = xi + 0.37 * self.period
+        rep = separation_check(other, xi, self.period, tol=1e-3)
         assert np.all(rep.mismatch)
 
 

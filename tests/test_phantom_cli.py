@@ -97,6 +97,16 @@ class TestGeneratePhantom:
         with pytest.raises(SpecError):
             generate_phantom(spec, MODEL)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"offset": np.nan}, "offset"), ({"offset": -np.inf}, "offset"),
+         ({"amplitude": np.inf}, "amplitude"), ({"amplitude": np.nan}, "amplitude"),
+         ({"sigma": 0.0}, "sigma"), ({"sigma": -1.0}, "sigma"), ({"sigma": np.nan}, "sigma")],
+    )
+    def test_non_finite_or_flat_field_spec_raises(self, kwargs, name):
+        with pytest.raises(SpecError, match=name):
+            FieldSpec(**{"offset": 0.0, "amplitude": 1.0, "sigma": 2.0, **kwargs})
+
 
 class TestCorrupt:
     def setup_method(self):
@@ -645,6 +655,10 @@ class TestCli:
             ["corrupt", "--sigma", "inf", "--relative"],
             ["corrupt", "--seed", "-1"],  # checked without noise too
             ["corrupt", "--seed", "-1", "--sigma", "0.01"],
+            ["phantom", "--fieldmap-amplitude", "inf"],
+            ["phantom", "--fieldmap-amplitude", "nan"],
+            ["corrupt", "--mismatch-species", "silicone", "--mismatch-concentration", "inf"],
+            ["corrupt", "--mismatch-species", "silicone", "--mismatch-concentration", "nan"],
         ],
     )
     def test_out_of_range_numbers_exit_2(self, tmp_path, tmp_path_factory, capsys, argv):
@@ -652,9 +666,11 @@ class TestCli:
         if argv[0] in ("experiment", "phantom", "corrupt"):
             argv += ["--out", str(tmp_path / "exp")]
         if argv[0] == "corrupt":  # the input lives elsewhere: nothing may appear in tmp_path
-            ph = tmp_path_factory.mktemp("input") / "ph.json"
-            assert cli_main(["phantom", "--out", str(ph), "--width", "4", "--height", "4"]) == 0
-            argv += ["--input", str(ph)]
+            inputs = tmp_path_factory.mktemp("input")
+            ph, truth = inputs / "ph.json", inputs / "truth.npz"
+            assert cli_main(["phantom", "--out", str(ph), "--truth", str(truth),
+                             "--width", "4", "--height", "4"]) == 0
+            argv += ["--input", str(ph), "--truth", str(truth)]
             capsys.readouterr()
         assert cli_main(argv) == 2
         err = capsys.readouterr().err

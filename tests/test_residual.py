@@ -199,7 +199,7 @@ class TestWirtingerGradient:
             assert -2 * g.d_xi.imag == pytest.approx(fd_im, rel=1e-6, abs=1e-12)
 
     def test_zero_at_lattice_shifts(self):
-        period = fieldmap_lattice(rationalize_echoes(MODEL.echoes)).period_hz
+        period = fieldmap_lattice(rationalize_echoes(MODEL.echoes))
         for _ in range(10):
             xi0 = random_xi()
             s0 = signal(xi0, random_complex(2), MODEL)

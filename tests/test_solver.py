@@ -28,7 +28,6 @@ from csemri.solver import (
     radius_lambert,
     radius_loose,
     radius_tight,
-    regularized_constrained_flow,
     step_bound,
     wirtinger_flow,
 )
@@ -608,7 +607,7 @@ class TestWirtingerFlow:
         assert np.all(np.diff(dist)[moving[:-1]] < 0)
 
     def test_lattice_shifted_init_lands_on_shifted_solution(self):
-        period = fieldmap_lattice(rationalize_echoes(MODEL.echoes)).period_hz
+        period = fieldmap_lattice(rationalize_echoes(MODEL.echoes))
         xi0, c0, s0 = random_voxel()
         rl = radius_lambert(OP, xi0, s0, 0.5)
         res = wirtinger_flow(
@@ -618,7 +617,7 @@ class TestWirtingerFlow:
         assert np.allclose(res.c_hat, c0, rtol=1e-6)
 
     def test_lattice_equivariance_of_iterates(self):
-        period = fieldmap_lattice(rationalize_echoes(MODEL.echoes)).period_hz
+        period = fieldmap_lattice(rationalize_echoes(MODEL.echoes))
         xi0, c0, s0 = random_voxel()
         cfg = FlowConfig(step=2000.0, max_iters=400, keep_trajectory=True, grad_tol=1e-300)
         ra = wirtinger_flow(OP, s0, xi0 + 3.0, cfg)
@@ -686,7 +685,7 @@ class TestConstrainedFlow:
             return value_and_gradient(*args)
 
         monkeypatch.setattr(imaging, "voxelwise_full_residual", forbidden)
-        monkeypatch.setattr(imaging, "projected_signal_step", forbidden)
+        monkeypatch.setattr(imaging, "_projected_signal_step", forbidden)
         monkeypatch.setattr(imaging, "voxelwise_value_and_gradient", counted)
         xi0, c0, s0 = random_voxel(np.random.default_rng(11))
         res = constrained_flow(OP, s0, 0.0, xi0 + 0.001, FlowConfig(certified=True, max_iters=500))
@@ -701,8 +700,6 @@ class TestConstrainedFlow:
             constrained_flow(OP, s0, -0.1, xi0, cfg)
         with pytest.raises(DomainError):
             constrained_flow(OP, s0, 0.02, xi0, cfg, epsilon=-1.0)
-        with pytest.raises(DomainError):
-            regularized_constrained_flow(OP, s0, 0.02, -1.0, xi0, cfg)
 
     def test_nan_radius_or_ridge_rejected(self):
         xi0, c0, s0 = random_voxel(np.random.default_rng(12))
@@ -753,24 +750,16 @@ class TestConstrainedFlow:
 
 
 class TestRegularizedFlow:
-    def test_epsilon_zero_matches_constrained(self):
-        xi0, c0, s0 = random_voxel()
-        cfg = FlowConfig(certified=True, max_iters=2000)
-        a = constrained_flow(OP, s0, 0.02, xi0 + 0.001, cfg)
-        b = regularized_constrained_flow(OP, s0, 0.02, 0.0, xi0 + 0.001, cfg)
-        assert a.xi_hat == b.xi_hat
-        assert np.array_equal(a.s_hat, b.s_hat)
-
     def test_pure_noise_takes_zero_branch(self):
         rng = np.random.default_rng(3)
         y = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / np.sqrt(2)
-        res = regularized_constrained_flow(
+        res = constrained_flow(
             OP,
             y,
             1.5 * np.linalg.norm(y),
-            1e-2,
             1.0 + 0j,
             FlowConfig(step=1e3, max_iters=50_000),
+            epsilon=1e-2,
         )
         assert res.branch == "zero"
         # the ball holds 0, so the voxel is off the support: no iteration
@@ -781,8 +770,8 @@ class TestRegularizedFlow:
     def test_noiseless_feasible_takes_boundary_branch(self):
         xi0, c0, s0 = random_voxel()
         delta = 0.05 * np.linalg.norm(s0)
-        res = regularized_constrained_flow(
-            OP, s0, delta, 1e-4, xi0, FlowConfig(certified=True, max_iters=20_000)
+        res = constrained_flow(
+            OP, s0, delta, xi0, FlowConfig(certified=True, max_iters=20_000), epsilon=1e-4
         )
         assert res.branch == "boundary"
         assert abs(np.linalg.norm(s0 - res.s_hat) - delta) < 1e-6 * np.linalg.norm(s0)
@@ -797,8 +786,9 @@ class TestRegularizedFlow:
             sigma = 0.01 * np.max(np.abs(s0))
             y = s0 + sigma * (rng.standard_normal(6) + 1j * rng.standard_normal(6)) / np.sqrt(2)
             delta = sigma * np.sqrt(6)
-            res = regularized_constrained_flow(
-                OP, y, delta, 1e-3, xi0 + 0.001, FlowConfig(certified=True, max_iters=20_000)
+            res = constrained_flow(
+                OP, y, delta, xi0 + 0.001, FlowConfig(certified=True, max_iters=20_000),
+                epsilon=1e-3,
             )
             gap = min(np.linalg.norm(res.s_hat), abs(np.linalg.norm(y - res.s_hat) - delta))
             if gap >= 1e-6 * max(np.linalg.norm(y), delta):
@@ -836,7 +826,6 @@ import sys
 import numpy as np
 import csemri, csemri.cli
 from csemri.imaging import separation_check
-from csemri.lattice import SolutionLattice
 from csemri.solver import lambert_w0
 
 def scipy_modules():
@@ -852,7 +841,7 @@ for argv in (
 print(scipy_modules())
 print(repr(lambert_w0(1.0)))
 xi = np.zeros((3, 3))
-print(separation_check(xi, xi + 100.0, SolutionLattice(period_hz=100.0)).region_offsets)
+print(separation_check(xi, xi + 100.0, 100.0).region_offsets)
 """
 
 
