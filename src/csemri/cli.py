@@ -261,6 +261,8 @@ def cmd_reconstruct(args):
     else:
         max_iters = 2000 if args.max_iters is None else args.max_iters
         cfg = FlowConfig(certified=True, max_iters=max_iters)
+    # momentum needs the signals held, which only the run without --delta does
+    cfg = dataclasses.replace(cfg, momentum=args.delta is None)
     xi_init = np.full((grid.height, grid.width), 1.0 + 0j)
     if args.delta is not None:
         res = reconstruct_noisy(grid, model, constraint, args.delta, cfg, xi_init)
@@ -277,6 +279,8 @@ def cmd_reconstruct(args):
     )
     summary = {
         "iterations": res.iterations,
+        "momentum": cfg.momentum,
+        "restarts": res.restarts,
         "fallback_iterations": res.fallback_iterations,
         "zero_branch_voxels": res.zero_branch_voxels,
         "step_spread": None if res.step_spread is None else list(res.step_spread),
@@ -398,7 +402,11 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--metrics-out")
     p.add_argument("--truth")
-    p.add_argument("--flow")
+    p.add_argument(
+        "--flow",
+        help="JSON flow config with keys among step, max_iters, grad_tol and certified; "
+        "without --delta the field steps take restarted momentum",
+    )
     p.add_argument("--delta", type=float, default=None, help="per-voxel noise ball radius")
     p.add_argument(
         "--eps-on-mask", type=float, default=30.0,

@@ -42,7 +42,10 @@ whose noise ball excludes 0: ``||y(v)|| > delta(v)``, which for ``delta(v)
 the support ``s = 0`` lies in the ball and gives ``R s = 0`` and zero
 gradients for every field (the zero branch), so the signal is set to 0 and
 the field moves only by projection, and not at all where its bound is
-infinite.
+infinite. With held signals the loop can take restarted per-voxel FISTA
+steps on the field (``FlowConfig.momentum``), again with one evaluation
+per iteration; ``ReconResult.restarts`` counts the iterations in which a
+voxel's extrapolated point raised its objective and was rejected.
 """
 
 from __future__ import annotations
@@ -220,7 +223,10 @@ def project_onto_C_phi(xi, constraint, proj_tol=PROJ_TOL):
 
 def _in_C_phi(xi, constraint):
     """Whether ``Re xi`` violates no gradient bound, tested as the first dual
-    step tests it: no squared gradient norm above ``eps**2``."""
+    step tests it: no squared gradient norm above ``eps**2``; every field
+    passes without a constraint (``None``)."""
+    if constraint is None:
+        return True
     eps = constraint.eps_g
     g = _bounded_gradient(np.real(xi), constraint)
     return not np.any(g[..., 0] * g[..., 0] + g[..., 1] * g[..., 1] > eps * eps)
@@ -288,7 +294,10 @@ class ReconResult:
     ``constraint_violation`` (0.0 without a constraint) is at most ``10
     proj_tol max(|Re xi|, 1)``. ``fallback_iterations`` counts the
     iterations whose per-voxel step left C_phi and that took the smallest
-    step over the support with the projection instead; ``step_spread`` is
+    step over the support with the projection instead, and ``restarts`` the
+    iterations in which, under ``cfg.momentum``, a voxel's extrapolated
+    point raised its objective and was rejected (0 without momentum);
+    ``step_spread`` is
     (min, median, max) of the steps (all three ``cfg.step`` with a fixed
     step), and ``None`` when there are none: in certified mode with an
     empty support. ``zero_branch_voxels`` counts the voxels with ``delta(v)
@@ -306,6 +315,7 @@ class ReconResult:
     converged: bool
     s_map: np.ndarray = field(repr=False)
     fallback_iterations: int
+    restarts: int
     step_spread: tuple[float, float, float] | None
     zero_branch_voxels: int
     final_grad_norm: float
@@ -357,11 +367,15 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0,
     otherwise the iteration takes the smallest step instead and maps the
     field back with :func:`project_onto_C_phi`. The signals take
     :func:`_projected_signal_step` (held at ``y`` if no support voxel has
-    ``delta > 0``). It stops once ``|grad| <= grad_tol``, an absolute bound
+    ``delta > 0``). With ``cfg.momentum``, which needs the signals held
+    (else :class:`DomainError`), the field takes restarted per-voxel FISTA
+    steps instead (:class:`_Momentum`), still with one evaluation per
+    iteration. It stops once ``|grad| <= grad_tol``, an absolute bound
     (``None``: ``1e-12 ||y||^2``), and every signal moves by at most
     ``S_TOL max(||y||, delta)``, or after ``cfg.max_iters`` steps; with
-    ``cfg.keep_trajectory`` it records every iterate. Returns the
-    :class:`ReconResult`, its maps in the field's shape.
+    ``cfg.keep_trajectory`` it records every accepted iterate, the start
+    first and the result last. Returns the :class:`ReconResult`, its maps
+    in the field's shape.
     """
     y = np.asarray(y, dtype=complex)
     if y.shape[-1:] != (op.n_e,):
@@ -387,9 +401,12 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0,
     fallback_step = np.min(steps, initial=np.inf)  # an empty support never steps
     s_scale = np.maximum(np.maximum(y_norm[support], delta_s), 1e-300)
     hold_signal = not np.any(delta_s > 0)
+    if cfg.momentum and not hold_signal:
+        raise DomainError("momentum needs the signals held: delta = 0 on the support")
+    momentum = _Momentum(support, constraint, xi.ravel()[support]) if cfg.momentum else None
     s = y_s.copy()
     trace = []
-    trajectory = [xi.copy()] if cfg.keep_trajectory else None
+    trajectory = [] if cfg.keep_trajectory else None
     fallbacks = 0
     d_s = moved = None  # bound on every path for the release after the loop
     for iterations in range(cfg.max_iters + 1):
@@ -401,23 +418,28 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0,
             f, d_xi, d_s = voxelwise_full_residual(op, xi_s, s)
             s_new = _projected_signal_step(op, xi_s, s, d_s, y_s, delta_s, epsilon)
             s_move = float(np.max(np.linalg.norm(s_new - s, axis=1) / s_scale, initial=0.0))
-        trace.append(float(f.sum()))
         grad = 2.0 * np.conj(d_xi)
+        if momentum is not None:
+            xi, f, grad = momentum.accept(xi, f, grad)
+            xi_s = xi.ravel()[support]
+        trace.append(float(f.sum()))
+        if trajectory is not None:
+            trajectory.append(xi.copy())
         stationary = bool((np.abs(grad) <= grad_tol).all()) and s_move <= S_TOL
         if stationary or iterations == cfg.max_iters:
             break
         moved = xi.copy()
         moved.ravel()[support] = xi_s - steps * grad  # the gradient is zero off the support
-        if constraint is None or _in_C_phi(moved, constraint):
+        if _in_C_phi(moved, constraint):
             np.maximum(moved.imag, 0.0, out=moved.imag)  # _clamp_upper_half_plane, in place
-            xi = moved
+            xi = moved if momentum is None else momentum.extrapolate(moved)
         else:
             fallbacks += 1
             moved.ravel()[support] = xi_s - fallback_step * grad
             xi = project_onto_C_phi(moved, constraint, proj_tol=proj_tol)
+            if momentum is not None:
+                momentum.restart(xi.ravel()[support])
         s = s_new
-        if trajectory is not None:
-            trajectory.append(xi.copy())
     signals = np.zeros_like(y)
     signals[support] = s
     # the loop's arrays go first, so that the verdict and the estimate reuse their memory
@@ -438,6 +460,7 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0,
         converged=stationary and feasible,
         s_map=signals.reshape(xi.shape + y.shape[-1:]),
         fallback_iterations=fallbacks,
+        restarts=0 if momentum is None else momentum.restarts,
         step_spread=None if steps.size == 0
         else (float(steps.min()), float(np.median(steps)), float(steps.max())),
         zero_branch_voxels=int(np.count_nonzero(zero_branch)),
@@ -447,11 +470,75 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0,
 
 
 def _per_voxel(value, shape, name):
-    """``value`` broadcast to the field's ``shape`` and flattened, else :class:`DimensionError`."""
-    try:
-        return np.broadcast_to(value, shape).ravel()
-    except ValueError:
-        raise DimensionError(f"{name} shape {np.shape(value)} does not broadcast to {shape}") from None
+    """``value``, one for all voxels or one per voxel in the field's ``shape``, as one per
+    voxel, flattened; any other shape raises :class:`DimensionError`."""
+    if np.ndim(value) != 0 and np.shape(value) != shape:
+        raise DimensionError(
+            f"{name} shape {np.shape(value)} is neither one value nor the field's {shape}"
+        )
+    return np.broadcast_to(value, shape).ravel()
+
+
+class _Momentum:
+    """Restarted per-voxel FISTA on the field of :func:`projected_descent`.
+
+    Beck and Teboulle's extrapolation with O'Donoghue and Candes's
+    function-value restart, per support voxel ``v``: the loop evaluates f
+    and its gradient at the point :meth:`extrapolate` returns and hands
+    them to :meth:`accept`. A voxel whose point was extrapolated (``beta_v
+    > 0``) and whose ``f_v`` rose above its last accepted value keeps that
+    value, its gradient and its point, and restarts (``t_v = 1``); if that
+    merge leaves C_phi, every voxel keeps the last accepted field. Only an
+    extrapolated point can be rejected: a plain certified step may raise
+    ``f_v`` by rounding at the objective's floor, and rejecting it would
+    stall the voxel there.
+    """
+
+    def __init__(self, support, constraint, z):
+        self.support, self.constraint = support, constraint
+        self.t = np.ones(support.size)
+        self.beta = np.zeros(support.size)  # the weight that extrapolated each voxel's point
+        self.z = z  # the last step result on the support
+        self.xi, self.f, self.grad = None, np.full(support.size, np.inf), None  # last accepted
+        self.restarts = 0
+
+    def accept(self, xi, f, grad):
+        """The accepted field, objective and gradient at the evaluated point ``xi``."""
+        raised = (self.beta > 0.0) & (f > self.f)
+        if raised.any():
+            self.restarts += 1
+            self.t[raised] = 1.0
+            keep = self.support[raised]
+            xi.ravel()[keep] = self.xi.ravel()[keep]  # xi is the loop's own candidate
+            if _in_C_phi(xi, self.constraint):
+                f[raised], grad[raised] = self.f[raised], self.grad[raised]
+            else:
+                xi, f, grad = self.xi, self.f, self.grad
+                self.t[:] = 1.0
+        self.xi, self.f, self.grad = xi, f, grad
+        return xi, f, grad
+
+    def extrapolate(self, moved):
+        """The next point after the step result ``moved`` (in C_phi, clamped): ``moved +
+        (t_v - 1) / t_v' (moved - z)`` on each support voxel, clamped to ``Im >= 0``;
+        ``moved`` itself, with every ``t_v`` reset, when that point leaves C_phi."""
+        z = moved.ravel()[self.support]
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * self.t * self.t))
+        self.beta, self.t = (self.t - 1.0) / t_next, t_next
+        ahead = moved.copy()
+        ahead.ravel()[self.support] = z + self.beta * (z - self.z)
+        np.maximum(ahead.imag, 0.0, out=ahead.imag)
+        if _in_C_phi(ahead, self.constraint):
+            self.z = z
+            return ahead
+        self.restart(z)
+        return moved
+
+    def restart(self, z):
+        """Reset every ``t_v`` after the step result ``z`` on the support (a fallback step)."""
+        self.z = z
+        self.t[:] = 1.0
+        self.beta[:] = 0.0
 
 
 def _projected_signal_step(op, xi, s, grad_s_conj, y, delta, epsilon):

@@ -357,9 +357,13 @@ class FlowConfig:
     ``||y(v)||^2`` in the image driver; both default to ``1e-12 ||y(v)||^2``,
     as the gradient scales with the squared signal. ``keep_trajectory``
     records every iterate. The certified step takes the curvature margin
-    ``RHO``. A step that is not positive and finite, and a
-    ``max_iters`` that is not a nonnegative integer, raise
-    :class:`DomainError`.
+    ``RHO``. ``momentum`` takes restarted per-voxel FISTA steps in
+    :func:`csemri.imaging.projected_descent` (Beck and Teboulle's
+    extrapolation, restarted on a voxel whose objective it raised), which
+    needs the signals held (``delta = 0``); off, every step is the plain
+    one, whose contraction the single-voxel certificates state. A step that
+    is not positive and finite, and a ``max_iters`` that is not a
+    nonnegative integer, raise :class:`DomainError`.
     """
 
     step: float | None = None
@@ -367,6 +371,7 @@ class FlowConfig:
     grad_tol: float | None = None
     certified: bool = False
     keep_trajectory: bool = False
+    momentum: bool = False
 
     def __post_init__(self):
         if self.step is not None and not 0.0 < self.step < inf:  # NaN fails too

@@ -449,11 +449,12 @@ class TestReconstruct:
     def test_decoupled_matches_per_voxel_flow(self):
         truth = small_phantom()
         con = FieldmapConstraint(eps_g=np.full((24, 24), np.inf))
-        cfg = FlowConfig(step=3e3, max_iters=120, grad_tol=1e-300)
-        res = reconstruct(truth.grid, MODEL, con, cfg, np.full((24, 24), 1.0 + 0j))
-        for i, j in zip(*np.nonzero(truth.mask)):
-            voxel = wirtinger_flow(OP, truth.grid.signal[i, j], 1.0 + 0j, cfg)
-            assert abs(voxel.xi_hat - res.xi_map[i, j]) < 1e-10
+        for momentum in (False, True):
+            cfg = FlowConfig(step=3e3, max_iters=120, grad_tol=1e-300, momentum=momentum)
+            res = reconstruct(truth.grid, MODEL, con, cfg, np.full((24, 24), 1.0 + 0j))
+            for i, j in zip(*np.nonzero(truth.mask)):
+                voxel = wirtinger_flow(OP, truth.grid.signal[i, j], 1.0 + 0j, cfg)
+                assert abs(voxel.xi_hat - res.xi_map[i, j]) < 1e-10
 
     def test_init_at_truth_is_exact(self):
         truth = small_phantom()
@@ -491,13 +492,19 @@ class TestReconstruct:
     def test_objective_monotone_and_feasible(self):
         truth = small_phantom()
         con = FieldmapConstraint.from_mask(truth.mask, 30.0)
-        cfg = FlowConfig(step=2e3, max_iters=60)
         init = truth.xi0_map + 3.0 * np.exp(1j * RNG.uniform(0, np.pi, truth.xi0_map.shape))
         init = np.real(init) + 1j * np.maximum(np.imag(init), 0.0)
-        res = reconstruct(truth.grid, MODEL, con, cfg, init, proj_tol=1e-9)
-        trace = np.array(res.objective_trace)
-        assert np.all(np.diff(trace) <= 1e-9 * np.maximum(trace[:-1], 1e-30))
-        assert res.constraint_violation <= 1e-8
+        for momentum in (False, True):
+            cfg = FlowConfig(step=2e3, max_iters=60, momentum=momentum, keep_trajectory=True)
+            res = reconstruct(truth.grid, MODEL, con, cfg, init, proj_tol=1e-9)
+            trace = np.array(res.objective_trace)
+            assert np.all(np.diff(trace) <= 1e-9 * np.maximum(trace[:-1], 1e-30))
+            assert res.constraint_violation <= 1e-8
+            # every accepted iterate after the start lies in C_phi and the upper half-plane
+            for xi in res.trajectory[1:]:
+                assert constraint_violation(xi, con) <= 1e-8 and np.all(xi.imag >= 0.0)
+            assert np.array_equal(res.trajectory[-1], res.xi_map)
+            assert len(res.trajectory) == len(trace) == res.iterations + 1
 
     def test_lattice_shifted_init_keeps_concentrations(self):
         from scipy import ndimage
@@ -556,11 +563,12 @@ class TestReconstruct:
         with pytest.raises(DimensionError):  # no echo at all
             constrained_flow(OP, np.ones(0), 0.0, 1.0 + 0j, cfg)
         start = np.ones((8, 8), complex)
-        for shape in ((3,), (8, 8, 1), (2, 8)):  # per-voxel maps that are not the field's
+        for shape in ((3,), (8, 8, 1), (2, 8), (8,)):  # per-voxel maps that are not the field's
             with pytest.raises(DimensionError):
                 reconstruct_noisy(truth.grid, MODEL, con, np.full(shape, 0.01), cfg, start)
-        with pytest.raises(DimensionError):
-            imaging.projected_descent(OP, start, truth.grid.signal, 0.0, cfg, con, np.ones(3))
+            with pytest.raises(DimensionError):
+                imaging.projected_descent(OP, start, truth.grid.signal, 0.0, cfg, con,
+                                          np.ones(shape))
 
 
 class TestReconstructNoisy:
@@ -574,25 +582,29 @@ class TestReconstructNoisy:
         y = y + 0.02 * np.linalg.norm(y) * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
         xi_init = xi0 + complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
         delta = delta_rel * float(np.linalg.norm(y))
-        cfg = FlowConfig(certified=True, max_iters=20, grad_tol=1e-300)
-        voxel = constrained_flow(OP, y, delta, xi_init, cfg)
         grid = ImageGrid(y[None, None, :])
         unbounded = FieldmapConstraint.uniform(1, 1, np.inf)
-        image = reconstruct_noisy(grid, MODEL, unbounded, delta, cfg, np.full((1, 1), xi_init))
-        # a ball that holds 0 (delta_rel = 2) is the zero branch: no iteration
-        assert voxel.iterations == image.iterations == (0 if delta_rel >= 1.0 else 20)
-        assert image.zero_branch_voxels == (delta_rel >= 1.0)
-        assert np.array_equal(image.xi_map.ravel(), [voxel.xi_hat])
-        assert np.array_equal(image.s_map.ravel(), voxel.s_hat)
+        # momentum needs the signal held: delta = 0, or a zero branch with no signal to move
+        for momentum in (False, True) if delta_rel in (0.0, 2.0) else (False,):
+            cfg = FlowConfig(certified=True, max_iters=20, grad_tol=1e-300, momentum=momentum)
+            voxel = constrained_flow(OP, y, delta, xi_init, cfg)
+            image = reconstruct_noisy(grid, MODEL, unbounded, delta, cfg,
+                                      np.full((1, 1), xi_init))
+            # a ball that holds 0 (delta_rel = 2) is the zero branch: no iteration
+            assert voxel.iterations == image.iterations == (0 if delta_rel >= 1.0 else 20)
+            assert image.zero_branch_voxels == (delta_rel >= 1.0)
+            assert np.array_equal(image.xi_map.ravel(), [voxel.xi_hat])
+            assert np.array_equal(image.s_map.ravel(), voxel.s_hat)
 
     @pytest.mark.parametrize("noise", [0.0, 0.01])
     def test_one_voxel_image_stops_as_the_flow(self, noise):
         # the same loop on the same data: with the default gradient bound and one signal
         # tolerance, both drivers take the same iterates and stop at the same one
         rng = np.random.default_rng(2707)
-        cfg = FlowConfig(certified=True, keep_trajectory=True)
         unbounded = FieldmapConstraint.uniform(1, 1, np.inf)
-        for _ in range(10):
+        for k in range(20 if noise == 0.0 else 10):
+            # momentum needs the signal held, so only the noiseless data also run it
+            cfg = FlowConfig(certified=True, keep_trajectory=True, momentum=k >= 10)
             xi0 = complex(rng.uniform(-60.0, 60.0), rng.uniform(0.0, 40.0))
             c0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             y = MODEL.phi @ c0 * np.exp(2j * np.pi * xi0 * MODEL.times)
@@ -705,6 +717,44 @@ class TestReconstructNoisy:
         assert max(ratios) < 3.0
 
 
+class TestMomentum:
+    """Restarted per-voxel FISTA: a voxel whose extrapolated point raised its objective
+    keeps its last accepted point; a field that would leave C_phi keeps every voxel's."""
+
+    def momentum(self, eps):
+        con = FieldmapConstraint.uniform(1, 2, eps)
+        m = imaging._Momentum(np.arange(2), con, np.zeros(2, complex))
+        m.xi, m.f, m.grad = np.zeros((1, 2), complex), np.array([1.0, 1.0]), np.array([3.0, 4.0j])
+        m.t, m.beta = np.full(2, 2.0), np.array([0.5, 0.5])
+        return m
+
+    def test_a_raised_voxel_keeps_its_accepted_point(self):
+        m = self.momentum(eps=2.0)
+        xi, f, grad = m.accept(np.ones((1, 2), complex), np.array([2.0, 0.5]),
+                               np.array([5.0, 6.0j]))
+        assert np.array_equal(xi, [[0.0, 1.0]]) and np.array_equal(f, [1.0, 0.5])
+        assert np.array_equal(grad, [3.0, 6.0j]) and np.array_equal(m.t, [1.0, 2.0])
+        assert m.restarts == 1
+
+    def test_a_merge_that_leaves_C_phi_keeps_the_accepted_field(self):
+        m = self.momentum(eps=0.5)  # (0, 1) differs by more than the bound
+        last = m.xi
+        xi, f, grad = m.accept(np.ones((1, 2), complex), np.array([2.0, 0.5]),
+                               np.array([5.0, 6.0j]))
+        assert xi is last and np.array_equal(f, [1.0, 1.0]) and np.array_equal(grad, [3.0, 4.0j])
+        assert np.array_equal(m.t, [1.0, 1.0]) and m.restarts == 1
+
+    def test_an_extrapolation_that_leaves_C_phi_takes_the_step(self):
+        m = self.momentum(eps=0.5)
+        m.z = np.array([0.0, 2.0 + 0j])  # the last step results: extrapolating spreads them
+        moved = np.array([[0.1, 0.2j]])
+        assert m.extrapolate(moved) is moved
+        assert np.array_equal(m.t, [1.0, 1.0]) and not m.beta.any()
+        m.z = moved.ravel().copy()
+        ahead = m.extrapolate(np.array([[0.2, 0.3 - 0.1j]]))  # a plain step after the reset
+        assert np.array_equal(ahead, [[0.2, 0.3]])  # beta = 0, and Im clamped to 0
+
+
 class TestPerVoxelSteps:
     """Each voxel steps by its own certified step; a step that leaves C_phi
     takes the smallest step over the support and the projection instead."""
@@ -713,25 +763,26 @@ class TestPerVoxelSteps:
         truth = small_phantom(side=10)
         # bounds far below the truth's own gradients: the set binds at the solution
         con = FieldmapConstraint.from_mask(truth.mask, 0.05)
-        cfg = FlowConfig(certified=True, max_iters=200, grad_tol=1e-8)
         init = np.full((10, 10), 1.0 + 0j)
-        res = reconstruct(truth.grid, MODEL, con, cfg, init, proj_tol=1e-11)
-        assert 0 < res.fallback_iterations < res.iterations == 200
-        x = res.xi_map
-        assert res.constraint_violation <= 10.0 * 1e-11 * max(np.max(np.abs(x.real)), 1.0)
         y = truth.grid.signal.reshape(-1, 6)
         support = np.flatnonzero(np.any(y != 0, axis=1))
         fallback = certified_step(OP, init.ravel()[support], y[support], 0.5).min()
-        assert fallback == res.step_spread[0]
-        _, d_xi = imaging.voxelwise_value_and_gradient(OP, x.ravel()[support], y[support])
-        grad = 2.0 * np.conj(d_xi) / np.sum(np.abs(y[support]) ** 2, axis=1)
-        assert np.max(np.abs(grad)) > 1e3 * cfg.grad_tol  # the gradient alone does not vanish
-        # stationary: the projected step of the smallest step returns x
-        moved = x.copy()
-        moved.ravel()[support] -= fallback * 2.0 * np.conj(d_xi)
-        back = project_onto_C_phi(moved, con, proj_tol=1e-11)
-        residual = np.abs(back - x).ravel()[support] / fallback
-        assert np.max(residual / np.sum(np.abs(y[support]) ** 2, axis=1)) <= cfg.grad_tol
+        for momentum in (False, True):
+            cfg = FlowConfig(certified=True, max_iters=200, grad_tol=1e-8, momentum=momentum)
+            res = reconstruct(truth.grid, MODEL, con, cfg, init, proj_tol=1e-11)
+            assert 0 < res.fallback_iterations < res.iterations == 200
+            x = res.xi_map
+            assert res.constraint_violation <= 10.0 * 1e-11 * max(np.max(np.abs(x.real)), 1.0)
+            assert fallback == res.step_spread[0]
+            _, d_xi = imaging.voxelwise_value_and_gradient(OP, x.ravel()[support], y[support])
+            grad = 2.0 * np.conj(d_xi) / np.sum(np.abs(y[support]) ** 2, axis=1)
+            assert np.max(np.abs(grad)) > 1e3 * cfg.grad_tol  # the gradient alone does not vanish
+            # stationary: the projected step of the smallest step returns x
+            moved = x.copy()
+            moved.ravel()[support] -= fallback * 2.0 * np.conj(d_xi)
+            back = project_onto_C_phi(moved, con, proj_tol=1e-11)
+            residual = np.abs(back - x).ravel()[support] / fallback
+            assert np.max(residual / np.sum(np.abs(y[support]) ** 2, axis=1)) <= cfg.grad_tol
 
     @pytest.mark.parametrize("delta", [0.0, 0.02])
     def test_noise_voxels_never_iterate_the_projection(self, delta):

@@ -465,7 +465,8 @@ class TestCli:
             flow.write_text(json.dumps(doc))
             assert cli_main(["reconstruct", "--input", str(ph), "--out", str(tmp_path / "r.npz"),
                              "--flow", str(flow)]) == 3
-        assert seen == [FlowConfig(certified=True)] * 2
+        # without --delta the signals are held, and reconstruct turns momentum on
+        assert seen == [FlowConfig(certified=True, momentum=True)] * 2
 
     @pytest.mark.parametrize(
         "config",
@@ -947,6 +948,7 @@ class TestCli:
         assert report["converged"] is True
         assert 0 < report["iterations"] < 2000
         assert {"constraint_violation", "final_objective"} <= set(report)
+        assert report["momentum"] is True and 0 <= report["restarts"] <= report["iterations"]
         assert 0 <= report["fallback_iterations"] <= report["iterations"]
         low, median, high = report["step_spread"]
         assert 0 < low <= median <= high
@@ -963,10 +965,28 @@ class TestCli:
         report = json.loads(met.read_text())
         assert report["converged"] is True
         assert report["fallback_iterations"] == 0
+        assert report["iterations"] < 540  # the plain step's count
         known, data = np.load(truth), np.load(recon)
         mask = known["mask"]
         error = np.max(np.abs(data["c_map"] - known["c0_map"]), axis=-1)
         assert np.count_nonzero(error[mask] > 1e-3) == 0
+
+    def test_default_reconstruct_of_a_200_hz_field_bump_stops_as_the_plain_step(self, tmp_path):
+        # at 200 Hz the pure-silicone vial (113 voxels) lands on a wrong stationary point;
+        # momentum reaches the same verdict in no more than the plain step's 598 iterations
+        ph, truth, met = tmp_path / "ph.json", tmp_path / "truth.npz", tmp_path / "metrics.json"
+        recon = tmp_path / "r.npz"
+        assert cli_main(["phantom", "--out", str(ph), "--truth", str(truth),
+                         "--fieldmap-amplitude", "200"]) == 0
+        assert cli_main(["reconstruct", "--input", str(ph), "--out", str(recon),
+                         "--metrics-out", str(met)]) == 0
+        report = json.loads(met.read_text())
+        assert report["converged"] is True and report["momentum"] is True
+        assert report["iterations"] <= 598
+        known, data = np.load(truth), np.load(recon)
+        mask = known["mask"]
+        error = np.max(np.abs(data["c_map"] - known["c0_map"]), axis=-1)
+        assert np.count_nonzero(error[mask] > 1e-3) == 113
 
     def test_metrics_count_the_zero_branch(self, tmp_path):
         ph, noisy, met = tmp_path / "ph.json", tmp_path / "noisy.json", tmp_path / "metrics.json"
@@ -984,6 +1004,7 @@ class TestCli:
             report = json.loads(met.read_text())
             zero = norms <= float(delta)
             assert report["zero_branch_voxels"] == np.sum(zero)
+            assert report["momentum"] is False and report["restarts"] == 0
             assert {"fallback_iterations", "step_spread", "converged"} <= set(report)
             data = np.load(recon)
             assert not np.any(data["s_map"][zero]) and not np.any(data["c_map"][zero])

@@ -688,10 +688,20 @@ class TestConstrainedFlow:
         monkeypatch.setattr(imaging, "_projected_signal_step", forbidden)
         monkeypatch.setattr(imaging, "voxelwise_value_and_gradient", counted)
         xi0, c0, s0 = random_voxel(np.random.default_rng(11))
-        res = constrained_flow(OP, s0, 0.0, xi0 + 0.001, FlowConfig(certified=True, max_iters=500))
-        assert res.converged
-        assert np.array_equal(res.s_hat, s0)
-        assert len(calls) == res.iterations + 1
+        for momentum in (False, True):  # momentum too evaluates once per iteration
+            calls.clear()
+            cfg = FlowConfig(certified=True, max_iters=500, momentum=momentum)
+            res = constrained_flow(OP, s0, 0.0, xi0 + 0.001, cfg)
+            assert res.converged
+            assert np.array_equal(res.s_hat, s0)
+            assert len(calls) == res.iterations + 1
+
+    def test_momentum_with_a_moving_signal_rejected(self):
+        xi0, c0, s0 = random_voxel(np.random.default_rng(12))
+        cfg = FlowConfig(certified=True, max_iters=10, momentum=True)
+        with pytest.raises(DomainError):
+            constrained_flow(OP, s0, 0.02, xi0, cfg)
+        assert constrained_flow(OP, s0, 0.0, xi0, cfg).iterations <= 10
 
     def test_negative_radius_or_ridge_rejected(self):
         xi0, c0, s0 = random_voxel(np.random.default_rng(12))
