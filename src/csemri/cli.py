@@ -11,8 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import logging
-import os
 import sys
 
 import numpy as np
@@ -46,8 +44,6 @@ from .experiments import (
     write_matrix_csv,
     zero_set_record,
 )
-
-log = logging.getLogger(__name__)
 
 DEFAULT_ACQUISITION = {
     "echo_times_ms": [1.238 + 0.986 * k for k in range(6)],
@@ -434,25 +430,9 @@ def build_parser():
     return parser
 
 
-def _limit_threads():
-    """Cap the BLAS worker count at ``CSI_THREADS`` when threadpoolctl is installed."""
-    n = os.environ.get("CSI_THREADS")
-    if not n:
-        return
-    if not n.strip().isdigit() or int(n) < 1:
-        raise errors.SpecError(f"CSI_THREADS must be a positive integer, got {n!r}")
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        log.debug("CSI_THREADS=%s ignored: threadpoolctl is not installed", n)
-        return  # thread capping is best effort
-    threadpool_limits(int(n))
-
-
 def cli_main(argv=None):
     parser = build_parser()
     try:
-        _limit_threads()
         args = parser.parse_args(argv)
         return args.fn(args)
     except (errors.InputError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:

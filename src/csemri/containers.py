@@ -94,8 +94,10 @@ def flow_config_from_dict(doc):
 
     ``certified`` defaults to true when no ``step`` is given, so an empty
     object gives the :class:`FlowConfig` defaults in certified mode; the
-    certified step takes the margin ``solver.RHO``. ``step`` and ``grad_tol``
-    must be finite JSON numbers, ``max_iters`` one with an integral value and
+    certified step takes the margin ``solver.RHO``, and an absent or null
+    ``grad_tol`` the :class:`FlowConfig` default, a bound relative to
+    ``||y(v)||^2`` as every ``grad_tol`` is. ``step`` and ``grad_tol`` must
+    be finite JSON numbers, ``max_iters`` one with an integral value and
     ``certified`` a boolean; anything else, and an unknown key, raises
     :class:`SpecError`.
     """
@@ -116,7 +118,7 @@ def flow_config_from_dict(doc):
     return FlowConfig(
         step=None if step is None else float(step),
         max_iters=int(max_iters),
-        grad_tol=None if grad_tol is None else float(grad_tol),
+        grad_tol=FlowConfig.grad_tol if grad_tol is None else float(grad_tol),
         certified=certified,
     )
 
@@ -134,10 +136,7 @@ def write_csir(header_path, signal, echo_times_ms, extra_header=None):
     if len(echo_times_ms) != n_e:
         raise SpecError("echo_times_ms length does not match the echo axis")
     payload_path = header_path.with_suffix(".bin")
-    buf = np.empty((h, w, n_e, 2), dtype="<f8")
-    buf[..., 0] = signal.real
-    buf[..., 1] = signal.imag
-    buf.tofile(payload_path)
+    signal.astype("<c16", copy=False).tofile(payload_path)  # the dtype read_csir reads
     header = {
         "width": w,
         "height": h,

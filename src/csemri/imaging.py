@@ -334,26 +334,23 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=PRO
     the support, the steps, the signals' balls ``||s(v) - y(v)|| <=
     delta(v)``, the input checks, the stopping rule, the trajectory and the
     verdict as it describes; ``delta`` is one radius for all voxels or a
-    (height, width) map. An explicit ``cfg.grad_tol`` is relative here: the
-    gradient is tested against ``cfg.grad_tol ||y(v)||^2``. Off the support
-    ``s = 0`` gives ``f = 0`` for every field: there ``s_map = 0``, ``c_map
-    = 0`` (so :func:`pdff_map` is NaN, below ``PDFF_MIN_CONTENT``), and the
-    field moves only through the projection. The grid's signal is the only
-    input that selects voxels; the constraint's bounds select none.
+    (height, width) map. Off the support ``s = 0`` gives ``f = 0`` for every
+    field: there ``s_map = 0``, ``c_map = 0`` (so :func:`pdff_map` is NaN,
+    below ``PDFF_MIN_CONTENT``), and the field moves only through the
+    projection. The grid's signal is the only input that selects voxels; the
+    constraint's bounds select none.
     """
-    tol = None if cfg.grad_tol is None else cfg.grad_tol * np.sum(np.abs(grid.signal) ** 2, axis=-1)
     return projected_descent(make_residual_operator(model), xi_init, grid.signal, delta, cfg,
-                             constraint, tol, proj_tol=proj_tol)
+                             constraint, proj_tol=proj_tol)
 
 
-def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0,
-                      proj_tol=PROJ_TOL):
+def projected_descent(op, xi, y, delta, cfg, constraint, epsilon=0.0, proj_tol=PROJ_TOL):
     """Projected joint descent of f(xi, s) (+ epsilon ||s||^2), the loop of every flow.
 
     ``y`` holds the data in the field's shape, ``xi.shape + (n_e,)``, and
-    ``delta`` and ``grad_tol`` are one value for all voxels or one per voxel
-    in the shape of ``xi``. Data whose echo count is not the operator's, or
-    data or a constraint whose shape is not the field's, raise
+    ``delta`` is one value for all voxels or one per voxel in the shape of
+    ``xi``. Data whose echo count is not the operator's, or data or a
+    constraint whose shape is not the field's, raise
     :class:`DimensionError`, and a negative or NaN ``delta`` or ``epsilon``
     and a non-finite start or datum :class:`DomainError`. The start is
     copied, never written. Each iteration evaluates f and both gradients
@@ -370,12 +367,11 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0,
     ``delta > 0``). With ``cfg.momentum``, which needs the signals held
     (else :class:`DomainError`), the field takes restarted per-voxel FISTA
     steps instead (:class:`_Momentum`), still with one evaluation per
-    iteration. It stops once ``|grad| <= grad_tol``, an absolute bound
-    (``None``: ``1e-12 ||y||^2``), and every signal moves by at most
-    ``S_TOL max(||y||, delta)``, or after ``cfg.max_iters`` steps; with
-    ``cfg.keep_trajectory`` it records every accepted iterate, the start
-    first and the result last. Returns the :class:`ReconResult`, its maps
-    in the field's shape.
+    iteration. It stops once ``|grad| <= cfg.grad_tol ||y||^2`` and every
+    signal moves by at most ``S_TOL max(||y||, delta)``, or after
+    ``cfg.max_iters`` steps; with ``cfg.keep_trajectory`` it records every
+    accepted iterate, the start first and the result last. Returns the
+    :class:`ReconResult`, its maps in the field's shape.
     """
     y = np.asarray(y, dtype=complex)
     if y.shape[-1:] != (op.n_e,):
@@ -386,7 +382,7 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0,
     if constraint is not None:
         _check_shape(xi, constraint)
     y = y.reshape(-1, y.shape[-1])
-    delta = _per_voxel(np.asarray(delta, dtype=float), xi.shape, "delta")
+    delta = _per_voxel(np.asarray(delta, dtype=float), xi.shape)
     if not (np.all(delta >= 0) and epsilon >= 0):  # NaN fails too
         raise DomainError("delta and epsilon must be nonnegative")
     if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(y))):
@@ -395,8 +391,7 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0,
     zero_branch = (delta > 0) & (y_norm <= delta)
     support = np.flatnonzero(np.any(y != 0, axis=1) & ~zero_branch)
     y_s, delta_s = y[support], delta[support]
-    grad_tol = (1e-12 * y_norm[support] ** 2 if grad_tol is None
-                else _per_voxel(grad_tol, xi.shape, "grad_tol")[support])
+    grad_tol = cfg.grad_tol * y_norm[support] ** 2
     steps = certified_step(op, xi.ravel()[support], y_s, RHO) if cfg.certified else cfg.step
     fallback_step = np.min(steps, initial=np.inf)  # an empty support never steps
     s_scale = np.maximum(np.maximum(y_norm[support], delta_s), 1e-300)
@@ -469,14 +464,14 @@ def projected_descent(op, xi, y, delta, cfg, constraint, grad_tol, epsilon=0.0,
     )
 
 
-def _per_voxel(value, shape, name):
-    """``value``, one for all voxels or one per voxel in the field's ``shape``, as one per
+def _per_voxel(delta, shape):
+    """``delta``, one for all voxels or one per voxel in the field's ``shape``, as one per
     voxel, flattened; any other shape raises :class:`DimensionError`."""
-    if np.ndim(value) != 0 and np.shape(value) != shape:
+    if np.ndim(delta) != 0 and np.shape(delta) != shape:
         raise DimensionError(
-            f"{name} shape {np.shape(value)} is neither one value nor the field's {shape}"
+            f"delta shape {np.shape(delta)} is neither one value nor the field's {shape}"
         )
-    return np.broadcast_to(value, shape).ravel()
+    return np.broadcast_to(delta, shape).ravel()
 
 
 class _Momentum:

@@ -98,10 +98,6 @@ class ResidualOperator:
     def times(self):
         return self.model.times
 
-    @property
-    def n_s(self):
-        return self.model.n_s
-
 
 def make_residual_operator(model):
     """Build the residual machinery for a full-rank model matrix."""

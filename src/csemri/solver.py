@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp, inf, log1p, sqrt
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -352,23 +352,23 @@ class FlowConfig:
     :func:`certified_step`, the voxel's own in the single-voxel flows, and
     in the image driver the smallest step over the support (and the
     projection) in an iteration whose steps leave C_phi. ``max_iters >= 0``
-    caps the steps. ``grad_tol >= 0`` bounds each voxel's real-chart field
-    gradient: absolutely in the single-voxel flows, relative to
-    ``||y(v)||^2`` in the image driver; both default to ``1e-12 ||y(v)||^2``,
-    as the gradient scales with the squared signal. ``keep_trajectory``
-    records every iterate. The certified step takes the curvature margin
-    ``RHO``. ``momentum`` takes restarted per-voxel FISTA steps in
-    :func:`csemri.imaging.projected_descent` (Beck and Teboulle's
+    caps the steps. Every driver stops once each voxel's real-chart field
+    gradient is at most ``grad_tol ||y(v)||^2``: the gradient scales with
+    the squared signal, so a rescaled signal stops at the same iterate.
+    ``keep_trajectory`` records every iterate. The certified step takes the
+    curvature margin ``RHO``. ``momentum`` takes restarted per-voxel FISTA
+    steps in :func:`csemri.imaging.projected_descent` (Beck and Teboulle's
     extrapolation, restarted on a voxel whose objective it raised), which
     needs the signals held (``delta = 0``); off, every step is the plain
     one, whose contraction the single-voxel certificates state. A step that
-    is not positive and finite, and a ``max_iters`` that is not a
-    nonnegative integer, raise :class:`DomainError`.
+    is not positive and finite, a ``max_iters`` that is not a nonnegative
+    integer and a ``grad_tol`` that is not a nonnegative number raise
+    :class:`DomainError`.
     """
 
     step: float | None = None
     max_iters: int = 100_000
-    grad_tol: float | None = None
+    grad_tol: float = 1e-12
     certified: bool = False
     keep_trajectory: bool = False
     momentum: bool = False
@@ -378,8 +378,8 @@ class FlowConfig:
             raise DomainError(f"step must be positive and finite, got {self.step}")
         if not (isinstance(self.max_iters, Integral) and self.max_iters >= 0):
             raise DomainError(f"max_iters must be a nonnegative integer, got {self.max_iters!r}")
-        if self.grad_tol is not None and not self.grad_tol >= 0.0:  # NaN fails too
-            raise DomainError(f"grad_tol must be nonnegative, got {self.grad_tol}")
+        if not (isinstance(self.grad_tol, Real) and self.grad_tol >= 0.0):  # NaN fails too
+            raise DomainError(f"grad_tol must be a nonnegative number, got {self.grad_tol!r}")
         if (self.step is None) != bool(self.certified):
             raise DomainError("give exactly one of an absolute step and certified mode")
 
@@ -407,15 +407,16 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
     ||y - s|| <= delta.
 
     :func:`csemri.imaging.projected_descent` on a batch of one, with its
-    stopping rule, trajectory and verdict: simultaneous steps in both Wirtinger
-    blocks, the radial projection of ``s`` and the clamp of ``xi`` to the
-    closed upper half-plane, with one exponential per iteration. With
-    ``delta = 0`` the ball is the point ``y``: the signal is held
-    there, its gradient is never formed, and the loop is plain Wirtinger
-    flow on ``f0``. A voxel whose ball holds 0 (``0 < ||y|| <= delta``, or
-    ``y = 0``) is off the support, as in the image driver: ``s = 0`` gives
-    ``f = 0`` for every field, so the flow returns ``s_hat = 0`` and
-    ``xi_init`` after 0 iterations on the zero branch. With the ridge
+    stopping rule (``|grad| <= cfg.grad_tol ||y||^2``), trajectory and
+    verdict: simultaneous steps in both Wirtinger blocks, the radial
+    projection of ``s`` and the clamp of ``xi`` to the closed upper
+    half-plane, with one exponential per iteration. With ``delta = 0`` the
+    ball is the point ``y``: the signal is held there, its gradient is never
+    formed, and the loop is plain Wirtinger flow on ``f0``. A voxel whose
+    ball holds 0 (``0 < ||y|| <= delta``, or ``y = 0``) is off the support,
+    as in the image driver: ``s = 0`` gives ``f = 0`` for every field, so
+    the flow returns ``s_hat = 0`` and ``xi_init`` after 0 iterations on the
+    zero branch. With the ridge
     ``epsilon > 0`` a converged signal either vanishes or lies on the ball's
     boundary, and ``branch`` records which of the two it is. A start that is not
     a scalar or a signal that is not one voxel's ``(n_e,)`` raises
@@ -426,7 +427,7 @@ def constrained_flow(op, y, delta, xi_init, cfg, epsilon=0.0):
 
     if np.ndim(xi_init) != 0:
         raise DimensionError(f"the start must be a scalar, got shape {np.shape(xi_init)}")
-    run = projected_descent(op, [xi_init], [y], delta, cfg, None, cfg.grad_tol, epsilon)
+    run = projected_descent(op, [xi_init], [y], delta, cfg, None, epsilon)
     xi, s = complex(run.xi_map[0]), run.s_map[0]
     s_norm = float(np.linalg.norm(s))
     boundary_gap = abs(float(np.linalg.norm(y - s)) - delta)
@@ -454,8 +455,10 @@ def curvature_profile(op, xi0, s0, radii, angular_samples=64):
     12 kernel calls for any number of radii, one of them at ``xi0``). Q(0)
     is one by construction and recovery degrades as Q falls toward zero.
     ``angular_samples`` below 1 and a negative or non-finite radius raise
-    :class:`DomainError`.
+    :class:`DomainError`, and an ``xi0`` past ``tau_s |Im xi0| = 700``, where
+    the squared residual overflows, :class:`OverflowRisk`.
     """
+    _check_guard(op, xi0, square=True)
     s0 = np.asarray(s0, dtype=complex)
     _, r1s0 = residual_pieces(op, xi0, s0, 1)
     curv0 = float(np.vdot(r1s0, r1s0).real)

@@ -248,7 +248,7 @@ def test_criterion_5_certified_local_convergence():
         if xi_init.imag < 0:
             xi_init = complex(xi_init.real, 0.0)
         _, r1s = residual_pieces(WF_OP, xi_init, s0, 1)
-        gtol = 0.1e-8 * np.linalg.norm(r1s) ** 2
+        gtol = 0.1e-8 * np.linalg.norm(r1s) ** 2 / np.linalg.norm(s0) ** 2
         res = wirtinger_flow(WF_OP, s0, xi_init, FlowConfig(certified=True, grad_tol=gtol))
         if not (res.converged and abs(res.xi_hat - xi0) < 1e-8):
             failures += 1
@@ -272,7 +272,8 @@ def test_criterion_5_certified_local_convergence():
             _, r1s = residual_pieces(WF_OP, xi_init, s0, 1)
             res = wirtinger_flow(
                 WF_OP, s0, xi_init,
-                FlowConfig(certified=True, grad_tol=1e-9 * np.linalg.norm(r1s) ** 2),
+                FlowConfig(certified=True,
+                           grad_tol=1e-9 * np.linalg.norm(r1s) ** 2 / np.linalg.norm(s0) ** 2),
             )
             if not (res.converged and abs(res.xi_hat - xi0) < 1e-6):
                 ordering_violations += 1

@@ -20,9 +20,10 @@ def test_demos_are_found():
 def test_demo_exits_0(script, tmp_path):
     env = dict(os.environ, MPLBACKEND="Agg")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # the suite's own rule (pyproject.toml): a RuntimeWarning is a failure
     done = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True,
-        timeout=600,
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stderr[-2000:]
 

@@ -2,8 +2,6 @@
 
 import csv
 import json
-import logging
-import sys
 import tempfile
 from pathlib import Path
 
@@ -14,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from csemri import cli, errors, experiments
-from csemri.cli import _limit_threads, cli_main
+from csemri.cli import cli_main
 from csemri.containers import model_from_config, read_csir, write_csir
 from csemri.errors import SpecError
 from csemri.imaging import FieldmapConstraint, ImageGrid, reconstruct_noisy
@@ -214,6 +212,10 @@ class TestCsirContainer:
         ),
     )
     @example(signal=np.array([-0.0 + 0.0j, complex(0.0, -0.0), complex(-0.0, -0.0)]).reshape(1, 1, 3), extra={})
+    @example(  # NaNs with payloads, a signalling one among them
+        signal=np.array([0x7FF0000000000001, 0xFFF8000000000123], np.uint64).view(complex)[None, None],
+        extra={},
+    )
     def test_round_trip_property(self, signal, extra):
         signal = signal.copy()
         if signal.size >= 2:  # signed zeros in both parts, set without arithmetic
@@ -224,6 +226,11 @@ class TestCsirContainer:
             header = Path(tmp) / "img.json"
             write_csir(header, signal, times, extra_header=extra)
             back, meta = read_csir(header)
+            payload = header.with_suffix(".bin").read_bytes()
+        # the payload is the interleaved (re, im) float64 buffer, byte for byte
+        pairs = np.empty(signal.shape + (2,), dtype="<f8")
+        pairs[..., 0], pairs[..., 1] = signal.real, signal.imag
+        assert payload == pairs.tobytes()
         assert back.dtype == complex and back.shape == signal.shape
         assert np.array_equal(back.view(np.uint64), signal.view(np.uint64))
         h, w, n_e = signal.shape
@@ -364,22 +371,6 @@ class TestCli:
             cli_main(["model-info", "--bogus"])
         assert exc.value.code == 2
 
-    def test_malformed_thread_cap_exits_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("CSI_THREADS", "two")
-        assert cli_main(["model-info"]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "SpecError"
-        monkeypatch.setenv("CSI_THREADS", "1")
-        assert cli_main(["model-info"]) == 0
-
-    def test_missing_thread_library_is_logged(self, monkeypatch, caplog):
-        assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("csemri").handlers)
-        monkeypatch.setenv("CSI_THREADS", "1")
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises ImportError
-        with caplog.at_level(logging.DEBUG, logger="csemri"):
-            _limit_threads()
-        assert [r.name for r in caplog.records] == ["csemri.cli"]
-        assert "threadpoolctl" in caplog.records[0].getMessage()
-
     def test_malformed_echo_times_exits_2(self, tmp_path, capsys):
         config = tmp_path / "acq.json"
         config.write_text(json.dumps({
@@ -461,12 +452,12 @@ class TestCli:
 
         assert cli_main(["phantom", "--out", str(ph), "--width", "4", "--height", "4"]) == 0
         monkeypatch.setattr(cli, "reconstruct", stop)
-        for doc in ({}, {"certified": True}):
+        for doc in ({}, {"certified": True}, {"grad_tol": None}):
             flow.write_text(json.dumps(doc))
             assert cli_main(["reconstruct", "--input", str(ph), "--out", str(tmp_path / "r.npz"),
                              "--flow", str(flow)]) == 3
         # without --delta the signals are held, and reconstruct turns momentum on
-        assert seen == [FlowConfig(certified=True, momentum=True)] * 2
+        assert seen == [FlowConfig(certified=True, momentum=True)] * 3
 
     @pytest.mark.parametrize(
         "config",

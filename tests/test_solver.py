@@ -589,11 +589,24 @@ class TestWirtingerFlow:
             if xi_init.imag < 0:
                 xi_init = complex(xi_init.real, 0.0)
             _, r1s = residual_pieces(OP, xi_init, s0, 1)
-            gtol = 0.1e-8 * np.linalg.norm(r1s) ** 2
+            gtol = 0.1e-8 * np.linalg.norm(r1s) ** 2 / np.linalg.norm(s0) ** 2
             res = wirtinger_flow(OP, s0, xi_init, FlowConfig(certified=True, grad_tol=gtol))
             if not (res.converged and abs(res.xi_hat - xi0) < 1e-8):
                 fails += 1
         assert fails == 0
+
+    def test_signal_rescaling_leaves_the_stop_unchanged(self):
+        # the bound is relative to ||s0||^2 and the certified step scales as 1 / ||s0||^2,
+        # so a rescaled signal takes the same iterates and stops at the same one
+        rng = np.random.default_rng(8086)
+        cfg = FlowConfig(certified=True, grad_tol=1e-10)
+        for _ in range(5):
+            xi0, _, s0 = random_voxel(rng)
+            xi_init = xi0 + 0.9 * radius_lambert(OP, xi0, s0) * np.exp(1j * rng.uniform(0, np.pi))
+            runs = [wirtinger_flow(OP, scale * s0, xi_init, cfg) for scale in (1.0, 1e3)]
+            assert all(res.converged for res in runs)
+            assert runs[0].iterations == runs[1].iterations
+            assert abs(runs[0].xi_hat - runs[1].xi_hat) < 1e-12
 
     def test_distance_contracts_monotonically(self):
         xi0, c0, s0 = random_voxel()
@@ -641,7 +654,7 @@ class TestWirtingerFlow:
             FlowConfig(step=1.0, max_iters=-1)
         with pytest.raises(DomainError):  # the certified step would drop it
             FlowConfig(step=1.0, certified=True)
-        for grad_tol in (-1e-12, np.nan):
+        for grad_tol in (-1e-12, np.nan, None):
             with pytest.raises(DomainError):
                 FlowConfig(certified=True, grad_tol=grad_tol)
         for grad_tol in (0.0, np.inf):
@@ -819,16 +832,20 @@ class TestCertifiedStep:
         # (11.3 kHz here), inside the exp guard
         sig = random_complex(6, np.random.default_rng(17))
         sig /= np.linalg.norm(sig)
+        def profile(op, xi0, s0, radius):  # Q on one circle
+            return curvature_profile(op, xi0, s0, [radius])[0][1]
+
+        fns = (certified_step, gamma_plus, radius_lambert, profile)
         for im in (12000.0, 15000.0):
             assert OP.tau_s * im > 700.0 and im * MODEL.times[-1] < 700.0 / (2 * np.pi)
-            for fn in (certified_step, gamma_plus, radius_lambert):
+            for fn in fns:
                 with pytest.raises(OverflowRisk):
                     fn(OP, 40.0 + 1j * im, sig, 0.5)
         just_inside = 40.0 + 1j * 0.99 * 700.0 / OP.tau_s
         with np.errstate(all="raise"):
-            values = [fn(OP, just_inside, sig, 0.5)
-                      for fn in (certified_step, gamma_plus, radius_lambert)]
-        assert all(np.isfinite(v) and v > 0.0 for v in values)
+            values = [fn(OP, just_inside, sig, 0.5) for fn in fns]
+        # Q of a signal outside the model's range has no sign to hold
+        assert all(np.isfinite(values)) and all(v > 0.0 for v in values[:3])
 
 
 PIPELINE_WITHOUT_SCIPY = """
