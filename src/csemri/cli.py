@@ -195,32 +195,27 @@ def cmd_phantom(args):
 
 def cmd_corrupt(args):
     signal, header = read_csir(args.input)
-    grid = ImageGrid(signal)
+    sigma = args.sigma
+    if args.relative:
+        sigma = sigma * float(np.max(np.abs(signal)))
     mismatch_species = None
-    mismatch_c = None
-    xi0 = None
-    times = None
-    if args.mismatch_species:
+    if args.mismatch_species is not None:
         mismatch_species = load_species(args.mismatch_species, hz_per_ppm=header.get("hz_per_ppm"))
-        mismatch_c = complex(args.mismatch_concentration)
+    mismatch_c = args.mismatch_concentration
+    # the spec refuses either mismatch flag without the other
+    spec = CorruptionSpec(
+        sigma=sigma,
+        mismatch_species=mismatch_species,
+        mismatch_concentration=None if mismatch_c is None else complex(mismatch_c),
+    )
+    xi0 = times = None
+    if mismatch_species is not None:
         if not args.truth:
             raise errors.SpecError("model mismatch needs --truth for the true xi map")
         xi0 = np.load(args.truth)["xi0_map"]
         times = [1e-3 * t for t in header["echo_times_ms"]]
-    sigma = args.sigma
-    if args.relative:
-        sigma = sigma * float(np.max(np.abs(signal)))
-    noisy, report = corrupt(
-        grid,
-        CorruptionSpec(
-            sigma=sigma,
-            mismatch_species=mismatch_species,
-            mismatch_concentration=mismatch_c,
-        ),
-        seed=args.seed,
-        xi0_map=xi0,
-        echo_times_s=times,
-    )
+    noisy, report = corrupt(ImageGrid(signal), spec, seed=args.seed, xi0_map=xi0,
+                            echo_times_s=times)
     # the model's species count and field strength pass through for later commands
     kept = {key: header[key] for key in ("n_s", "hz_per_ppm") if key in header}
     write_csir(args.out, noisy.signal, header["echo_times_ms"], extra_header={**kept, "sigma": sigma})
@@ -257,8 +252,6 @@ def cmd_reconstruct(args):
     else:
         max_iters = 2000 if args.max_iters is None else args.max_iters
         cfg = FlowConfig(certified=True, max_iters=max_iters)
-    # momentum needs the signals held, which only the run without --delta does
-    cfg = dataclasses.replace(cfg, momentum=args.delta is None)
     xi_init = np.full((grid.height, grid.width), 1.0 + 0j)
     if args.delta is not None:
         res = reconstruct_noisy(grid, model, constraint, args.delta, cfg, xi_init)
@@ -275,7 +268,6 @@ def cmd_reconstruct(args):
     )
     summary = {
         "iterations": res.iterations,
-        "momentum": cfg.momentum,
         "restarts": res.restarts,
         "fallback_iterations": res.fallback_iterations,
         "zero_branch_voxels": res.zero_branch_voxels,
@@ -387,8 +379,8 @@ def build_parser():
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--relative", action="store_true", help="sigma relative to peak |signal|")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mismatch-species")
-    p.add_argument("--mismatch-concentration", type=float, default=0.0)
+    p.add_argument("--mismatch-species", help="with --mismatch-concentration")
+    p.add_argument("--mismatch-concentration", type=float, help="with --mismatch-species")
     p.add_argument("--truth")
     p.set_defaults(fn=cmd_corrupt)
 
@@ -400,8 +392,7 @@ def build_parser():
     p.add_argument("--truth")
     p.add_argument(
         "--flow",
-        help="JSON flow config with keys among step, max_iters, grad_tol and certified; "
-        "without --delta the field steps take restarted momentum",
+        help="JSON flow config with keys among step, max_iters, grad_tol and certified",
     )
     p.add_argument("--delta", type=float, default=None, help="per-voxel noise ball radius")
     p.add_argument(

@@ -157,7 +157,8 @@ def read_csir(header_path):
     """Read a CSIR pair; returns (signal array, header dict).
 
     Validates the header (integer sizes of at least 1, ``n_e`` finite echo
-    times, a finite ``hz_per_ppm`` if any, a file name as ``payload``) and
+    times, a finite ``hz_per_ppm`` if any, a bare file name as ``payload``,
+    which names a file next to the header) and
     the payload byte length against width*height*n_e*2*8.
     """
     header_path = Path(header_path)
@@ -184,9 +185,14 @@ def read_csir(header_path):
     hz_per_ppm = header.get("hz_per_ppm")
     if not (hz_per_ppm is None or _is_number(hz_per_ppm)):
         raise SpecError(f"CSIR hz_per_ppm must be a finite number, got {hz_per_ppm!r}")
-    if type(header["payload"]) is not str:
-        raise SpecError(f"CSIR payload must be a file name, got {header['payload']!r}")
-    payload_path = header_path.parent / header["payload"]
+    payload = header["payload"]
+    # a bare name, as write_csir writes it: the payload sits next to its header
+    if not (
+        type(payload) is str and Path(payload).name == payload
+        and payload not in ("", "..") and "\0" not in payload
+    ):
+        raise SpecError(f"CSIR payload must be a file name, got {payload!r}")
+    payload_path = header_path.parent / payload
     expected = w * h * n_e * 2 * 8
     actual = payload_path.stat().st_size
     if actual != expected:

@@ -25,7 +25,7 @@ a field that leaves C_phi is iterated.
 
 One projected-descent loop, :func:`projected_descent`, moves a field and
 its per-voxel signals (kept in their noise balls ``||s(v) - y(v)|| <=
-delta(v)``) together and finds the support, the steps and the signal
+delta``) together and finds the support, the steps and the signal
 scale itself. It takes the data in the field's shape and returns one
 :class:`ReconResult`, its maps in that shape. The image driver,
 :func:`reconstruct_noisy`, runs it on the grid with the projection onto
@@ -37,15 +37,16 @@ gradient's adjoint ``R(xi)^H = R(conj xi)`` reuses the objective's
 Noiseless reconstruction, :func:`reconstruct`, is ``delta = 0``, where the
 signals are held at the data. An :class:`ImageGrid` is its signal alone,
 and the objective is evaluated only on the signal support, the voxels
-whose noise ball excludes 0: ``||y(v)|| > delta(v)``, which for ``delta(v)
-= 0`` is any nonzero echo; the fallback step is the smallest over it. Off
+whose noise ball excludes 0: ``||y(v)|| > delta``, which for ``delta = 0``
+is any nonzero echo; the fallback step is the smallest over it. Off
 the support ``s = 0`` lies in the ball and gives ``R s = 0`` and zero
 gradients for every field (the zero branch), so the signal is set to 0 and
 the field moves only by projection, and not at all where its bound is
-infinite. With held signals the loop can take restarted per-voxel FISTA
-steps on the field (``FlowConfig.momentum``), again with one evaluation
-per iteration; ``ReconResult.restarts`` counts the iterations in which a
-voxel's extrapolated point raised its objective and was rejected.
+infinite. With held signals the image driver takes restarted per-voxel
+FISTA steps on the field, again with one evaluation per iteration;
+``ReconResult.restarts`` counts the iterations in which a voxel's
+extrapolated point raised its objective and was rejected. The
+single-voxel flows and the runs with moving signals take the plain step.
 """
 
 from __future__ import annotations
@@ -295,13 +296,12 @@ class ReconResult:
     proj_tol max(|Re xi|, 1)``. ``fallback_iterations`` counts the
     iterations whose per-voxel step left C_phi and that took the smallest
     step over the support with the projection instead, and ``restarts`` the
-    iterations in which, under ``cfg.momentum``, a voxel's extrapolated
-    point raised its objective and was rejected (0 without momentum);
-    ``step_spread`` is
+    iterations in which a voxel's extrapolated point raised its objective
+    and was rejected (0 on a run of the plain step); ``step_spread`` is
     (min, median, max) of the steps (all three ``cfg.step`` with a fixed
     step), and ``None`` when there are none: in certified mode with an
-    empty support. ``zero_branch_voxels`` counts the voxels with ``delta(v)
-    > 0`` whose noise ball holds 0 and that therefore left the support.
+    empty support. ``zero_branch_voxels`` counts the voxels whose noise ball
+    holds 0 with ``delta > 0`` and that therefore left the support.
     ``final_grad_norm`` is the largest ``|grad|`` over the support at the
     last iterate (0.0 on an empty support), and ``trajectory`` holds every
     iterate, the start first, when ``cfg.keep_trajectory`` is set, else None.
@@ -332,13 +332,12 @@ def reconstruct_noisy(grid, model, constraint, delta, cfg, xi_init, proj_tol=PRO
 
     :func:`projected_descent` on every voxel of the grid under C_phi, with
     the support, the steps, the signals' balls ``||s(v) - y(v)|| <=
-    delta(v)``, the input checks, the stopping rule, the trajectory and the
-    verdict as it describes; ``delta`` is one radius for all voxels or a
-    (height, width) map. Off the support ``s = 0`` gives ``f = 0`` for every
-    field: there ``s_map = 0``, ``c_map = 0`` (so :func:`pdff_map` is NaN,
-    below ``PDFF_MIN_CONTENT``), and the field moves only through the
-    projection. The grid's signal is the only input that selects voxels; the
-    constraint's bounds select none.
+    delta`` (one radius for all voxels), the input checks, the stopping
+    rule, the trajectory and the verdict as it describes. Off the support
+    ``s = 0`` gives ``f = 0`` for every field: there ``s_map = 0``, ``c_map
+    = 0`` (so :func:`pdff_map` is NaN, below ``PDFF_MIN_CONTENT``), and the
+    field moves only through the projection. The grid's signal is the only
+    input that selects voxels; the constraint's bounds select none.
     """
     return projected_descent(make_residual_operator(model), xi_init, grid.signal, delta, cfg,
                              constraint, proj_tol=proj_tol)
@@ -348,11 +347,11 @@ def projected_descent(op, xi, y, delta, cfg, constraint, epsilon=0.0, proj_tol=P
     """Projected joint descent of f(xi, s) (+ epsilon ||s||^2), the loop of every flow.
 
     ``y`` holds the data in the field's shape, ``xi.shape + (n_e,)``, and
-    ``delta`` is one value for all voxels or one per voxel in the shape of
-    ``xi``. Data whose echo count is not the operator's, or data or a
-    constraint whose shape is not the field's, raise
-    :class:`DimensionError`, and a negative or NaN ``delta`` or ``epsilon``
-    and a non-finite start or datum :class:`DomainError`. The start is
+    ``delta`` is one radius for all voxels. Data whose echo count is not
+    the operator's, data or a constraint whose shape is not the field's,
+    and a ``delta`` that is not a scalar raise :class:`DimensionError`, and
+    a negative or NaN ``delta`` or ``epsilon`` and a non-finite start or
+    datum :class:`DomainError`. The start is
     copied, never written. Each iteration evaluates f and both gradients
     once, with one exponential per voxel, on the support: the voxels whose
     ball excludes 0, ``||y|| > delta``, or with a nonzero echo where
@@ -364,11 +363,12 @@ def projected_descent(op, xi, y, delta, cfg, constraint, epsilon=0.0, proj_tol=P
     otherwise the iteration takes the smallest step instead and maps the
     field back with :func:`project_onto_C_phi`. The signals take
     :func:`_projected_signal_step` (held at ``y`` if no support voxel has
-    ``delta > 0``). With ``cfg.momentum``, which needs the signals held
-    (else :class:`DomainError`), the field takes restarted per-voxel FISTA
-    steps instead (:class:`_Momentum`), still with one evaluation per
-    iteration. It stops once ``|grad| <= cfg.grad_tol ||y||^2`` and every
-    signal moves by at most ``S_TOL max(||y||, delta)``, or after
+    ``delta > 0``). With the signals held and a constraint (the image
+    driver), the field takes restarted per-voxel FISTA steps instead
+    (:class:`_Momentum`), still with one evaluation per iteration; the
+    single-voxel flows keep the plain step whose contraction their
+    certificates state. It stops once ``|grad| <= cfg.grad_tol ||y||^2``
+    and every signal moves by at most ``S_TOL max(||y||, delta)``, or after
     ``cfg.max_iters`` steps; with ``cfg.keep_trajectory`` it records every
     accepted iterate, the start first and the result last. Returns the
     :class:`ReconResult`, its maps in the field's shape.
@@ -382,23 +382,25 @@ def projected_descent(op, xi, y, delta, cfg, constraint, epsilon=0.0, proj_tol=P
     if constraint is not None:
         _check_shape(xi, constraint)
     y = y.reshape(-1, y.shape[-1])
-    delta = _per_voxel(np.asarray(delta, dtype=float), xi.shape)
-    if not (np.all(delta >= 0) and epsilon >= 0):  # NaN fails too
+    if np.ndim(delta) != 0:
+        raise DimensionError(f"delta must be one radius, got shape {np.shape(delta)}")
+    delta = float(delta)
+    if not (delta >= 0 and epsilon >= 0):  # NaN fails too
         raise DomainError("delta and epsilon must be nonnegative")
     if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(y))):
         raise DomainError("the start and the data must be finite")
     y_norm = np.linalg.norm(y, axis=1)
     zero_branch = (delta > 0) & (y_norm <= delta)
     support = np.flatnonzero(np.any(y != 0, axis=1) & ~zero_branch)
-    y_s, delta_s = y[support], delta[support]
+    y_s = y[support]
     grad_tol = cfg.grad_tol * y_norm[support] ** 2
     steps = certified_step(op, xi.ravel()[support], y_s, RHO) if cfg.certified else cfg.step
     fallback_step = np.min(steps, initial=np.inf)  # an empty support never steps
-    s_scale = np.maximum(np.maximum(y_norm[support], delta_s), 1e-300)
-    hold_signal = not np.any(delta_s > 0)
-    if cfg.momentum and not hold_signal:
-        raise DomainError("momentum needs the signals held: delta = 0 on the support")
-    momentum = _Momentum(support, constraint, xi.ravel()[support]) if cfg.momentum else None
+    s_scale = np.maximum(np.maximum(y_norm[support], delta), 1e-300)
+    hold_signal = delta == 0 or support.size == 0
+    momentum = None
+    if hold_signal and constraint is not None:
+        momentum = _Momentum(support, constraint, xi.ravel()[support])
     s = y_s.copy()
     trace = []
     trajectory = [] if cfg.keep_trajectory else None
@@ -411,7 +413,7 @@ def projected_descent(op, xi, y, delta, cfg, constraint, epsilon=0.0, proj_tol=P
             f, d_xi = voxelwise_value_and_gradient(op, xi_s, s)
         else:
             f, d_xi, d_s = voxelwise_full_residual(op, xi_s, s)
-            s_new = _projected_signal_step(op, xi_s, s, d_s, y_s, delta_s, epsilon)
+            s_new = _projected_signal_step(op, xi_s, s, d_s, y_s, delta, epsilon)
             s_move = float(np.max(np.linalg.norm(s_new - s, axis=1) / s_scale, initial=0.0))
         grad = 2.0 * np.conj(d_xi)
         if momentum is not None:
@@ -462,16 +464,6 @@ def projected_descent(op, xi, y, delta, cfg, constraint, epsilon=0.0, proj_tol=P
         final_grad_norm=float(np.abs(grad).max(initial=0.0)),
         trajectory=None if trajectory is None else tuple(trajectory),
     )
-
-
-def _per_voxel(delta, shape):
-    """``delta``, one for all voxels or one per voxel in the field's ``shape``, as one per
-    voxel, flattened; any other shape raises :class:`DimensionError`."""
-    if np.ndim(delta) != 0 and np.shape(delta) != shape:
-        raise DimensionError(
-            f"delta shape {np.shape(delta)} is neither one value nor the field's {shape}"
-        )
-    return np.broadcast_to(delta, shape).ravel()
 
 
 class _Momentum:
@@ -547,7 +539,7 @@ def _projected_signal_step(op, xi, s, grad_s_conj, y, delta, epsilon):
     lip = np.exp(op.tau_s * np.abs(np.imag(xi))) + 2.0 * epsilon
     d = s - (0.9 / lip)[..., None] * 2.0 * (grad_s_conj + epsilon * s) - y
     nrm = np.linalg.norm(d, axis=-1, keepdims=True)
-    return y + d * np.minimum(1.0, np.asarray(delta)[..., None] / np.maximum(nrm, 1e-300))
+    return y + d * np.minimum(1.0, delta / np.maximum(nrm, 1e-300))
 
 
 MISMATCH = np.iinfo(np.int64).min  # sentinel for offsets that are no lattice multiple

@@ -356,14 +356,13 @@ class FlowConfig:
     gradient is at most ``grad_tol ||y(v)||^2``: the gradient scales with
     the squared signal, so a rescaled signal stops at the same iterate.
     ``keep_trajectory`` records every iterate. The certified step takes the
-    curvature margin ``RHO``. ``momentum`` takes restarted per-voxel FISTA
-    steps in :func:`csemri.imaging.projected_descent` (Beck and Teboulle's
-    extrapolation, restarted on a voxel whose objective it raised), which
-    needs the signals held (``delta = 0``); off, every step is the plain
-    one, whose contraction the single-voxel certificates state. A step that
-    is not positive and finite, a ``max_iters`` that is not a nonnegative
-    integer and a ``grad_tol`` that is not a nonnegative number raise
-    :class:`DomainError`.
+    curvature margin ``RHO``. The driver picks the step rule, not the
+    config: :func:`csemri.imaging.projected_descent` takes restarted
+    per-voxel FISTA steps on an image with held signals, and the plain step,
+    whose contraction the single-voxel certificates state, everywhere else.
+    A step that is not positive and finite, a ``max_iters`` that is not a
+    nonnegative integer and a ``grad_tol`` that is not a nonnegative number
+    raise :class:`DomainError`.
     """
 
     step: float | None = None
@@ -371,7 +370,6 @@ class FlowConfig:
     grad_tol: float = 1e-12
     certified: bool = False
     keep_trajectory: bool = False
-    momentum: bool = False
 
     def __post_init__(self):
         if self.step is not None and not 0.0 < self.step < inf:  # NaN fails too

@@ -33,3 +33,18 @@ def test_readme_library_tour_runs():
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_command_lines_parse():
+    # a README that still passes a removed flag fails here, not in a user's shell
+    from csemri.cli import build_parser
+
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n+```sh\n(.*?)```", text, re.S).group(1)
+    lines = [line.split("#")[0].split() for line in block.replace("\\\n", " ").splitlines()]
+    lines = [words for words in lines if words]
+    commands = [words[1:] for words in lines if words[0] == "csemri"]
+    assert len(commands) == len(lines)  # every line of the block is a csemri command
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).fn is not None

@@ -39,7 +39,6 @@ from csemri.solver import (
     certified_step,
     constrained_flow,
     step_bound,
-    wirtinger_flow,
 )
 from csemri.species import EchoSpec, build_model, load_species
 from projection_kkt import kkt_residual
@@ -82,6 +81,12 @@ def small_phantom(side=24, n_shapes=4):
     return generate_phantom(
         PhantomSpec(side, side, spec.shapes[:n_shapes], spec.fieldmap, spec.r2star), MODEL
     )
+
+
+def _one_voxel_image(y, cfg, xi_init):
+    """The image driver on the 1x1 image of the echoes ``y`` with no bound: one free voxel."""
+    return reconstruct(ImageGrid(y[None, None, :]), MODEL, FieldmapConstraint.uniform(1, 1, np.inf),
+                       cfg, np.full((1, 1), xi_init))
 
 
 class TestForwardGradient:
@@ -447,14 +452,15 @@ class TestCertifiedStepBatch:
 
 class TestReconstruct:
     def test_decoupled_matches_per_voxel_flow(self):
+        # with no bound the voxels are uncoupled: each one is the image driver on its own
         truth = small_phantom()
         con = FieldmapConstraint(eps_g=np.full((24, 24), np.inf))
-        for momentum in (False, True):
-            cfg = FlowConfig(step=3e3, max_iters=120, grad_tol=1e-300, momentum=momentum)
-            res = reconstruct(truth.grid, MODEL, con, cfg, np.full((24, 24), 1.0 + 0j))
-            for i, j in zip(*np.nonzero(truth.mask)):
-                voxel = wirtinger_flow(OP, truth.grid.signal[i, j], 1.0 + 0j, cfg)
-                assert abs(voxel.xi_hat - res.xi_map[i, j]) < 1e-10
+        cfg = FlowConfig(step=3e3, max_iters=120, grad_tol=1e-300)
+        res = reconstruct(truth.grid, MODEL, con, cfg, np.full((24, 24), 1.0 + 0j))
+        assert res.restarts > 0  # the held-signal image takes momentum
+        for i, j in zip(*np.nonzero(truth.mask)):
+            voxel = _one_voxel_image(truth.grid.signal[i, j], cfg, 1.0 + 0j)
+            assert abs(voxel.xi_map[0, 0] - res.xi_map[i, j]) < 1e-10
 
     def test_init_at_truth_is_exact(self):
         truth = small_phantom()
@@ -494,17 +500,16 @@ class TestReconstruct:
         con = FieldmapConstraint.from_mask(truth.mask, 30.0)
         init = truth.xi0_map + 3.0 * np.exp(1j * RNG.uniform(0, np.pi, truth.xi0_map.shape))
         init = np.real(init) + 1j * np.maximum(np.imag(init), 0.0)
-        for momentum in (False, True):
-            cfg = FlowConfig(step=2e3, max_iters=60, momentum=momentum, keep_trajectory=True)
-            res = reconstruct(truth.grid, MODEL, con, cfg, init, proj_tol=1e-9)
-            trace = np.array(res.objective_trace)
-            assert np.all(np.diff(trace) <= 1e-9 * np.maximum(trace[:-1], 1e-30))
-            assert res.constraint_violation <= 1e-8
-            # every accepted iterate after the start lies in C_phi and the upper half-plane
-            for xi in res.trajectory[1:]:
-                assert constraint_violation(xi, con) <= 1e-8 and np.all(xi.imag >= 0.0)
-            assert np.array_equal(res.trajectory[-1], res.xi_map)
-            assert len(res.trajectory) == len(trace) == res.iterations + 1
+        cfg = FlowConfig(step=2e3, max_iters=60, keep_trajectory=True)
+        res = reconstruct(truth.grid, MODEL, con, cfg, init, proj_tol=1e-9)
+        trace = np.array(res.objective_trace)
+        assert np.all(np.diff(trace) <= 1e-9 * np.maximum(trace[:-1], 1e-30))
+        assert res.constraint_violation <= 1e-8
+        # every accepted iterate after the start lies in C_phi and the upper half-plane
+        for xi in res.trajectory[1:]:
+            assert constraint_violation(xi, con) <= 1e-8 and np.all(xi.imag >= 0.0)
+        assert np.array_equal(res.trajectory[-1], res.xi_map)
+        assert len(res.trajectory) == len(trace) == res.iterations + 1
 
     def test_lattice_shifted_init_keeps_concentrations(self):
         from scipy import ndimage
@@ -563,14 +568,15 @@ class TestReconstruct:
         with pytest.raises(DimensionError):  # no echo at all
             constrained_flow(OP, np.ones(0), 0.0, 1.0 + 0j, cfg)
         start = np.ones((8, 8), complex)
-        for shape in ((3,), (8, 8, 1), (2, 8), (8,)):  # per-voxel maps that are not the field's
+        # delta is one radius: no map, not even one in the field's shape
+        for shape in ((3,), (8, 8, 1), (2, 8), (8,), (8, 8)):
             with pytest.raises(DimensionError):
                 reconstruct_noisy(truth.grid, MODEL, con, np.full(shape, 0.01), cfg, start)
 
 
 class TestReconstructNoisy:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(0, 2**32 - 1), delta_rel=st.sampled_from([0.0, 0.01, 0.3, 2.0]))
+    @given(seed=st.integers(0, 2**32 - 1), delta_rel=st.sampled_from([0.01, 0.3, 2.0]))
     def test_voxel_flow_is_the_driver_on_one_voxel(self, seed, delta_rel):
         rng = np.random.default_rng(seed)
         xi0 = complex(rng.uniform(-60.0, 60.0), rng.uniform(0.0, 40.0))
@@ -581,31 +587,27 @@ class TestReconstructNoisy:
         delta = delta_rel * float(np.linalg.norm(y))
         grid = ImageGrid(y[None, None, :])
         unbounded = FieldmapConstraint.uniform(1, 1, np.inf)
-        # momentum needs the signal held: delta = 0, or a zero branch with no signal to move
-        for momentum in (False, True) if delta_rel in (0.0, 2.0) else (False,):
-            cfg = FlowConfig(certified=True, max_iters=20, grad_tol=1e-300, momentum=momentum)
-            voxel = constrained_flow(OP, y, delta, xi_init, cfg)
-            image = reconstruct_noisy(grid, MODEL, unbounded, delta, cfg,
-                                      np.full((1, 1), xi_init))
-            # a ball that holds 0 (delta_rel = 2) is the zero branch: no iteration
-            assert voxel.iterations == image.iterations == (0 if delta_rel >= 1.0 else 20)
-            assert image.zero_branch_voxels == (delta_rel >= 1.0)
-            assert np.array_equal(image.xi_map.ravel(), [voxel.xi_hat])
-            assert np.array_equal(image.s_map.ravel(), voxel.s_hat)
+        # moving signals (or none, on the zero branch) take the plain step in both drivers
+        cfg = FlowConfig(certified=True, max_iters=20, grad_tol=1e-300)
+        voxel = constrained_flow(OP, y, delta, xi_init, cfg)
+        image = reconstruct_noisy(grid, MODEL, unbounded, delta, cfg, np.full((1, 1), xi_init))
+        # a ball that holds 0 (delta_rel = 2) is the zero branch: no iteration
+        assert voxel.iterations == image.iterations == (0 if delta_rel >= 1.0 else 20)
+        assert image.zero_branch_voxels == (delta_rel >= 1.0)
+        assert np.array_equal(image.xi_map.ravel(), [voxel.xi_hat])
+        assert np.array_equal(image.s_map.ravel(), voxel.s_hat)
 
-    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    @pytest.mark.parametrize("noise", [0.01])
     def test_one_voxel_image_stops_as_the_flow(self, noise):
         # the same loop on the same data: with one gradient bound, relative to ||y||^2 in both,
         # and one signal tolerance, both drivers take the same iterates and stop at the same one
         rng = np.random.default_rng(2707)
         unbounded = FieldmapConstraint.uniform(1, 1, np.inf)
-        n = 20 if noise == 0.0 else 10
+        n = 10
         for k in range(n + 2):
-            # momentum needs the signal held, so only the noiseless data also run it; the last
-            # two cases take an explicit bound on data with ||y||^2 far from 1
+            # the last two cases take an explicit bound on data with ||y||^2 far from 1
             scale, grad_tol = (1.0, FlowConfig.grad_tol) if k < n else ((1e3, 1e-3)[k - n], 1e-10)
-            cfg = FlowConfig(certified=True, keep_trajectory=True, momentum=10 <= k < n,
-                             grad_tol=grad_tol)
+            cfg = FlowConfig(certified=True, keep_trajectory=True, grad_tol=grad_tol)
             xi0 = complex(rng.uniform(-60.0, 60.0), rng.uniform(0.0, 40.0))
             c0 = scale * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
             y = MODEL.phi @ c0 * np.exp(2j * np.pi * xi0 * MODEL.times)
@@ -755,6 +757,28 @@ class TestMomentum:
         ahead = m.extrapolate(np.array([[0.2, 0.3 - 0.1j]]))  # a plain step after the reset
         assert np.array_equal(ahead, [[0.2, 0.3]])  # beta = 0, and Im clamped to 0
 
+    def test_a_held_signal_image_evaluates_once_per_iteration(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the signal block is held at delta = 0")
+
+        calls = []
+        value_and_gradient = imaging.voxelwise_value_and_gradient
+
+        def counted(*args):
+            calls.append(1)
+            return value_and_gradient(*args)
+
+        monkeypatch.setattr(imaging, "voxelwise_full_residual", forbidden)
+        monkeypatch.setattr(imaging, "_projected_signal_step", forbidden)
+        monkeypatch.setattr(imaging, "voxelwise_value_and_gradient", counted)
+        truth = small_phantom()
+        con = FieldmapConstraint.from_mask(truth.mask, 30.0)
+        cfg = FlowConfig(certified=True, max_iters=500)
+        res = reconstruct(truth.grid, MODEL, con, cfg, np.full((24, 24), 1.0 + 0j))
+        assert res.converged and res.restarts > 0  # the driver took momentum
+        assert np.array_equal(res.s_map, truth.grid.signal)
+        assert len(calls) == res.iterations + 1
+
 
 class TestPerVoxelSteps:
     """Each voxel steps by its own certified step; a step that leaves C_phi
@@ -768,24 +792,23 @@ class TestPerVoxelSteps:
         y = truth.grid.signal.reshape(-1, 6)
         support = np.flatnonzero(np.any(y != 0, axis=1))
         fallback = certified_step(OP, init.ravel()[support], y[support], 0.5).min()
-        for momentum in (False, True):
-            cfg = FlowConfig(certified=True, max_iters=200, grad_tol=1e-8, momentum=momentum)
-            res = reconstruct(truth.grid, MODEL, con, cfg, init, proj_tol=1e-11)
-            assert 0 < res.fallback_iterations < res.iterations == 200
-            x = res.xi_map
-            assert res.constraint_violation <= 10.0 * 1e-11 * max(np.max(np.abs(x.real)), 1.0)
-            assert fallback == res.step_spread[0]
-            _, d_xi = imaging.voxelwise_value_and_gradient(OP, x.ravel()[support], y[support])
-            grad = 2.0 * np.conj(d_xi) / np.sum(np.abs(y[support]) ** 2, axis=1)
-            assert np.max(np.abs(grad)) > 1e3 * cfg.grad_tol  # the gradient alone does not vanish
-            # stationary: the projected step of the smallest step returns x
-            moved = x.copy()
-            moved.ravel()[support] -= fallback * 2.0 * np.conj(d_xi)
-            back = project_onto_C_phi(moved, con, proj_tol=1e-11)
-            residual = np.abs(back - x).ravel()[support] / fallback
-            assert np.max(residual / np.sum(np.abs(y[support]) ** 2, axis=1)) <= cfg.grad_tol
+        cfg = FlowConfig(certified=True, max_iters=200, grad_tol=1e-8)
+        res = reconstruct(truth.grid, MODEL, con, cfg, init, proj_tol=1e-11)
+        assert 0 < res.fallback_iterations < res.iterations == 200
+        x = res.xi_map
+        assert res.constraint_violation <= 10.0 * 1e-11 * max(np.max(np.abs(x.real)), 1.0)
+        assert fallback == res.step_spread[0]
+        _, d_xi = imaging.voxelwise_value_and_gradient(OP, x.ravel()[support], y[support])
+        grad = 2.0 * np.conj(d_xi) / np.sum(np.abs(y[support]) ** 2, axis=1)
+        assert np.max(np.abs(grad)) > 1e3 * cfg.grad_tol  # the gradient alone does not vanish
+        # stationary: the projected step of the smallest step returns x
+        moved = x.copy()
+        moved.ravel()[support] -= fallback * 2.0 * np.conj(d_xi)
+        back = project_onto_C_phi(moved, con, proj_tol=1e-11)
+        residual = np.abs(back - x).ravel()[support] / fallback
+        assert np.max(residual / np.sum(np.abs(y[support]) ** 2, axis=1)) <= cfg.grad_tol
 
-    @pytest.mark.parametrize("delta", [0.0, 0.02])
+    @pytest.mark.parametrize("delta", [0.02])
     def test_noise_voxels_never_iterate_the_projection(self, delta):
         # the CLI's defaults on a noisy image: every voxel has signal and is
         # on the mask, so pure-noise voxels get steps of order 1 / sigma^2
@@ -851,9 +874,9 @@ class TestSupportRule:
         con = FieldmapConstraint.from_mask(truth.mask, 30.0)
         cfg = FlowConfig(step=3e3, max_iters=40, grad_tol=1e-300)
         res = reconstruct(grid, MODEL, con, cfg, np.full((32, 32), 1.0 + 0j))
-        voxel = wirtinger_flow(OP, signal[0, 0], 1.0 + 0j, cfg)
+        voxel = _one_voxel_image(signal[0, 0], cfg, 1.0 + 0j)
         assert res.xi_map[0, 0] != 1.0
-        assert abs(voxel.xi_hat - res.xi_map[0, 0]) < 1e-10
+        assert abs(voxel.xi_map[0, 0] - res.xi_map[0, 0]) < 1e-10
 
     def test_off_support_voxels_move_only_through_the_projection(self):
         truth = small_phantom(side=32)

@@ -15,7 +15,7 @@ from csemri import cli, errors, experiments
 from csemri.cli import cli_main
 from csemri.containers import model_from_config, read_csir, write_csir
 from csemri.errors import SpecError
-from csemri.imaging import FieldmapConstraint, ImageGrid, reconstruct_noisy
+from csemri.imaging import FieldmapConstraint, ImageGrid, reconstruct, reconstruct_noisy
 from csemri.experiments import experiment_curvature, experiment_solution_set, write_matrix_csv
 from csemri.phantom import (
     CorruptionSpec,
@@ -247,13 +247,23 @@ class TestCsirContainer:
         with pytest.raises(SpecError):
             read_csir(header)
 
-    @pytest.mark.parametrize("payload", [5, None, ["img.bin"]])
+    @pytest.mark.parametrize("payload", [5, None, ["img.bin"], "../img.bin", "{tmp}/img.bin",
+                                         "img\0.bin"])
     def test_payload_that_is_not_a_file_name_exits_2(self, tmp_path, capsys, payload):
-        header = tmp_path / "img.json"
-        write_csir(header, np.ones((2, 3, 6), dtype=complex), [1.2, 2.2, 3.2, 4.2, 5.2, 6.2])
+        header = tmp_path / "sub" / "img.json"
+        header.parent.mkdir()
+        _, written = write_csir(header, np.ones((2, 3, 6), dtype=complex),
+                                cli.DEFAULT_ACQUISITION["echo_times_ms"])
+        argv = ["reconstruct", "--input", str(header), "--max-iters", "1"]
+        assert cli_main(argv + ["--out", str(tmp_path / "sub" / "r.npz")]) == 0  # as written
+        (tmp_path / "img.bin").write_bytes(written.read_bytes())  # a readable file one level up
+        if isinstance(payload, str) and "\0" not in payload:  # a path to a readable payload
+            payload = payload.format(tmp=tmp_path)
+            assert (header.parent / payload).stat().st_size == written.stat().st_size
         header.write_text(json.dumps({**json.loads(header.read_text()), "payload": payload}))
         out = tmp_path / "r.npz"
-        assert cli_main(["reconstruct", "--input", str(header), "--out", str(out)]) == 2
+        capsys.readouterr()
+        assert cli_main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and json.loads(err)["error"] == "SpecError"
         assert not out.exists()
@@ -456,8 +466,7 @@ class TestCli:
             flow.write_text(json.dumps(doc))
             assert cli_main(["reconstruct", "--input", str(ph), "--out", str(tmp_path / "r.npz"),
                              "--flow", str(flow)]) == 3
-        # without --delta the signals are held, and reconstruct turns momentum on
-        assert seen == [FlowConfig(certified=True, momentum=True)] * 3
+        assert seen == [FlowConfig(certified=True)] * 3
 
     @pytest.mark.parametrize(
         "config",
@@ -651,6 +660,8 @@ class TestCli:
             ["phantom", "--fieldmap-amplitude", "nan"],
             ["corrupt", "--mismatch-species", "silicone", "--mismatch-concentration", "inf"],
             ["corrupt", "--mismatch-species", "silicone", "--mismatch-concentration", "nan"],
+            ["corrupt", "--mismatch-species", "silicone"],  # either flag needs the other
+            ["corrupt", "--mismatch-concentration", "0.5"],
         ],
     )
     def test_out_of_range_numbers_exit_2(self, tmp_path, tmp_path_factory, capsys, argv):
@@ -910,6 +921,22 @@ class TestCli:
         assert err.count("\n") == 1 and json.loads(err)["error"] == error
         assert not out.exists()
 
+    def test_cli_and_library_reconstruct_a_clean_image_alike(self, tmp_path):
+        # the library's defaults reach the CLI's iterates: both drivers pick the same step rule
+        ph, recon = tmp_path / "ph.json", tmp_path / "r.npz"
+        assert cli_main(["phantom", "--out", str(ph), "--width", "32", "--height", "32"]) == 0
+        assert cli_main(["reconstruct", "--input", str(ph), "--out", str(recon)]) == 0
+        signal = read_csir(ph)[0]
+        mask = np.any(signal != 0, axis=2)
+        res = reconstruct(
+            ImageGrid(signal), model_from_config(cli.DEFAULT_ACQUISITION),
+            FieldmapConstraint.from_mask(mask, 30.0), FlowConfig(certified=True, max_iters=2000),
+            np.full(mask.shape, 1.0 + 0j),
+        )
+        data = np.load(recon)
+        for name in ("xi_map", "c_map", "s_map"):
+            assert np.array_equal(data[name].view(np.uint64), getattr(res, name).view(np.uint64))
+
     def test_cli_and_library_reconstruct_a_noisy_image_alike(self, tmp_path, capsys):
         ph, noisy, recon = tmp_path / "ph.json", tmp_path / "noisy.json", tmp_path / "r.npz"
         assert cli_main(["phantom", "--out", str(ph)]) == 0
@@ -939,7 +966,7 @@ class TestCli:
         assert report["converged"] is True
         assert 0 < report["iterations"] < 2000
         assert {"constraint_violation", "final_objective"} <= set(report)
-        assert report["momentum"] is True and 0 <= report["restarts"] <= report["iterations"]
+        assert 0 <= report["restarts"] <= report["iterations"]
         assert 0 <= report["fallback_iterations"] <= report["iterations"]
         low, median, high = report["step_spread"]
         assert 0 < low <= median <= high
@@ -972,7 +999,7 @@ class TestCli:
         assert cli_main(["reconstruct", "--input", str(ph), "--out", str(recon),
                          "--metrics-out", str(met)]) == 0
         report = json.loads(met.read_text())
-        assert report["converged"] is True and report["momentum"] is True
+        assert report["converged"] is True
         assert report["iterations"] <= 598
         known, data = np.load(truth), np.load(recon)
         mask = known["mask"]
@@ -995,7 +1022,7 @@ class TestCli:
             report = json.loads(met.read_text())
             zero = norms <= float(delta)
             assert report["zero_branch_voxels"] == np.sum(zero)
-            assert report["momentum"] is False and report["restarts"] == 0
+            assert report["restarts"] == 0
             assert {"fallback_iterations", "step_spread", "converged"} <= set(report)
             data = np.load(recon)
             assert not np.any(data["s_map"][zero]) and not np.any(data["c_map"][zero])
