@@ -234,6 +234,13 @@ def cmd_corrupt(args):
 def cmd_reconstruct(args):
     if args.flow is not None and args.max_iters is not None:
         raise errors.SpecError("--max-iters conflicts with --flow; set max_iters in the flow config")
+    # a ball of infinite radius holds every signal: each voxel would take the zero branch
+    if args.delta is not None and not 0 <= args.delta < np.inf:
+        raise errors.SpecError(f"--delta must be nonnegative and finite, got {args.delta}")
+    if not args.eps_on_mask >= 0:  # NaN fails too; inf leaves the mask unbounded
+        raise errors.SpecError(f"--eps-on-mask must be nonnegative, got {args.eps_on_mask}")
+    if args.max_iters is not None and args.max_iters < 0:
+        raise errors.SpecError(f"--max-iters must be nonnegative, got {args.max_iters}")
     config = _acquisition_config(args.config)
     model = model_from_config(config)
     if not (0 <= args.water_index < model.n_s and 0 <= args.fat_index < model.n_s):

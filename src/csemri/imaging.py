@@ -290,21 +290,23 @@ class ReconResult:
     """A reconstruction and its run statistics, as :func:`projected_descent` returns them.
 
     ``xi_map`` is the final field, and ``s_map`` and ``c_map`` hold the
-    signals and their concentration estimate in the field's shape, 0 off
-    the support. ``converged`` holds for a stationary field whose
-    ``constraint_violation`` (0.0 without a constraint) is at most ``10
-    proj_tol max(|Re xi|, 1)``. ``fallback_iterations`` counts the
+    signals and their concentration estimate in the field's shape, 0 off the
+    support. The estimate, and its exponent guard, read only the support, so
+    no field off it is refused. ``converged`` holds for a stationary field
+    whose ``constraint_violation`` (0.0 without a constraint) is at most
+    ``10 proj_tol max(|Re xi|, 1)``. ``fallback_iterations`` counts the
     iterations whose per-voxel step left C_phi and that took the smallest
     step over the support with the projection instead, and ``restarts`` the
     iterations in which a voxel's extrapolated point raised its objective
     and was rejected (0 on a run of the plain step); ``step_spread`` is
     (min, median, max) of the steps (all three ``cfg.step`` with a fixed
-    step), and ``None`` when there are none: in certified mode with an
-    empty support. ``zero_branch_voxels`` counts the voxels whose noise ball
-    holds 0 with ``delta > 0`` and that therefore left the support.
+    step), and ``None`` when there are none: in certified mode with an empty
+    support. ``zero_branch_voxels`` counts the voxels whose noise ball holds
+    0 with ``delta > 0`` and that therefore left the support.
     ``final_grad_norm`` is the largest ``|grad|`` over the support at the
     last iterate (0.0 on an empty support), and ``trajectory`` holds every
-    iterate, the start first, when ``cfg.keep_trajectory`` is set, else None.
+    iterate, the start first, when ``cfg.keep_trajectory`` is set, else
+    None.
     """
 
     xi_map: np.ndarray = field(repr=False)
@@ -370,8 +372,10 @@ def projected_descent(op, xi, y, delta, cfg, constraint, epsilon=0.0, proj_tol=P
     certificates state. It stops once ``|grad| <= cfg.grad_tol ||y||^2``
     and every signal moves by at most ``S_TOL max(||y||, delta)``, or after
     ``cfg.max_iters`` steps; with ``cfg.keep_trajectory`` it records every
-    accepted iterate, the start first and the result last. Returns the
-    :class:`ReconResult`, its maps in the field's shape.
+    accepted iterate, the start first and the result last. The final
+    :func:`voxelwise_concentrations` estimate, and the exponent guard it
+    checks, read only the support; off it the concentrations are 0. Returns
+    the :class:`ReconResult`, its maps in the field's shape.
     """
     y = np.asarray(y, dtype=complex)
     if y.shape[-1:] != (op.n_e,):
@@ -414,7 +418,7 @@ def projected_descent(op, xi, y, delta, cfg, constraint, epsilon=0.0, proj_tol=P
         else:
             f, d_xi, d_s = voxelwise_full_residual(op, xi_s, s)
             s_new = _projected_signal_step(op, xi_s, s, d_s, y_s, delta, epsilon)
-            s_move = float(np.max(np.linalg.norm(s_new - s, axis=1) / s_scale, initial=0.0))
+            s_move = float(np.max(_row_norms(s_new - s) / s_scale, initial=0.0))
         grad = 2.0 * np.conj(d_xi)
         if momentum is not None:
             xi, f, grad = momentum.accept(xi, f, grad)
@@ -446,7 +450,9 @@ def projected_descent(op, xi, y, delta, cfg, constraint, epsilon=0.0, proj_tol=P
     # convergence needs the bound that project_onto_C_phi enforces
     violation = 0.0 if constraint is None else constraint_violation(xi, constraint)
     feasible = violation <= _violation_bound(xi, proj_tol)
-    c = voxelwise_concentrations(op, xi.ravel(), signals)
+    # off the support the signal is 0 and so is its estimate: its field never enters the guard
+    c = np.zeros((y.shape[0], op.phi_pinv.shape[0]), dtype=complex)
+    c[support] = voxelwise_concentrations(op, xi.ravel()[support], signals[support])
     steps = np.atleast_1d(steps)
     return ReconResult(  # the maps are views in the field's shape
         xi_map=xi,
@@ -534,12 +540,26 @@ def _projected_signal_step(op, xi, s, grad_s_conj, y, delta, epsilon):
     ``grad_s_conj`` is ``d_{s*} f`` at ``(xi, s)``, shape (n, n_e); the
     step ``0.9 / L`` per voxel uses ``||R(xi)||_op^2 <= exp(tau_s |Im xi|)``
     plus the ridge curvature ``2 epsilon`` as ``L``, and the result is
-    projected radially onto the balls ``||s - y|| <= delta``.
+    projected radially onto the balls ``||s - y|| <= delta``. It writes one
+    (n, n_e) array in place, the ridge term only when ``epsilon > 0``. Its
+    batch is the support, as is that of the estimate after the loop and of
+    its exponent guard.
     """
     lip = np.exp(op.tau_s * np.abs(np.imag(xi))) + 2.0 * epsilon
-    d = s - (0.9 / lip)[..., None] * 2.0 * (grad_s_conj + epsilon * s) - y
-    nrm = np.linalg.norm(d, axis=-1, keepdims=True)
-    return y + d * np.minimum(1.0, delta / np.maximum(nrm, 1e-300))
+    step = (-1.8 / lip)[..., None]  # -2 (0.9 / L), bit for bit
+    d = (grad_s_conj + epsilon * s) * step if epsilon > 0 else grad_s_conj * step
+    d += s
+    d -= y
+    d *= np.minimum(1.0, delta / np.maximum(_row_norms(d), 1e-300))[..., None]
+    d += y
+    return d
+
+
+def _row_norms(x):
+    """``||x||`` along the last axis of a C-contiguous complex array: a real reduction over
+    its float view, without the ``conj(x) * x`` temporary of ``np.linalg.norm``."""
+    x = x.view(float)
+    return np.sqrt(np.einsum("...i,...i->...", x, x))
 
 
 MISMATCH = np.iinfo(np.int64).min  # sentinel for offsets that are no lattice multiple

@@ -215,8 +215,11 @@ def voxelwise_full_residual(op, xi, s):
     evaluation takes one exponential.
     """
     f, d_xi, rs, w = _value_gradient_residual(op, xi, s)
-    w_conj = w.conj()
-    return f, d_xi, 0.5 * ((rs * w_conj) @ op.stacked[0]) / w_conj
+    w_conj = np.conjugate(w, out=w)  # the kernel call's own array, read nowhere else
+    grad_s = (rs * w_conj) @ op.stacked[0]
+    grad_s *= 0.5  # exact, so the same bits as scaling first
+    grad_s /= w_conj
+    return f, d_xi, grad_s
 
 
 def voxelwise_signal_gradient(op, xi, s):

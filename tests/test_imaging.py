@@ -33,7 +33,13 @@ from csemri.phantom import (
     default_phantom_spec,
     generate_phantom,
 )
-from csemri.residual import make_residual_operator, residual_pieces, voxelwise_concentrations
+from csemri.residual import (
+    EXP_GUARD,
+    make_residual_operator,
+    residual_pieces,
+    voxelwise_concentrations,
+    voxelwise_signal_gradient,
+)
 from csemri.solver import (
     FlowConfig,
     certified_step,
@@ -720,6 +726,44 @@ class TestReconstructNoisy:
         assert max(ratios) < 3.0
 
 
+def _signal_step_reference(op, xi, s, grad_s_conj, y, delta, epsilon):
+    """The signal step as one expression: the reference for ``imaging._projected_signal_step``."""
+    lip = np.exp(op.tau_s * np.abs(np.imag(xi))) + 2.0 * epsilon
+    d = s - (0.9 / lip)[..., None] * 2.0 * (grad_s_conj + epsilon * s) - y
+    nrm = np.linalg.norm(d, axis=-1, keepdims=True)
+    return y + d * np.minimum(1.0, delta / np.maximum(nrm, 1e-300))
+
+
+class TestSignalStep:
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_in_place_step_matches_the_reference(self, epsilon, seed):
+        # only the norm's summation order differs, so each row agrees with the
+        # reference to a few roundings of its largest input (the step moves s by at
+        # most 0.9 ||s|| with the loop's own gradient)
+        rng = np.random.default_rng(seed)
+        n = 200
+        xi = rng.uniform(-300.0, 300.0, n) + 1j * rng.uniform(0.0, 50.0, n)
+        y = 10.0 ** rng.uniform(-3.0, 2.0, (n, 1)) * (
+            rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6)))
+        s = y + 10.0 ** rng.uniform(-4.0, 1.0, (n, 1)) * (
+            rng.standard_normal((n, 6)) + 1j * rng.standard_normal((n, 6)))
+        g = voxelwise_signal_gradient(OP, xi, s)
+        s[0], g[0] = y[0], -epsilon * y[0]  # d = 0 exactly
+        reach = np.linalg.norm(_signal_step_reference(OP, xi, s, g, y, np.inf, epsilon) - y,
+                               axis=1)
+        assert reach[0] == 0.0
+        delta = float(np.median(reach))
+        inside = reach <= delta
+        assert 1 < inside.sum() < n  # rows inside the ball and outside it
+        ref = _signal_step_reference(OP, xi, s, g, y, delta, epsilon)
+        out = imaging._projected_signal_step(OP, xi, s, g, y, delta, epsilon)
+        scale = np.maximum(np.linalg.norm(y, axis=1), np.linalg.norm(s, axis=1))
+        assert np.all(np.linalg.norm(out - ref, axis=1) <= 8 * np.finfo(float).eps * scale)
+        assert np.array_equal(out[0], y[0])
+        assert np.all(np.linalg.norm(out - y, axis=1) <= delta * (1.0 + 1e-12))
+
+
 class TestMomentum:
     """Restarted per-voxel FISTA: a voxel whose extrapolated point raised its objective
     keeps its last accepted point; a field that would leave C_phi keeps every voxel's."""
@@ -900,6 +944,23 @@ class TestSupportRule:
         assert bound.xi_map[0, 0] == 5000.0
         assert bound.constraint_violation <= 1e-8 * 5000.0
         assert not np.any(bound.s_map[~support])
+
+    @pytest.mark.parametrize("delta", [0.0, 0.01])
+    def test_estimate_tests_no_guard_off_the_support(self, delta):
+        # a zero-signal voxel's field past the exp guard never enters the objective and
+        # its concentrations are 0 by definition, so the estimate must not refuse it
+        truth = generate_phantom(default_phantom_spec(width=16, height=16), MODEL)
+        off = (0, 0)
+        assert not np.any(truth.grid.signal[off]) and not truth.mask[off]
+        init = np.full((16, 16), 1.0 + 0j)
+        init[off] = 1.0 + 2e4j
+        assert 2e4 * MODEL.times[-1] > EXP_GUARD
+        con = FieldmapConstraint.from_mask(truth.mask, 30.0)
+        cfg = FlowConfig(certified=True, max_iters=50)
+        res = reconstruct_noisy(truth.grid, MODEL, con, delta, cfg, init)
+        assert res.xi_map[off] == init[off]
+        assert not np.any(res.c_map[off]) and not np.any(res.s_map[off])
+        assert np.all(np.isfinite(res.c_map))
 
 
 class TestZeroBranch:

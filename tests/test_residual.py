@@ -430,10 +430,14 @@ class TestKernelAgainstDenseReferences:
                 for piece, ref in zip(pieces, row_refs):
                     assert self.close(piece[i], ref)
             assert not any(np.any(p[-1]) for p in pieces)
-        # R^H R s overflows doubles at 15 kHz; compare the signal gradient below it
+        # R^H R s overflows doubles at 15 kHz; compare the signal gradient below it, and on
+        # a batch of the fields a reconstruction visits (Im xi in [0, 50] Hz)
         keep = np.abs(xis.imag) <= 5000.0
-        grad_s = voxelwise_signal_gradient(OP, xis[keep], sig[keep])
-        for g, xi, s in zip(grad_s, xis[keep], sig[keep]):
+        rng = np.random.default_rng(23)
+        xis_s = np.concatenate([xis[keep], [random_xi(rng, im=50.0) for _ in range(32)]])
+        sig_s = np.concatenate([sig[keep], random_complex((32, 6), rng)])
+        grad_s = voxelwise_signal_gradient(OP, xis_s, sig_s)
+        for g, xi, s in zip(grad_s, xis_s, sig_s):
             r = residual_matrix(OP, xi)
             assert self.close(g, 0.5 * r.conj().T @ (r @ s))
 
